@@ -7,11 +7,11 @@
 //
 //	drivesim [-scenario NAME] [-seed N] [-km N] [-out DIR] [-stream-out DIR]
 //	         [-quick] [-video SEC] [-gaming SEC] [-shards N] [-workers N]
-//	         [-progress] [-engine scalar|batch]
-//	         [-cpuprofile FILE] [-memprofile FILE]
+//	         [-progress] [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no flags it reproduces the paper's full methodology (about a minute
-// of wall time); -quick runs network tests only over the first 200 km.
+// of wall time); -quick runs network tests only over the first 200 km, or
+// the first -km N when given.
 // -scenario selects the route: a library name ("paper", "dense-urban",
 // "interstate-only", "mountain-sparse", "commuter-loop", "mmwave-downtown")
 // or "random:<seed>" for a procedurally generated route. The default
@@ -27,9 +27,6 @@
 // compression runs on -stream-workers cores (chunked multi-member gzip,
 // byte-deterministic regardless of the worker count); -stream-workers 1
 // selects the serial single-member writer.
-// -engine batch selects the batched struct-of-arrays tick engine for the
-// driving test phases; its output is byte-identical to the default scalar
-// engine, which remains the oracle (see DESIGN.md "Batched tick engine").
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -65,7 +62,6 @@ func main() {
 		rawDir   = flag.String("rawlogs", "", "also write raw XCAL + app log files per bulk test into this directory")
 		shards   = flag.Int("shards", 1, "split the route into N segments simulated in parallel (1 = serial engine)")
 		workers  = flag.Int("workers", 0, "max shard workers running at once (0 = GOMAXPROCS)")
-		engine   = flag.String("engine", campaign.EngineScalar, "tick engine: scalar (per-phone goroutines, the oracle) or batch (lockstep struct-of-arrays; byte-identical output)")
 		progress = flag.Bool("progress", false, "print a per-day km ticker on stderr (serial engine only)")
 		verbose  = flag.Bool("v", false, "alias for -progress")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign run to this file")
@@ -82,22 +78,20 @@ func main() {
 		log.Fatalf("-scenario %s: %v", *scn, err)
 	}
 
+	// -quick picks the base config; the flag overrides apply on top of
+	// either base.
 	cfg := campaign.DefaultConfig(*seed)
-	cfg.KmLimit = *km
-	cfg.VideoSec = *video
-	cfg.GamingSec = *gaming
-	cfg.RawLogDir = *rawDir
 	if *quick {
 		cfg = campaign.QuickConfig(*seed, 200)
 	}
+	if *km > 0 {
+		cfg.KmLimit = *km
+	}
+	cfg.VideoSec = *video
+	cfg.GamingSec = *gaming
+	cfg.RawLogDir = *rawDir
 	// The scenario's pinned schedule phases override the flag-derived mix.
 	cfg = sc.ApplySchedule(cfg)
-	switch *engine {
-	case campaign.EngineScalar, campaign.EngineBatch:
-		cfg.Engine = *engine
-	default:
-		log.Fatalf("unknown -engine %q (want %s or %s)", *engine, campaign.EngineScalar, campaign.EngineBatch)
-	}
 	// campaign.Config.Progress drives the ticker; the fleet CLI prints the
 	// same style of per-unit lines, one per completed seed.
 	if *progress || *verbose {

@@ -8,8 +8,8 @@
 //
 //	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W] [-shards K]
 //	      [-checkpoint FILE] [-verify-resume] [-out FILE] [-html FILE]
-//	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-engine scalar|batch]
-//	      [-procs N] [-cpuprofile FILE] [-memprofile FILE]
+//	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-grid builtin|FILE]
+//	      [-print-grid] [-procs N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -scenario takes a comma-separated list of route scenarios (library names
 // like "paper" or "dense-urban", or "random:<seed>" for a procedurally
@@ -19,6 +19,28 @@
 // some routes and fail on others. Checkpoint rows carry the scenario name,
 // so one checkpoint file resumes a whole sweep; files written before
 // scenarios existed resume as the "paper" scenario.
+//
+// -grid adds a handover-policy axis: every scenario runs once under each
+// policy of the grid, and the report adds a per-road-class Pareto verdict —
+// which handover config dominates on city, suburban, and highway driving,
+// over handover rate, interruption, 5G dwell, and throughput. The drive
+// trace is a pure function of seed and route, so same-seed cells differ
+// only in policy. "-grid builtin" runs the built-in baseline / sticky /
+// nervous / eager-5g grid; otherwise -grid names a JSON file shaped like:
+//
+//	{"policies": [
+//	  {"name": "baseline"},
+//	  {"name": "sticky", "all": {"hysteresis_frac": 0.20}},
+//	  {"name": "tuned", "operators": {"Verizon": {"eval_min_sec": 5}}}
+//	]}
+//
+// Each policy entry overlays partial overrides — the same schema scenario
+// files use in their "handover" section — onto every operator's default
+// policy ("all"), then onto single operators ("operators"). An entry with
+// no overrides is the scenario's own policy: its handover section if it
+// has one, otherwise the paper-measured defaults. Checkpoint rows are keyed
+// by (scenario, policy digest, seed), so one checkpoint file carries the
+// whole grid. -print-grid prints the effective grid as JSON and exits.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the fleet run
 // (all seeds, all workers), mirroring drivesim's flags: the CPU profile
@@ -35,8 +57,9 @@
 // code.
 //
 // -dump-dir DIR additionally streams each freshly-run seed's full dataset
-// to DIR/<scenario>/seed-N/ as gzip CSVs (parallel chunked compression);
-// resumed seeds are not re-run, so they leave no dump.
+// to DIR/<scenario>/seed-N/ as gzip CSVs (parallel chunked compression),
+// or DIR/<scenario>@<policy>/seed-N/ for a non-default grid policy; resumed
+// seeds are not re-run, so they leave no dump.
 //
 // -procs N partitions the sweep across N spawned fleet worker processes
 // (requires -checkpoint): each worker runs its residue class of the sweep
@@ -45,11 +68,14 @@
 // final report is rendered by a resume-only pass over the merged file —
 // byte-identical to a -procs 1 run, including after killing the
 // coordinator or a worker mid-sweep and re-running (see README
-// "Multi-process fleets"). -coord-shard is the internal worker-mode flag
-// the coordinator passes to its own binary; it is not for direct use.
+// "Multi-process fleets"). Each worker is this binary re-invoked with
+// "-coord-shard i/N" followed by the coordinator's own arguments verbatim,
+// so every flag reaches the workers unchanged. -coord-shard is that
+// internal worker-mode flag; it is not for direct use.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -58,7 +84,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -86,7 +111,8 @@ func main() {
 		quick      = flag.Bool("quick", false, "network tests only, first 200 km per seed")
 		km         = flag.Float64("km", 0, "truncate each campaign to the first N km (0 = full trip)")
 		apps       = flag.Bool("apps", true, "run the four killer apps in each campaign")
-		engine     = flag.String("engine", campaign.EngineScalar, "tick engine: scalar (per-phone goroutines, the oracle) or batch (lockstep struct-of-arrays; byte-identical output)")
+		gridSpec   = flag.String("grid", "", "cross every scenario with a handover-policy grid: \"builtin\" (baseline/sticky/nervous/eager-5g) or a JSON grid file")
+		printGrid  = flag.Bool("print-grid", false, "print the effective -grid as JSON and exit")
 		procs      = flag.Int("procs", 1, "partition the sweep across N spawned fleet processes (requires -checkpoint; output is byte-identical to -procs 1)")
 		coordShard = flag.String("coord-shard", "", "internal: run as coordinator worker i/N against checkpoint shard i (set by -procs, not by hand)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
@@ -94,10 +120,32 @@ func main() {
 	)
 	flag.Parse()
 
+	var grid *scenario.Grid
+	if *gridSpec != "" {
+		g, err := scenario.LoadGrid(*gridSpec)
+		if err != nil {
+			log.Fatalf("-grid: %v", err)
+		}
+		grid = g
+	}
+	if *printGrid {
+		if grid == nil {
+			log.Fatal("-print-grid needs -grid")
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(grid); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+
 	// Worker mode: -coord-shard i/N narrows this process to its residue
 	// class of the sweep (Stride/Offset) and retargets it at its own
 	// checkpoint shard. The coordinator merges and reports; a worker only
-	// computes, so its report is discarded and -out/-html are never passed.
+	// computes, returning right after fleet.Run — before the -procs,
+	// profiling and report code — so the coordinator's -procs, -out, -html
+	// and profile flags, forwarded verbatim, never act twice.
 	shard, shardOf := 0, 0
 	if *coordShard != "" {
 		if _, err := fmt.Sscanf(*coordShard, "%d/%d", &shard, &shardOf); err != nil || shardOf < 1 || shard < 0 || shard >= shardOf {
@@ -117,16 +165,17 @@ func main() {
 			base.KmLimit = *km
 		}
 	}
-	switch *engine {
-	case campaign.EngineScalar, campaign.EngineBatch:
-		base.Engine = *engine
-	default:
-		log.Fatalf("unknown -engine %q (want %s or %s)", *engine, campaign.EngineScalar, campaign.EngineBatch)
-	}
 
 	// Compile every requested scenario once up front: a bad name fails
 	// before any campaign runs, and the immutable testbeds are shared by
-	// all seeds of their scenario.
+	// all seeds of their scenario. Without -grid each scenario is one cell
+	// under its own policy; with it, each scenario stamps one cell per grid
+	// policy.
+	policies := []scenario.GridPolicy{{}}
+	if grid != nil {
+		policies = grid.Policies
+	}
+	var names []string
 	var sweep []fleet.Scenario
 	for _, spec := range strings.Split(*scenarios, ",") {
 		spec = strings.TrimSpace(spec)
@@ -141,12 +190,20 @@ func main() {
 		if err != nil {
 			log.Fatalf("-scenario %s: %v", spec, err)
 		}
-		sweep = append(sweep, fleet.Scenario{
-			Name:      sc.Name(),
-			Testbed:   tb,
-			Shapes:    sc.ShapeParams(),
-			Configure: sc.ApplySchedule,
-		})
+		names = append(names, sc.Name())
+		for _, p := range policies {
+			cell, err := p.Testbed(tb)
+			if err != nil {
+				log.Fatal(err) // LoadGrid validated; defensive
+			}
+			sweep = append(sweep, fleet.Scenario{
+				Name:       sc.Name(),
+				PolicyName: p.Name,
+				Testbed:    cell,
+				Shapes:     sc.ShapeParams(),
+				Configure:  sc.ApplySchedule,
+			})
+		}
 	}
 	if len(sweep) == 0 {
 		log.Fatal("-scenario lists no scenarios")
@@ -176,11 +233,15 @@ func main() {
 					state = "resumed, hash verified"
 				}
 			}
+			cell := ev.Scenario
+			if ev.PolicyName != "" {
+				cell += "/" + ev.PolicyName
+			}
 			fmt.Fprintf(os.Stderr, " %s%s seed %d %s (%d/%d, shapes %d/%d, %s)\n",
-				tag, ev.Scenario, ev.Seed, state, ev.Done, ev.Total, ev.ShapesPass, ev.ShapesTotal,
+				tag, cell, ev.Seed, state, ev.Done, ev.Total, ev.ShapesPass, ev.ShapesTotal,
 				time.Since(start).Round(time.Second))
 			if ev.HashMismatch {
-				fmt.Fprintf(os.Stderr, "  WARNING: %s seed %d checkpoint hash disagrees with this build's recomputed dataset hash — the checkpoint was written by different code\n", ev.Scenario, ev.Seed)
+				fmt.Fprintf(os.Stderr, "  WARNING: %s seed %d checkpoint hash disagrees with this build's recomputed dataset hash — the checkpoint was written by different code\n", cell, ev.Seed)
 			}
 		},
 	}
@@ -201,12 +262,12 @@ func main() {
 		return
 	}
 
-	names := make([]string, len(sweep))
-	for i, sn := range sweep {
-		names[i] = sn.Name
+	axis := ""
+	if grid != nil {
+		axis = fmt.Sprintf(" × %d policies", len(policies))
 	}
-	fmt.Fprintf(os.Stderr, "fleet: scenarios %s, %d seeds from %d, %d shard(s) per campaign...\n",
-		strings.Join(names, ","), *seeds, *startSeed, *shards)
+	fmt.Fprintf(os.Stderr, "fleet: scenarios %s%s, %d seeds from %d, %d shard(s) per campaign...\n",
+		strings.Join(names, ","), axis, *seeds, *startSeed, *shards)
 
 	if *procs > 1 {
 		// Coordinator phase: partition the sweep across -procs re-invocations
@@ -226,23 +287,10 @@ func main() {
 			Checkpoint: *checkpoint,
 			Procs:      *procs,
 			Spawn: func(shard, procs int) (*exec.Cmd, error) {
-				args := []string{
-					"-coord-shard", fmt.Sprintf("%d/%d", shard, procs),
-					"-scenario", *scenarios,
-					"-seeds", strconv.Itoa(*seeds),
-					"-start-seed", strconv.FormatInt(*startSeed, 10),
-					"-workers", strconv.Itoa(*workers),
-					"-shards", strconv.Itoa(*shards),
-					"-checkpoint", *checkpoint,
-					"-engine", *engine,
-					"-km", strconv.FormatFloat(*km, 'g', -1, 64),
-					fmt.Sprintf("-apps=%t", *apps),
-					fmt.Sprintf("-quick=%t", *quick),
-					fmt.Sprintf("-verify-resume=%t", *verify),
-				}
-				if *dumpDir != "" {
-					args = append(args, "-dump-dir", *dumpDir)
-				}
+				// The shard flag goes first, as two argv entries, so the
+				// coordinator's own arguments follow verbatim and the
+				// process title reads "coord-shard i/N" for pkill -f.
+				args := append([]string{"-coord-shard", fmt.Sprintf("%d/%d", shard, procs)}, os.Args[1:]...)
 				cmd := exec.Command(exe, args...)
 				cmd.Stderr = os.Stderr
 				return cmd, nil

@@ -25,13 +25,13 @@ import (
 const (
 	// EngineScalar is the original per-phone engine: each test phase fans
 	// out one goroutine per phone, each driving its own tick loop. It is
-	// the oracle: golden hashes are defined by its output and may never be
-	// regenerated from the batch engine.
+	// kept only as the test oracle: golden hashes are defined by its output
+	// and may never be regenerated from the batch engine.
 	EngineScalar = "scalar"
-	// EngineBatch is the batched struct-of-arrays engine: the driving
-	// bulk/RTT phases step all phones in one lockstep pass per tick.
-	// Output is byte-identical to the scalar engine's (enforced by the
-	// differential tests).
+	// EngineBatch is the batched struct-of-arrays engine and the production
+	// default: the driving bulk/RTT phases step all phones in one lockstep
+	// pass per tick. Output is byte-identical to the scalar engine's
+	// (enforced by the differential tests).
 	EngineBatch = "batch"
 )
 
@@ -39,8 +39,8 @@ const (
 type Config struct {
 	Seed int64
 
-	// Engine selects the tick engine: EngineScalar (or "") runs the
-	// per-phone goroutine engine, EngineBatch the lockstep batched one.
+	// Engine selects the tick engine: EngineBatch (or "") runs the
+	// lockstep batched engine, EngineScalar the per-phone goroutine oracle.
 	Engine string
 
 	BulkSec   float64 // duration of one throughput test (§5: 30-35 s)
@@ -153,9 +153,9 @@ type Campaign struct {
 // unknown engine names loudly rather than silently running scalar.
 func (cfg Config) engineBatch() bool {
 	switch cfg.Engine {
-	case EngineBatch:
+	case "", EngineBatch:
 		return true
-	case "", EngineScalar:
+	case EngineScalar:
 		return false
 	default:
 		panic("campaign: unknown engine " + cfg.Engine)

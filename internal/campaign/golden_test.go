@@ -17,8 +17,11 @@ const goldenHashFile = "testdata/golden_seed23.sha256"
 // goldenConfig is the reference run the golden hash covers: a serial
 // seed-23 campaign over the first 120 km with the passive loggers and
 // static city batteries enabled, so every export path contributes bytes.
+// It pins the scalar oracle explicitly: the golden is never computed from
+// the batch engine, which the differential tests hold to the same bytes.
 func goldenConfig() Config {
 	cfg := QuickConfig(23, 120)
+	cfg.Engine = EngineScalar
 	cfg.EnablePassive = true
 	cfg.EnableStatic = true
 	return cfg

@@ -246,13 +246,8 @@ func writeCSV(dir, name string, header []string, n int, row func(i int) []string
 	return f.Close()
 }
 
-func readCSV(dir, name string, wantCols int, row func(line int, rec []string) error) error {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
+func readCSV(in io.Reader, name string, wantCols int, row func(line int, rec []string) error) error {
+	r := csv.NewReader(in)
 	r.FieldsPerRecord = wantCols
 	if _, err := r.Read(); err != nil { // header
 		return rowErr{name, 1, err}
@@ -301,9 +296,37 @@ func (d *Dataset) Save(dir string) error {
 }
 
 // Load reads a dataset previously written with Save.
-func Load(dir string) (*Dataset, error) {
+func Load(dir string) (*Dataset, error) { return load(dir, false) }
+
+// LoadCompressed reads a dataset previously written with SaveCompressed,
+// decompressing each table as it is parsed.
+func LoadCompressed(dir string) (*Dataset, error) { return load(dir, true) }
+
+// load parses the six tables under dir, from their .csv.gz files when gz
+// is set.
+func load(dir string, gz bool) (*Dataset, error) {
+	table := func(name string, wantCols int, row func(line int, rec []string) error) error {
+		path := filepath.Join(dir, name)
+		if gz {
+			path += ".gz"
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		var in io.Reader = f
+		if gz {
+			zr, err := gzip.NewReader(f)
+			if err != nil {
+				return fmt.Errorf("dataset: %s: %v", name, err)
+			}
+			in = zr
+		}
+		return readCSV(in, name, wantCols, row)
+	}
 	d := &Dataset{}
-	err := readCSV(dir, fileThr, 18, func(_ int, r []string) error {
+	err := table(fileThr, 18, func(_ int, r []string) error {
 		var p parser
 		s := ThroughputSample{
 			TestID: p.i(r[0]), Op: p.op(r[1]), Dir: p.dir(r[2]), TimeUTC: p.t(r[3]), Bps: p.f(r[4]),
@@ -317,7 +340,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileRTT, 10, func(_ int, r []string) error {
+	err = table(fileRTT, 10, func(_ int, r []string) error {
 		var p parser
 		s := RTTSample{
 			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), Ms: p.f(r[3]), Tech: p.tech(r[4]),
@@ -329,7 +352,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileHO, 9, func(_ int, r []string) error {
+	err = table(fileHO, 9, func(_ int, r []string) error {
 		var p parser
 		h := HandoverRecord{
 			TestID: p.i(r[0]), Op: p.op(r[1]), TimeUTC: p.t(r[2]), DurSec: p.f(r[3]),
@@ -341,7 +364,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileTests, 18, func(_ int, r []string) error {
+	err = table(fileTests, 18, func(_ int, r []string) error {
 		var p parser
 		t := TestSummary{
 			ID: p.i(r[0]), Op: p.op(r[1]), Kind: TestKind(p.s(r[2])), Dir: p.dir(r[3]), StartUTC: p.t(r[4]),
@@ -356,7 +379,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, fileApps, 19, func(_ int, r []string) error {
+	err = table(fileApps, 19, func(_ int, r []string) error {
 		var p parser
 		a := AppRun{
 			ID: p.i(r[0]), Op: p.op(r[1]), App: TestKind(p.s(r[2])), StartUTC: p.t(r[3]), DurSec: p.f(r[4]),
@@ -371,7 +394,7 @@ func Load(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = readCSV(dir, filePassive, 7, func(_ int, r []string) error {
+	err = table(filePassive, 7, func(_ int, r []string) error {
 		var p parser
 		s := PassiveSample{
 			Op: p.op(r[0]), TimeUTC: p.t(r[1]), Km: p.f(r[2]), Tech: p.tech(r[3]), Cell: p.s(r[4]),
@@ -387,84 +410,13 @@ func Load(dir string) (*Dataset, error) {
 }
 
 // SaveCompressed writes the dataset CSVs gzip-compressed (one .csv.gz per
-// table) — the full-campaign dataset is ~80 MB as plain CSV.
+// table) — the full-campaign dataset is ~80 MB as plain CSV. The tables
+// stream through the CSVWriter exporter, so nothing is staged on disk.
 func (d *Dataset) SaveCompressed(dir string) error {
-	tmp, err := os.MkdirTemp(dir, ".staging-*")
+	w, err := NewCSVWriter(dir)
 	if err != nil {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		tmp, err = os.MkdirTemp(dir, ".staging-*")
-		if err != nil {
-			return err
-		}
-	}
-	defer os.RemoveAll(tmp)
-	if err := d.Save(tmp); err != nil {
 		return err
 	}
-	for _, name := range []string{fileThr, fileRTT, fileHO, fileTests, fileApps, filePassive} {
-		in, err := os.Open(filepath.Join(tmp, name))
-		if err != nil {
-			return err
-		}
-		out, err := os.Create(filepath.Join(dir, name+".gz"))
-		if err != nil {
-			in.Close()
-			return err
-		}
-		zw := gzip.NewWriter(out)
-		if _, err := io.Copy(zw, in); err != nil {
-			in.Close()
-			out.Close()
-			return err
-		}
-		in.Close()
-		if err := zw.Close(); err != nil {
-			out.Close()
-			return err
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadCompressed reads a dataset previously written with SaveCompressed.
-func LoadCompressed(dir string) (*Dataset, error) {
-	tmp, err := os.MkdirTemp("", "wheels-dataset-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	for _, name := range []string{fileThr, fileRTT, fileHO, fileTests, fileApps, filePassive} {
-		in, err := os.Open(filepath.Join(dir, name+".gz"))
-		if err != nil {
-			return nil, err
-		}
-		zr, err := gzip.NewReader(in)
-		if err != nil {
-			in.Close()
-			return nil, fmt.Errorf("dataset: %s: %v", name, err)
-		}
-		out, err := os.Create(filepath.Join(tmp, name))
-		if err != nil {
-			zr.Close()
-			in.Close()
-			return nil, err
-		}
-		if _, err := io.Copy(out, zr); err != nil {
-			zr.Close()
-			in.Close()
-			out.Close()
-			return nil, fmt.Errorf("dataset: %s: %v", name, err)
-		}
-		zr.Close()
-		in.Close()
-		if err := out.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return Load(tmp)
+	d.EmitTo(w)
+	return w.Flush()
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -24,34 +26,39 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVWriterMatchesSaveCompressed: the streaming exporter's .gz files
-// are byte-identical to SaveCompressed's — same headers, same row encoding,
-// same gzip framing.
+// TestCSVWriterMatchesSaveCompressed: SaveCompressed streams through the
+// CSVWriter exporter, whose rows must decompress to exactly the bytes the
+// independent encoding/csv path of Save writes — same headers, same row
+// encoding.
 func TestCSVWriterMatchesSaveCompressed(t *testing.T) {
 	ds := fuzzSeedDataset()
-	saveDir, streamDir := t.TempDir(), t.TempDir()
-	if err := ds.SaveCompressed(saveDir); err != nil {
+	plainDir, gzDir := t.TempDir(), t.TempDir()
+	if err := ds.Save(plainDir); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSVWriter(streamDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.EmitTo(w)
-	if err := w.Flush(); err != nil {
+	if err := ds.SaveCompressed(gzDir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range csvFiles {
-		saved, err := os.ReadFile(filepath.Join(saveDir, name+".gz"))
+		plain, err := os.ReadFile(filepath.Join(plainDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := os.ReadFile(filepath.Join(streamDir, name+".gz"))
+		f, err := os.Open(filepath.Join(gzDir, name+".gz"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(saved, streamed) {
-			t.Errorf("%s.gz: streamed bytes differ from SaveCompressed", name)
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, streamed) {
+			t.Errorf("%s: gunzipped SaveCompressed bytes differ from Save's", name)
 		}
 	}
 }

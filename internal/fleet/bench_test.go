@@ -14,10 +14,13 @@ import (
 // BenchmarkFleet runs a reduced three-seed fleet per iteration and reports
 // the two capacity numbers CI tracks in BENCH_fleet.json: seeds/hour
 // (scheduling + reduction throughput) and heap-delta/seed, a peak-RSS
-// proxy showing the dataset really is dropped after reduction.
+// proxy showing the dataset really is dropped after reduction. It runs the
+// scalar oracle engine, the engine its committed baseline was taken on.
 func BenchmarkFleet(b *testing.B) {
+	base := campaign.QuickConfig(0, 40)
+	base.Engine = campaign.EngineScalar
 	cfg := Config{
-		Base:      campaign.QuickConfig(0, 40),
+		Base:      base,
 		StartSeed: 23,
 		Seeds:     3,
 		Workers:   2,
@@ -86,11 +89,12 @@ func BenchmarkFleetBatch(b *testing.B) {
 
 // BenchmarkSweep runs a two-policy grid (default + a sticky variant) over
 // a reduced seed range per iteration and reports configs/hour: completed
-// (scenario, policy) cells per hour, the capacity number cmd/sweep grid
+// (scenario, policy) cells per hour, the capacity number fleet -grid
 // planning divides by. The policy axis shares one testbed's route and
 // registry across cells — only the Handover array differs — so the
 // marginal cost of a grid row over a plain fleet is the campaigns
-// themselves, which is exactly what this benchmark pins.
+// themselves, which is exactly what this benchmark pins. Like
+// BenchmarkFleet it runs the scalar engine of its committed baseline.
 func BenchmarkSweep(b *testing.B) {
 	tb := campaign.NewTestbed()
 	sticky := *tb
@@ -100,8 +104,10 @@ func BenchmarkSweep(b *testing.B) {
 		hc.EvalMinSec, hc.EvalMaxSec = 14, 24
 		sticky.Handover[op] = hc
 	}
+	base := campaign.QuickConfig(0, 40)
+	base.Engine = campaign.EngineScalar
 	cfg := Config{
-		Base: campaign.QuickConfig(0, 40),
+		Base: base,
 		Scenarios: []Scenario{
 			{Name: "paper", PolicyName: "baseline", Testbed: tb},
 			{Name: "paper", PolicyName: "sticky", Testbed: &sticky},
@@ -129,10 +135,12 @@ func BenchmarkSweep(b *testing.B) {
 
 // benchSeedConfig is the per-seed campaign the streaming-vs-materialized
 // pair below measures: long enough (320 km, passive loggers on) that the
-// record volume dominates the substrate both paths share.
+// record volume dominates the substrate both paths share. It runs the
+// scalar engine the committed baselines of both benches were taken on.
 func benchSeedConfig(seed int64) campaign.Config {
 	cfg := campaign.QuickConfig(seed, 320)
 	cfg.EnablePassive = true
+	cfg.Engine = campaign.EngineScalar
 	return cfg
 }
 

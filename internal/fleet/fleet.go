@@ -65,10 +65,12 @@ type Config struct {
 	// SeedSink, when non-nil, supplies an extra sink each freshly-run
 	// seed's record stream is teed into as it is produced (the CLI wires a
 	// per-seed ParallelCSVWriter here to dump datasets while the fleet
-	// reduces them). It is called from worker goroutines; the sink it
-	// returns is owned and flushed by the fleet, and a construction or
-	// flush error fails the run. Resumed seeds are not re-streamed, so
-	// they produce no dump.
+	// reduces them). Its scenario argument is the cell's report label: the
+	// bare scenario name under the default policy, name@policy otherwise,
+	// so every (scenario, policy, seed) gets a distinct sink. It is called
+	// from worker goroutines; the sink it returns is owned and flushed by
+	// the fleet, and a construction or flush error fails the run. Resumed
+	// seeds are not re-streamed, so they produce no dump.
 	SeedSink func(scenario string, seed int64) (dataset.Sink, error)
 
 	// Progress, when non-nil, observes every completed or skipped seed.
@@ -316,7 +318,7 @@ func Run(cfg Config) (*Report, error) {
 				if jb.verify {
 					re, err := runSeed(c, sn, shards, sc, nil)
 					if err != nil {
-						fail(fmt.Errorf("fleet: re-running %s seed %d: %w", sn.Name, jb.seed, err))
+						fail(fmt.Errorf("fleet: re-running %s seed %d: %w", sn.label(), jb.seed, err))
 						continue
 					}
 					mismatch := jb.stored.DatasetSHA256 == "" || jb.stored.DatasetSHA256 != re.DatasetSHA256
@@ -327,16 +329,16 @@ func Run(cfg Config) (*Report, error) {
 				}
 				var extra dataset.Sink
 				if cfg.SeedSink != nil {
-					s, err := cfg.SeedSink(sn.Name, jb.seed)
+					s, err := cfg.SeedSink(sn.label(), jb.seed)
 					if err != nil {
-						fail(fmt.Errorf("fleet: opening %s seed %d sink: %w", sn.Name, jb.seed, err))
+						fail(fmt.Errorf("fleet: opening %s seed %d sink: %w", sn.label(), jb.seed, err))
 						continue
 					}
 					extra = s
 				}
 				sum, err := runSeed(c, sn, shards, sc, extra)
 				if err != nil {
-					fail(fmt.Errorf("fleet: streaming %s seed %d: %w", sn.Name, jb.seed, err))
+					fail(fmt.Errorf("fleet: streaming %s seed %d: %w", sn.label(), jb.seed, err))
 					continue
 				}
 				mu.Lock()

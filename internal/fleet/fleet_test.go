@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"wheels/internal/campaign"
@@ -313,6 +315,51 @@ func TestFleetDuplicateScenarioRejected(t *testing.T) {
 	cfg.Scenarios = []Scenario{{Name: "dense-urban"}, {Name: "dense-urban"}}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Fatalf("duplicate scenario names not rejected: %v", err)
+	}
+}
+
+// TestFleetSeedSinkPerPolicy: two handover policies of one scenario and
+// seed, run concurrently, must each get their own SeedSink path — the bare
+// scenario name for the default policy, name@policy for the other — so
+// their dumps never write the same files.
+func TestFleetSeedSinkPerPolicy(t *testing.T) {
+	grid, err := scenario.LoadGrid("builtin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := campaign.NewTestbed()
+	cfg := testConfig("")
+	cfg.Base = campaign.QuickConfig(0, 20)
+	cfg.Seeds = 1
+	cfg.Workers = 2
+	for _, p := range grid.Policies[:2] {
+		cell, err := p.Testbed(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Scenarios = append(cfg.Scenarios, Scenario{Name: "paper", PolicyName: p.Name, Testbed: cell})
+	}
+	dir := t.TempDir()
+	var mu sync.Mutex
+	opened := map[string]int{}
+	cfg.SeedSink = func(scn string, seed int64) (dataset.Sink, error) {
+		path := filepath.Join(dir, scn, fmt.Sprintf("seed-%d", seed))
+		mu.Lock()
+		opened[path]++
+		mu.Unlock()
+		return dataset.NewCSVWriter(path)
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"paper", "paper@" + grid.Policies[1].Name} {
+		path := filepath.Join(dir, want, "seed-23")
+		if opened[path] != 1 {
+			t.Errorf("sink %s opened %d times, want once (all opens: %v)", path, opened[path], opened)
+		}
+	}
+	if len(opened) != 2 {
+		t.Errorf("opened %d distinct sink paths, want 2: %v", len(opened), opened)
 	}
 }
 

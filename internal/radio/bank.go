@@ -2,11 +2,9 @@ package radio
 
 import (
 	"math"
-	"os"
 
 	"wheels/internal/geo"
 	"wheels/internal/sim"
-	"wheels/internal/vecmath"
 )
 
 // LinkBank steps the active serving links of a lane group through one tick
@@ -26,11 +24,6 @@ import (
 // pipeline. Lanes are independent, and grouping their Log/Exp/NormFloat64
 // calls back to back puts 3-4 independent chains inside the out-of-order
 // window at once.
-//
-// With WHEELS_SIMD=1 on AVX2+FMA hardware (VecMath), the path-loss Log
-// pass runs four lanes per instruction through the bit-identical SIMD
-// replica of the runtime's archLog instead; results are unchanged bit for
-// bit either way.
 type LinkBank struct {
 	links []*Link
 	outs  []*LinkState
@@ -66,19 +59,6 @@ var (
 	mcsRailLo = MCSForSINR(sinrMinDB)
 	mcsRailHi = MCSForSINR(sinrMaxDB)
 )
-
-// bankVec routes the bank's Log pass through the vecmath SIMD kernels.
-// The kernels are bit-identical to math.Log (internal/vecmath pins this),
-// so the switch cannot change output — only scheduling. They are opt-in
-// because measured throughput is host-dependent: on bare-metal AVX2 parts
-// the 4-wide kernel wins, while virtualized hosts that penalize 256-bit
-// ops (like the CI runner) execute the scalar archLog faster. Set
-// WHEELS_SIMD=1 to opt in on capable hardware.
-var bankVec = vecmath.Enabled() && os.Getenv("WHEELS_SIMD") == "1"
-
-// VecMath reports whether the bank's Log pass is using the SIMD kernels
-// (hardware-capable and opted in), for diagnostics.
-func VecMath() bool { return bankVec }
 
 // Reset empties the bank for a new tick, keeping all backing arrays.
 func (b *LinkBank) Reset() {
@@ -160,23 +140,6 @@ var (
 	blerExpHi = math.Exp((sinrMaxDB - 3.0) / 2.5)
 )
 
-// logBank computes dst[i] = math.Log(dst[i]) over the row, four lanes per
-// call through the SIMD kernel when vec is set. Arguments are strictly
-// positive finite here (distance ratios and distance fractions ≥ 1e-100),
-// within Log4's bit-exact range, so both paths produce the same bits.
-func logBank(dst []float64, vec bool) {
-	n := len(dst)
-	i := 0
-	if vec {
-		for ; i+4 <= n; i += 4 {
-			vecmath.Log4((*[4]float64)(dst[i : i+4]))
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] = math.Log(dst[i])
-	}
-}
-
 // Step advances every enrolled link by dt, landing each lane's PHY snapshot
 // in its LinkState and mirroring the KPI rows in the bank's flat slices.
 // Steady-state operation is allocation-free (pinned by TestLinkBankAllocs).
@@ -214,9 +177,8 @@ func (b *LinkBank) Step(dt float64) {
 		if km < refDistKm {
 			km = refDistKm
 		}
-		b.lg[i] = km / refDistKm
+		b.lg[i] = math.Log(km / refDistKm)
 	}
-	logBank(b.lg, bankVec)
 	for i, l := range b.links {
 		pl := l.fsplRef + 10*pathLossExponent(b.road[i])*(b.lg[i]*(1/math.Ln10))
 		rsrp := l.eirp + l.beamGain - pl + b.shadow[i]
