@@ -109,7 +109,8 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatalf("starting CPU profile: %v", err)
 		}
-		// Tag the engine's phases (control/kernel/emit/hash) in the profile.
+		// Tag each test phase (kind and operator) and the hash folds in the
+		// profile.
 		campaign.ProfilePhases = true
 		dataset.ProfilePhases = true
 	}

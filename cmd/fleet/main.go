@@ -46,7 +46,7 @@
 // (all seeds, all workers), mirroring drivesim's flags: the CPU profile
 // spans fleet.Run only, and the heap profile is written after a final GC so
 // it shows live objects. This is the profile source DESIGN.md's PGO recipe
-// and the kernel-bank cost model are built from.
+// is built from.
 //
 // With -checkpoint, completed seeds append to FILE as JSON lines; an
 // interrupted fleet re-run with the same flags resumes, skipping the seeds
@@ -314,9 +314,10 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatalf("starting CPU profile: %v", err)
 		}
-		// Phase labels (control/kernel/emit/hash) cost a little per phase,
-		// so they ride the profiling flag rather than being always on. See
-		// the README profiling walkthrough for reading them.
+		// Phase labels (test kind and operator per phase, plus hash) cost a
+		// little per phase, so they ride the profiling flag rather than
+		// being always on. See the README profiling walkthrough for reading
+		// them.
 		campaign.ProfilePhases = true
 		dataset.ProfilePhases = true
 	}

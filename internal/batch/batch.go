@@ -1,17 +1,16 @@
-// Package batch is the batched struct-of-arrays tick engine for the
-// driving round-robin test phases. A Group packs the per-(phone, operator)
-// lane state — serving-link KPIs, KPI-row accumulators, the TCP flow, and
-// the latency model binding — into one contiguous []Lane and steps every
-// lane of a shard in a single lockstep pass per tick, sharing one trace
-// lookup per tick across all lanes instead of one per phone.
+// Package batch is the per-lane tick core of the campaign's test phases. A
+// Lane packs one phone's state for one test — the UE and latency-model
+// bindings, the phase parameters, the evolving per-tick snapshot, the KPI
+// accumulators, and the buffered outputs (KPI rows, handover records, RTT
+// pings, the bulk-transfer runner and the record staging bank) — and
+// Lane.Advance steps it one tick along the drive.
 //
-// The scalar campaign engine remains the oracle: both engines advance each
-// lane through exactly this package's Lane.Advance, and the campaign's
-// differential harness asserts byte-identical HashSink output between the
-// two over identical (seed, shard) inputs. Per-phone RNG streams are
-// label-derived and disjoint, so interleaving the phones tick-by-tick
-// (batch) instead of test-by-test (scalar goroutines) consumes every
-// stream in the same order and cannot change a single draw.
+// Both campaign engines run every phone through exactly this code: the
+// production per-phone timeline engine and the scalar fan-out oracle differ
+// only in how they schedule phones onto goroutines, never in what a tick
+// computes. Per-phone RNG streams are label-derived and disjoint, so that
+// scheduling cannot move a single draw, and the campaign's differential
+// harness asserts byte-identical output between the two.
 package batch
 
 import (
@@ -54,9 +53,8 @@ func secs(s float64) time.Duration { return time.Duration(s * float64(time.Secon
 // Lane is one phone's state for one test phase: the UE and latency-model
 // bindings, the phase parameters, the evolving per-tick snapshot, the KPI
 // accumulators, and the buffered outputs (KPI rows, handover records, RTT
-// pings). Lanes live contiguously inside a Group's slice; the campaign's
-// scalar adapter embeds a single Lane, so both engines run each phone
-// through exactly this code.
+// pings). The campaign's per-phone test adapter embeds a single Lane and
+// recycles it from test to test.
 type Lane struct {
 	// Identity, bound once per campaign.
 	Op  radio.Operator
@@ -81,8 +79,7 @@ type Lane struct {
 	Bulk   transport.BulkRunner
 
 	// Bank stages the phase's dataset records for batched sink dispatch.
-	// It rides on the lane so every execution context — a pooled scalar
-	// adapter, a lockstep group lane — gets its own scratch for free.
+	// It rides on the lane so every phone's adapter gets its own scratch.
 	Bank EmitBank
 
 	// 500 ms KPI accumulation window.
@@ -101,8 +98,7 @@ type Lane struct {
 	wireInit bool
 }
 
-// Bind attaches the lane to its phone. Called once per campaign (or per
-// pooled-adapter checkout on the scalar path).
+// Bind attaches the lane to its phone at the start of each test.
 func (ln *Lane) Bind(op radio.Operator, ue *ran.UE, lat *transport.LatencyModel) {
 	ln.Op, ln.UE, ln.Lat = op, ue, lat
 }
@@ -122,22 +118,22 @@ func (ln *Lane) StartPhase(id int, t float64, profile ran.Traffic, dir radio.Dir
 }
 
 // Recycle returns a zero lane that keeps the backing arrays of the output
-// buffers, so a pooled adapter's lane stops allocating once the buffers
-// reach a test's working size.
+// buffers and of the staging bank, so a reused adapter's lane stops
+// allocating once the buffers reach a test's working size.
 func (ln *Lane) Recycle() Lane {
 	return Lane{
 		Rows:   ln.Rows[:0],
 		HORecs: ln.HORecs[:0],
 		Pings:  ln.Pings[:0],
 		Bulk:   ln.Bulk.Recycle(),
+		Bank:   EmitBank{Thr: ln.Bank.Thr[:0], RTT: ln.Bank.RTT[:0]},
 	}
 }
 
 // Advance moves the lane forward dt seconds with the vehicle at sample s
-// (which must be the trace position for time ln.T+dt; the Group computes
-// it once per tick and shares it across lanes) and returns the current
-// path condition in both directions. The radio snapshot lands directly in
-// ln.Last — no per-tick state is copied up the call chain.
+// (which must be the trace position for time ln.T+dt) and returns the
+// current path condition in both directions. The radio snapshot lands
+// directly in ln.Last — no per-tick state is copied up the call chain.
 func (ln *Lane) Advance(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64, outage bool) {
 	ln.T += dt
 	ln.UE.StepInto(&ln.Last, ln.T, dt, s.Km, s.MPH, s.Road, s.Zone, ln.Profile)
@@ -146,8 +142,7 @@ func (ln *Lane) Advance(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64,
 }
 
 // drainHandovers consumes the UE's pending handover events into the lane's
-// record buffer. Called once per tick on every stepped lane, by Advance and
-// by the banked RunBulk finish pass alike.
+// record buffer. Advance calls it once per tick.
 func (ln *Lane) drainHandovers() {
 	for _, ev := range ln.UE.TakeHandovers() {
 		ln.accHOs++
@@ -225,98 +220,3 @@ func (ln *Lane) HighSpeedFrac() float64 {
 
 // HOCount returns the number of handovers recorded during the phase.
 func (ln *Lane) HOCount() int { return len(ln.HORecs) }
-
-// Group steps all lanes of one shard in lockstep: every tick computes the
-// vehicle position once and advances each lane through it in operator
-// order. All lanes share the same clock, so Lanes[0].T is the group time.
-type Group struct {
-	Lanes []Lane
-	// Where resolves the trace position at simulation time t. Group time
-	// only moves forward, so a cursor-backed closure stays O(1) per call.
-	Where func(t float64) geo.Sample
-
-	// Kernel banks, reused across ticks: the radio SoA kernel and the flow
-	// pass. Zero values are ready to use.
-	link radio.LinkBank
-	flow transport.FlowBank
-}
-
-// RunBulk runs one bulk-transfer phase of durSec seconds across all lanes.
-// Tick cadence, sample boundaries, and flow arithmetic match RunBulk on
-// the scalar path step for step.
-//
-// Each tick runs in three banked passes instead of one whole-lane pass:
-// every lane's control-plane step (availability, handovers, geometry —
-// draws only on the per-phone "ue" streams), then radio.LinkBank stepping
-// all serving links through the subsystem-major SoA kernel, then the KPI
-// accumulation and transport.FlowBank flow pass. Per-lane and per-stream
-// operation order is identical to Lane.Advance — only the cross-lane
-// interleaving changes, which the disjoint-stream contract makes free — so
-// output stays byte-identical to the scalar engine, as the differential
-// harness asserts.
-func (g *Group) RunBulk(durSec float64) {
-	for j := range g.Lanes {
-		g.Lanes[j].Bulk.Reset(durSec)
-	}
-	for i := 0; float64(i)*transport.TickSec < durSec; i++ {
-		s := g.Where(g.Lanes[0].T + transport.TickSec)
-
-		// Control pass: advance each lane's clock and control plane,
-		// enrolling the serving links that survive to a radio step.
-		g.link.Reset()
-		for j := range g.Lanes {
-			ln := &g.Lanes[j]
-			ln.T += transport.TickSec
-			link, servDist, ok := ln.UE.StepControl(&ln.Last, ln.T, s.Km, ln.Profile, s.Zone)
-			if ok {
-				g.link.Add(link, &ln.Last.Link, servDist, s.MPH, s.Road)
-			}
-		}
-
-		// Radio pass: all enrolled links through the SoA kernel.
-		g.link.Step(transport.TickSec)
-
-		// Finish pass: handover gate, KPI accumulation, path composition,
-		// and the flow tick. StepFinish runs only for lanes whose link
-		// stepped (StepControl leaves Outage=true exactly when it didn't).
-		g.flow.Reset()
-		for j := range g.Lanes {
-			ln := &g.Lanes[j]
-			if !ln.Last.Outage {
-				ln.UE.StepFinish(&ln.Last, ln.T)
-			}
-			ln.drainHandovers()
-			dl, ul, rtt, outage := ln.finish(transport.TickSec, &s)
-			cap := dl
-			if ln.Dir == radio.Uplink {
-				cap = ul
-			}
-			g.flow.Add(&ln.Bulk, transport.PathState{CapBps: cap, BaseRTTms: rtt, Outage: outage})
-		}
-		g.flow.Tick(i)
-	}
-}
-
-// RunRTT runs one ping phase of durSec seconds across all lanes, one probe
-// per intervalSec. The loop accumulates tt the way the scalar engine does
-// (tt += intervalSec), so the two engines probe on exactly the same ticks.
-func (g *Group) RunRTT(durSec, intervalSec float64) {
-	nextPing := 0.0
-	for tt := 0.0; tt < durSec; tt += intervalSec {
-		s := g.Where(g.Lanes[0].T + intervalSec)
-		ping := tt >= nextPing
-		if ping {
-			nextPing += intervalSec
-		}
-		for j := range g.Lanes {
-			ln := &g.Lanes[j]
-			_, _, rtt, outage := ln.Advance(intervalSec, &s)
-			if ping && !outage {
-				ln.Pings = append(ln.Pings, Ping{
-					T: ln.T, Ms: rtt, Tech: ln.Last.Tech,
-					MPH: ln.LastS.MPH, Km: ln.LastS.Km, Zone: ln.LastS.Zone,
-				})
-			}
-		}
-	}
-}

@@ -3,6 +3,7 @@ package batch
 import (
 	"testing"
 
+	"wheels/internal/dataset"
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
 	"wheels/internal/radio"
@@ -12,39 +13,84 @@ import (
 	"wheels/internal/transport"
 )
 
-// testGroup builds a three-lane group (one lane per operator, the paper's
-// testbed shape) over a synthetic straight-line drive at 60 mph, with a
-// server bound per lane. The synthetic Where avoids the campaign's trace
-// machinery so the tests pin down this package alone.
-func testGroup(tb testing.TB, seed int64) *Group {
+// testRig is three lanes (one per operator, the paper's testbed shape)
+// over a synthetic straight-line drive at 60 mph. The synthetic where
+// avoids the campaign's trace machinery so the tests pin down this package
+// alone.
+type testRig struct {
+	lanes []Lane
+	where func(t float64) geo.Sample
+}
+
+func newRig(tb testing.TB, seed int64) *testRig {
 	tb.Helper()
 	route := geo.NewRoute()
 	rng := sim.NewRNG(seed)
-	g := &Group{Lanes: make([]Lane, len(radio.Operators()))}
+	r := &testRig{lanes: make([]Lane, len(radio.Operators()))}
 	cur := route.Cursor()
 	for i, op := range radio.Operators() {
 		dep := deploy.New(route, op, rng.Stream("deploy-"+op.String()))
 		ue := ran.NewUE(rng.Stream("ue-"+op.String()), dep)
 		lat := transport.NewLatencyModel(rng.Stream("lat-"+op.String()), op)
-		g.Lanes[i].Bind(op, ue, lat)
+		r.lanes[i].Bind(op, ue, lat)
 	}
-	g.Where = func(t float64) geo.Sample {
+	r.where = func(t float64) geo.Sample {
 		km := 60 * geo.KmPerMile / 3600 * t
 		return geo.Sample{
 			T: t, Km: km, Pos: cur.PosAt(km), MPH: 60,
 			Road: cur.RoadClassAt(km), Zone: cur.TimezoneAt(km),
 		}
 	}
-	return g
+	return r
 }
 
-// startPhase puts every lane at the top of a bulk phase at time t.
-func startPhase(g *Group, id int, t float64, dir radio.Direction) {
-	s := g.Where(t)
-	for i := range g.Lanes {
-		ln := &g.Lanes[i]
+// startPhase puts every lane at the top of a phase at time t.
+func (r *testRig) startPhase(id int, t float64, profile ran.Traffic, dir radio.Direction) {
+	s := r.where(t)
+	for i := range r.lanes {
+		ln := &r.lanes[i]
 		ln.UE.TakeHandovers()
-		ln.StartPhase(id+i, t, ran.BacklogDL, dir, servers.Server{Kind: servers.Cloud, Pos: s.Pos})
+		ln.StartPhase(id+i, t, profile, dir, servers.Server{Kind: servers.Cloud, Pos: s.Pos})
+	}
+}
+
+// runBulk drives every lane through a durSec bulk transfer and stages its
+// throughput rows in the lane's bank, as the campaign's emit half does.
+func (r *testRig) runBulk(durSec float64) {
+	for j := range r.lanes {
+		ln := &r.lanes[j]
+		ln.Bulk.Reset(durSec)
+		for i := 0; float64(i)*transport.TickSec < durSec; i++ {
+			s := r.where(ln.T + transport.TickSec)
+			dl, ul, rtt, outage := ln.Advance(transport.TickSec, &s)
+			capBps := dl
+			if ln.Dir == radio.Uplink {
+				capBps = ul
+			}
+			ln.Bulk.Tick(i, transport.PathState{CapBps: capBps, BaseRTTms: rtt, Outage: outage})
+		}
+		ln.Bank.Thr = ln.Bank.Thr[:0]
+		for _, row := range ln.Rows {
+			ln.Bank.Thr = append(ln.Bank.Thr, dataset.ThroughputSample{TestID: ln.TestID, Km: row.Km})
+		}
+	}
+}
+
+// runRTT drives every lane through a durSec ping test, one probe per
+// intervalSec, and stages its RTT rows in the lane's bank.
+func (r *testRig) runRTT(durSec, intervalSec float64) {
+	for j := range r.lanes {
+		ln := &r.lanes[j]
+		for tt := 0.0; tt < durSec; tt += intervalSec {
+			s := r.where(ln.T + intervalSec)
+			if _, _, rtt, outage := ln.Advance(intervalSec, &s); !outage {
+				ln.Pings = append(ln.Pings, Ping{T: ln.T, Ms: rtt, Tech: ln.Last.Tech})
+			}
+		}
+		ln.Bank.RTT = ln.Bank.RTT[:0]
+		for _, p := range ln.Pings {
+			ln.Bank.RTT = append(ln.Bank.RTT, dataset.RTTSample{TestID: ln.TestID, Ms: p.Ms})
+		}
 	}
 }
 
@@ -53,18 +99,18 @@ func startPhase(g *Group, id int, t float64, dir radio.Direction) {
 // state from the previous phase leaks into the next — the property that
 // makes lane reuse across tests (and across fleet seeds) sound.
 func TestStartPhaseClearsLane(t *testing.T) {
-	g := testGroup(t, 23)
-	startPhase(g, 1, 30, radio.Downlink)
-	g.RunBulk(20)
-	for i := range g.Lanes {
-		if len(g.Lanes[i].Rows) == 0 {
+	r := newRig(t, 23)
+	r.startPhase(1, 30, ran.BacklogDL, radio.Downlink)
+	r.runBulk(20)
+	for i := range r.lanes {
+		if len(r.lanes[i].Rows) == 0 {
 			t.Fatalf("lane %d: phase produced no KPI rows; test setup is wrong", i)
 		}
 	}
 
-	startPhase(g, 10, 120, radio.Uplink)
-	for i := range g.Lanes {
-		ln := &g.Lanes[i]
+	r.startPhase(10, 120, ran.BacklogUL, radio.Uplink)
+	for i := range r.lanes {
+		ln := &r.lanes[i]
 		if len(ln.Rows) != 0 || len(ln.HORecs) != 0 || len(ln.Pings) != 0 {
 			t.Errorf("lane %d: buffers not cleared: %d rows, %d handovers, %d pings",
 				i, len(ln.Rows), len(ln.HORecs), len(ln.Pings))
@@ -88,49 +134,56 @@ func TestStartPhaseClearsLane(t *testing.T) {
 	}
 }
 
-// TestRecycleKeepsBuffersDropsState checks the pooled-adapter contract:
+// TestRecycleKeepsBuffersDropsState checks the reused-adapter contract:
 // Recycle returns a lane with zeroed identity and phase state but with the
-// grown backing arrays still attached, so a recycled lane neither leaks
-// pointers nor re-allocates its way back to working size.
+// grown backing arrays — the output buffers and the staging bank — still
+// attached, so a recycled lane neither leaks pointers nor re-allocates its
+// way back to working size.
 func TestRecycleKeepsBuffersDropsState(t *testing.T) {
-	g := testGroup(t, 23)
-	startPhase(g, 1, 30, radio.Downlink)
-	g.RunBulk(20)
+	r := newRig(t, 23)
+	r.startPhase(1, 30, ran.BacklogDL, radio.Downlink)
+	r.runBulk(20)
+	r.runRTT(10, 0.2)
 
-	ln := &g.Lanes[0]
-	rowCap, hoCap := cap(ln.Rows), cap(ln.HORecs)
-	if rowCap == 0 {
-		t.Fatal("phase produced no KPI rows; test setup is wrong")
+	ln := &r.lanes[0]
+	rowCap, hoCap, pingCap := cap(ln.Rows), cap(ln.HORecs), cap(ln.Pings)
+	thrCap, rttCap := cap(ln.Bank.Thr), cap(ln.Bank.RTT)
+	if rowCap == 0 || pingCap == 0 || thrCap == 0 || rttCap == 0 {
+		t.Fatal("phase produced no rows, pings or staged records; test setup is wrong")
 	}
-	r := ln.Recycle()
-	if r.UE != nil || r.Lat != nil || r.Op != 0 || r.T != 0 || r.TestID != 0 {
-		t.Errorf("Recycle kept identity/phase state: %+v", r)
+	rc := ln.Recycle()
+	if rc.UE != nil || rc.Lat != nil || rc.Op != 0 || rc.T != 0 || rc.TestID != 0 {
+		t.Errorf("Recycle kept identity/phase state: %+v", rc)
 	}
-	if len(r.Rows) != 0 || len(r.HORecs) != 0 || len(r.Pings) != 0 {
-		t.Errorf("Recycle kept buffer contents: %d rows, %d handovers, %d pings",
-			len(r.Rows), len(r.HORecs), len(r.Pings))
+	if len(rc.Rows) != 0 || len(rc.HORecs) != 0 || len(rc.Pings) != 0 ||
+		len(rc.Bank.Thr) != 0 || len(rc.Bank.RTT) != 0 {
+		t.Errorf("Recycle kept buffer contents: %d rows, %d handovers, %d pings, %d/%d staged",
+			len(rc.Rows), len(rc.HORecs), len(rc.Pings), len(rc.Bank.Thr), len(rc.Bank.RTT))
 	}
-	if cap(r.Rows) != rowCap || cap(r.HORecs) != hoCap {
-		t.Errorf("Recycle dropped backing arrays: row cap %d→%d, handover cap %d→%d",
-			rowCap, cap(r.Rows), hoCap, cap(r.HORecs))
+	if cap(rc.Rows) != rowCap || cap(rc.HORecs) != hoCap || cap(rc.Pings) != pingCap {
+		t.Errorf("Recycle dropped backing arrays: row cap %d→%d, handover cap %d→%d, ping cap %d→%d",
+			rowCap, cap(rc.Rows), hoCap, cap(rc.HORecs), pingCap, cap(rc.Pings))
+	}
+	if cap(rc.Bank.Thr) != thrCap || cap(rc.Bank.RTT) != rttCap {
+		t.Errorf("Recycle dropped the staging bank: thr cap %d→%d, rtt cap %d→%d",
+			thrCap, cap(rc.Bank.Thr), rttCap, cap(rc.Bank.RTT))
 	}
 }
 
-// TestGroupSteadyStateAllocFree drives the group through warm-up phases
+// TestLaneSteadyStateAllocFree drives the lanes through warm-up phases
 // until every buffer reaches its working size, then requires that further
-// bulk and RTT phases allocate nothing at all. This is the batched
-// engine's core performance property: the per-tick hot loop touches only
-// pre-grown contiguous lane state.
-func TestGroupSteadyStateAllocFree(t *testing.T) {
-	g := testGroup(t, 23)
+// bulk and RTT phases allocate nothing at all: the per-tick hot loop
+// touches only pre-grown lane state.
+func TestLaneSteadyStateAllocFree(t *testing.T) {
+	r := newRig(t, 23)
 	// Re-drive the same route window each run: the per-run work is then
 	// constant, and the UE's unique-cell set saturates during warm-up so
 	// its map stops growing.
 	runOnce := func() {
-		startPhase(g, 1, 30, radio.Downlink)
-		g.RunBulk(20)
-		startPhase(g, 4, 55, radio.Downlink)
-		g.RunRTT(10, 0.2)
+		r.startPhase(1, 30, ran.BacklogDL, radio.Downlink)
+		r.runBulk(20)
+		r.startPhase(4, 55, ran.RTTProbe, radio.Downlink)
+		r.runRTT(10, 0.2)
 	}
 	for i := 0; i < 5; i++ { // grow buffers and the camped-cell set to working size
 		runOnce()

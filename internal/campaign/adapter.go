@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"sync"
-
 	"wheels/internal/apps"
 	"wheels/internal/batch"
 	"wheels/internal/geo"
@@ -22,11 +20,12 @@ type staticState struct {
 	zone geo.Timezone
 }
 
-// adapter drives one phone through one test on the scalar engine: it
-// advances the embedded batch.Lane (the shared per-tick core both engines
-// run) tick by tick, resolving the vehicle position from its own trace
-// cursor. The batched engine advances the same Lane type from a lockstep
-// loop in internal/batch instead.
+// adapter drives one phone through one test: it advances the embedded
+// batch.Lane (the per-tick core every engine runs) tick by tick, resolving
+// the vehicle position from its own trace cursor. Each phone owns one
+// adapter and reuses it from test to test, so the lane's row, handover,
+// ping, sample and staging buffers grow to a test's working size once per
+// campaign and are then reused; nothing is pooled past the campaign.
 type adapter struct {
 	batch.Lane
 
@@ -35,29 +34,19 @@ type adapter struct {
 	static *staticState
 
 	// trCur memoizes the trace position: a test's clock only moves forward,
-	// so each tick's position lookup is O(1). Adapters run concurrently (one
-	// per phone in fanOut), so each owns its cursor (by value, so a pooled
-	// adapter carries no heap cursor of its own).
+	// so each tick's position lookup is O(1). Held by value, so the adapter
+	// carries no heap cursor of its own.
 	trCur geo.TraceCursor
 }
 
-// adapterPool recycles adapters across tests: the lane's rows, handover,
-// ping, and sample backing arrays grow to a test's working size once and
-// are then reused for the rest of the process, so the steady-state
-// per-test cost of the KPI accumulation is zero allocations. Adapters are
-// handed back via release.
-var adapterPool = sync.Pool{New: func() any { return new(adapter) }}
-
-// newAdapter starts a test at time t for the phone with a pre-allocated
-// test id (ids are handed out before the per-phone goroutines fan out, so
-// they stay deterministic). For driving tests the server is selected at
-// test start from the phone's position (as the test harness did); static
-// tests pass their own state.
+// newAdapter starts a test at time t on the phone's adapter with a
+// pre-allocated test id (ids come from the schedule, so they stay
+// deterministic). For driving tests the server is selected at test start
+// from the phone's position (as the test harness did); static tests pass
+// their own state.
 func (c *Campaign) newAdapter(id int, ph *phone, t float64, profile ran.Traffic, dir radio.Direction, static *staticState) *adapter {
-	a := adapterPool.Get().(*adapter)
-	lane := a.Lane.Recycle()
-	*a = adapter{Lane: lane, c: c, ph: ph, static: static}
-	a.trCur.Reset(c.Trace)
+	a := &ph.a
+	*a = adapter{Lane: a.Lane.Recycle(), c: c, ph: ph, static: static}
 	ue := ph.ue
 	if static != nil {
 		ue = nil // the lane steps the pinned link, not the driving UE
@@ -65,21 +54,12 @@ func (c *Campaign) newAdapter(id int, ph *phone, t float64, profile ran.Traffic,
 		a.StartPhase(id, t, profile, dir, c.Reg.Select(ph.op, static.pos, static.zone))
 	} else {
 		a.Bind(ph.op, ue, ph.lat)
+		a.trCur.ResetAt(c.Trace, t)
 		s := c.whereCur(&a.trCur, t)
 		a.StartPhase(id, t, profile, dir, c.Reg.Select(ph.op, s.Pos, s.Zone))
 	}
 	ph.ue.TakeHandovers() // drop events from between tests
 	return a
-}
-
-// release hands the adapter's scratch back to the pool. The caller must be
-// done with the lane's buffers — they are reused by the next test. Pointer
-// fields are dropped so a parked adapter does not pin a campaign or phone
-// in memory between seeds.
-func (a *adapter) release() {
-	lane := a.Lane.Recycle()
-	*a = adapter{Lane: lane}
-	adapterPool.Put(a)
 }
 
 // advance moves the adapter forward dt seconds and returns the current

@@ -10,7 +10,6 @@ package campaign
 import (
 	"sync"
 
-	"wheels/internal/batch"
 	"wheels/internal/dataset"
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
@@ -23,15 +22,16 @@ import (
 
 // Engine names for Config.Engine.
 const (
-	// EngineScalar is the original per-phone engine: each test phase fans
-	// out one goroutine per phone, each driving its own tick loop. It is
-	// kept only as the test oracle: golden hashes are defined by its output
-	// and may never be regenerated from the batch engine.
+	// EngineScalar is the test oracle: it runs each scheduled phase on all
+	// phones at once (one goroutine per phone, a barrier after every phase)
+	// and each static battery phone after phone. Golden hashes are defined
+	// by its output and may never be regenerated from the production engine.
 	EngineScalar = "scalar"
-	// EngineBatch is the batched struct-of-arrays engine and the production
-	// default: the driving bulk/RTT phases step all phones in one lockstep
-	// pass per tick. Output is byte-identical to the scalar engine's
-	// (enforced by the differential tests).
+	// EngineBatch is the production engine and the default: the per-phone
+	// timeline engine, in which each phone runs the whole schedule on its
+	// own goroutine and the records merge in schedule order. Output is
+	// byte-identical to the scalar oracle's (enforced by the differential
+	// tests).
 	EngineBatch = "batch"
 )
 
@@ -39,8 +39,8 @@ const (
 type Config struct {
 	Seed int64
 
-	// Engine selects the tick engine: EngineBatch (or "") runs the
-	// lockstep batched engine, EngineScalar the per-phone goroutine oracle.
+	// Engine selects the engine: EngineBatch (or "") runs the per-phone
+	// timeline engine, EngineScalar the phase-barrier test oracle.
 	Engine string
 
 	BulkSec   float64 // duration of one throughput test (§5: 30-35 s)
@@ -71,7 +71,9 @@ type Config struct {
 	RawLogDir string
 
 	// Progress, when non-nil, is called at the start of each trip day with
-	// the day number and the route distance covered so far.
+	// the day number and the route distance covered so far, from the
+	// goroutine that called RunTo, before any record of that day's phases
+	// reaches the sink.
 	Progress func(day int, km, totalKm float64)
 }
 
@@ -105,12 +107,15 @@ func QuickConfig(seed int64, kmLimit float64) Config {
 }
 
 // phone is one carrier's test phone: persistent UE state, its latency
-// model, and the XCAL attachment implied by recording KPI rows.
+// model, and the XCAL attachment implied by recording KPI rows. Its test
+// adapter is reused from test to test; both engines run at most one test
+// per phone at a time, so a phone never needs a second one.
 type phone struct {
 	op  radio.Operator
 	dep *deploy.Deployment
 	ue  *ran.UE
 	lat *transport.LatencyModel
+	a   adapter
 }
 
 // Campaign holds the full testbed. A Campaign is either the whole serial
@@ -139,17 +144,16 @@ type Campaign struct {
 	sink   dataset.Sink
 	nextID int
 
-	// fanOut scratch, lazily built and reset per phase (see fanOut).
-	fanSinks []dataset.Collector
-	fanIDs   []int
+	// scratch is the testbed's pool of engine buffers (nil: none).
+	scratch *scratchPool
 
-	// Batched-engine state, lazily built on the first batched cycle: the
-	// lockstep lane group and the trace cursor backing its Where lookups.
-	batchG   *batch.Group
-	batchCur geo.TraceCursor
+	// fanOut's per-phone collectors, built on first use and reset per
+	// phase, so the oracle stops allocating once they reach a phase's
+	// working size.
+	fanSinks []dataset.Collector
 }
 
-// engineBatch reports whether the batched engine is selected, rejecting
+// engineBatch reports whether the production engine is selected, rejecting
 // unknown engine names loudly rather than silently running scalar.
 func (cfg Config) engineBatch() bool {
 	switch cfg.Engine {
@@ -219,12 +223,6 @@ func (c *Campaign) warmup() {
 	}
 }
 
-// newTestID allocates a campaign-unique test id.
-func (c *Campaign) newTestID() int {
-	c.nextID++
-	return c.nextID
-}
-
 // maxExtrapolateSec caps how far past a trace sample where may extrapolate
 // the vehicle position. Samples are 1 s apart within a day, so anything
 // beyond this cap is an inter-day (overnight) gap.
@@ -240,9 +238,9 @@ func (c *Campaign) where(t float64) geo.Sample {
 }
 
 // whereCur is where over a trace cursor. Simulation time advances
-// monotonically within the campaign loop and within each test, so the
+// monotonically within the schedule loop and within each test, so the
 // cursor turns the per-tick binary search into an O(1) index bump. Cursors
-// are not goroutine-safe: the campaign loop and each adapter own their own.
+// are not goroutine-safe: the schedule loop and each adapter own their own.
 func (c *Campaign) whereCur(cur *geo.TraceCursor, t float64) geo.Sample {
 	return c.whereAt(cur.At(t), t)
 }
@@ -293,128 +291,71 @@ func (c *Campaign) Run() *dataset.Dataset {
 func (c *Campaign) RunTo(sink dataset.Sink) {
 	c.sink = sink
 	c.warmup()
+	sc := c.scratch.get(len(c.phones))
+	c.plan(&sc.sd)
+	if c.Cfg.engineBatch() {
+		c.runTimeline(sc)
+	} else {
+		c.runScalar(&sc.sd)
+	}
+	c.scratch.put(sc)
+}
+
+// runScalar is the scalar oracle's walk over the schedule: the passive
+// loggers, then every test phase on all phones at once through fanOut, and
+// each static battery phone after phone straight into the sink.
+func (c *Campaign) runScalar(sd *schedule) {
 	if c.Cfg.EnablePassive {
-		c.runPassiveLoggers()
-	}
-	end := c.endKm()
-	visited := map[string]bool{}
-
-	t := c.Trace.Samples[0].T
-	if c.startKm > 0 {
-		if idx := c.Trace.AtKm(c.startKm); idx < len(c.Trace.Samples) {
-			t = c.Trace.Samples[idx].T
+		perOp := make([][]dataset.PassiveSample, len(c.phones))
+		var wg sync.WaitGroup
+		for i, ph := range c.phones {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				perOp[i] = c.runPassiveLogger(ph)
+			}()
+		}
+		wg.Wait()
+		for _, samples := range perOp {
+			dataset.EmitPassiveAll(c.sink, samples)
 		}
 	}
-	// The loop owns its trace and route cursors: t and s.Km only move
-	// forward here, so every lookup after the first is O(1).
-	cur := c.Trace.Cursor()
-	routeCur := c.Route.Cursor()
-	day := 0
-	for {
-		s := c.whereCur(cur, t)
-		if s.Km >= end || t > c.Trace.Samples[len(c.Trace.Samples)-1].T {
-			break
-		}
-		if s.Day != day {
-			day = s.Day
-			if c.Cfg.Progress != nil {
-				c.Cfg.Progress(day, s.Km, c.Route.LengthKm())
+	for k := range sd.phases {
+		p := &sd.phases[k]
+		switch p.kind {
+		case phaseProgress:
+			c.progress(sd, p)
+		case phaseStatic:
+			for i, ph := range c.phones {
+				c.runPhase(c.sink, i, ph, sd, p)
 			}
+		default:
+			c.fanOut(func(sink dataset.Sink, i int, ph *phone) { c.runPhase(sink, i, ph, sd, p) })
 		}
-		// Overnight gap: jump to the next sample's time.
-		if idx := cur.At(t); idx >= 0 && t-c.Trace.Samples[idx].T > 2 {
-			if idx+1 >= len(c.Trace.Samples) {
-				break
-			}
-			t = c.Trace.Samples[idx+1].T
-			continue
-		}
-
-		// Static baseline battery once per newly entered city. A city whose
-		// urban area straddles a shard boundary is owned by the shard that
-		// contains the area's start, so sharded runs never duplicate (or
-		// drop) a city battery.
-		if c.Cfg.EnableStatic {
-			if city, areaStart, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
-				visited[city.Name] = true
-				if areaStart >= c.startKm {
-					c.runStaticBattery(t, s, city)
-				}
-			}
-		}
-
-		// One round-robin cycle of driving tests, all three phones
-		// starting each test at the same instant (concurrency across
-		// carriers is what enables the Fig. 6 pairwise analysis).
-		t = c.runCycle(t)
 	}
 }
 
-// fanOut runs one test phase on all three phones concurrently — the real
-// testbed's phones ran simultaneously in the same vehicle. Each phone owns
-// its RNG streams and UE state, so the parallel execution is deterministic;
-// results collect into per-phone Collector sinks and replay into the
-// campaign sink in fixed operator order. One phase holds at most one test's
-// records per phone, so the buffering stays O(cycle), not O(campaign).
-func (c *Campaign) fanOut(run func(sink dataset.Sink, id int, ph *phone)) {
-	// The per-phone collectors and id slice live on the campaign and are
-	// reset per phase, so the fan-out machinery stops allocating once the
-	// tables reach a phase's working size. fanOut runs phases one at a
-	// time from the single campaign goroutine, so reuse cannot race.
+// fanOut runs one test phase on all phones concurrently, one goroutine per
+// phone, and waits for all of them; results collect into per-phone
+// Collector sinks and replay into the campaign sink in operator order.
+func (c *Campaign) fanOut(run func(sink dataset.Sink, i int, ph *phone)) {
 	if c.fanSinks == nil {
 		c.fanSinks = make([]dataset.Collector, len(c.phones))
-		c.fanIDs = make([]int, len(c.phones))
 	}
-	sinks, ids := c.fanSinks, c.fanIDs
-	// Test ids are allocated before the goroutines start, in operator
-	// order, so the dataset is identical to a sequential run.
-	for i := range ids {
+	sinks := c.fanSinks
+	for i := range sinks {
 		sinks[i].Reset()
-		ids[i] = c.newTestID()
 	}
 	var wg sync.WaitGroup
 	for i, ph := range c.phones {
 		wg.Add(1)
-		go func(i int, ph *phone) {
+		go func() {
 			defer wg.Done()
-			run(&sinks[i], ids[i], ph)
-		}(i, ph)
+			run(&sinks[i], i, ph)
+		}()
 	}
 	wg.Wait()
-	// Replaying each phone's tables in operator order preserves the exact
-	// per-table append order of the pre-streaming merge.
 	for i := range sinks {
 		sinks[i].D.EmitTo(c.sink)
 	}
-}
-
-// runCycle runs one round-robin battery starting at t and returns the time
-// at which the next cycle may begin.
-func (c *Campaign) runCycle(t float64) float64 {
-	if c.Cfg.engineBatch() {
-		return c.runCycleBatch(t)
-	}
-	cfg := c.Cfg
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runBulk(sink, id, ph, t, radio.Downlink, false, nil)
-	})
-	t += cfg.BulkSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runBulk(sink, id, ph, t, radio.Uplink, false, nil)
-	})
-	t += cfg.BulkSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-		c.runRTT(sink, id, ph, t, false, nil)
-	})
-	t += cfg.RTTSec + cfg.GapSec
-	if cfg.EnableSpeedTest {
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runSpeedTest(sink, id, ph, t)
-		})
-		t += speedTestSec + cfg.GapSec
-	}
-	if cfg.EnableApps {
-		t = c.runAppBattery(t)
-	}
-	return t
 }

@@ -24,12 +24,13 @@ func engineDigest(t testing.TB, cfg Config, engine string, shards int) string {
 	return h.Sum()
 }
 
-// TestBatchScalarDifferential is the differential harness of the batched
-// tick engine: for every (seed, shard-count) cell it runs the scalar
-// oracle and the batch engine over identical inputs and requires
-// byte-identical dataset output. The batch engine has no golden of its
-// own — the scalar engine is the ground truth, and this equivalence is
-// the only contract that makes the batch default trustworthy.
+// TestBatchScalarDifferential is the differential harness of the
+// production engine (EngineBatch, the per-phone timeline engine): for every
+// (seed, shard-count) cell it runs the scalar oracle and the production
+// engine over identical inputs and requires byte-identical dataset output.
+// The production engine has no golden of its own — the scalar engine is
+// the ground truth, and this equivalence is the only contract that makes
+// the default trustworthy.
 func TestBatchScalarDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is slow")
@@ -52,19 +53,13 @@ func TestBatchScalarDifferential(t *testing.T) {
 
 // TestBatchScalarDifferentialFullConfig runs one differential cell with
 // every optional subsystem enabled (passive loggers, static batteries,
-// speed tests, apps), proving the batch engine composes with the phases
-// that deliberately stay on the scalar path.
+// speed tests, apps), so every phase kind the phones run ahead of the
+// merge is compared against the oracle's phase-barrier schedule.
 func TestBatchScalarDifferentialFullConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-config differential run is slow")
 	}
-	cfg := QuickConfig(23, 60)
-	cfg.EnablePassive = true
-	cfg.EnableStatic = true
-	cfg.EnableSpeedTest = true
-	cfg.EnableApps = true
-	cfg.VideoSec = 30
-	cfg.GamingSec = 15
+	cfg := fullCellConfig()
 	for _, shards := range []int{1, 4} {
 		scalar := engineDigest(t, cfg, EngineScalar, shards)
 		batch := engineDigest(t, cfg, EngineBatch, shards)
@@ -75,10 +70,10 @@ func TestBatchScalarDifferentialFullConfig(t *testing.T) {
 }
 
 // TestBatchGoldenUnchanged runs the golden-config campaign through the
-// batch engine and asserts it reproduces the committed seed-23 hash. The
-// golden file may only ever be regenerated by the scalar oracle; the
-// batch engine matching it proves end-to-end byte identity on the exact
-// bytes the repository pins.
+// production engine and asserts it reproduces the committed seed-23 hash.
+// The golden file may only ever be regenerated by the scalar oracle; the
+// production engine matching it proves end-to-end byte identity on the
+// exact bytes the repository pins.
 func TestBatchGoldenUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign run is slow")
@@ -94,8 +89,8 @@ func TestBatchGoldenUnchanged(t *testing.T) {
 	want := strings.TrimSpace(string(raw))
 	if got != want {
 		t.Errorf("batch-engine seed-23 dataset hash = %s, want golden %s\n"+
-			"the batch engine diverged from the scalar oracle; fix the batch "+
-			"engine — never refresh the golden from a batch run", got, want)
+			"the production engine diverged from the scalar oracle; fix the "+
+			"engine — never refresh the golden from a production run", got, want)
 	}
 }
 
@@ -104,7 +99,7 @@ func TestBatchGoldenUnchanged(t *testing.T) {
 // phases. The phone count is fixed at three — it is the paper's testbed
 // shape and is baked into operator enumeration, so it is not a fuzzable
 // dimension. Any corpus entry where the two engines disagree on a single
-// byte is a bug in the batch engine.
+// byte is a bug in the production engine.
 func FuzzBatchScalarEquivalence(f *testing.F) {
 	f.Add(int64(23), uint8(20), uint8(1), false, false)
 	f.Add(int64(24), uint8(35), uint8(4), true, false)

@@ -9,9 +9,9 @@ import (
 
 // BenchmarkTestLifecycle measures the steady-state cost of one full bulk
 // test in the campaign loop — adapter setup, tick loop, KPI join, sink
-// emission — on a warm process. The pooled adapter scratch and reusable
-// collector mean allocs/op here is the marginal garbage of a test, not
-// its working-set size; this is the number the fleet pays a quarter of a
+// emission — on a warm process. The phone's reused adapter and the
+// reusable collector mean allocs/op here is the marginal garbage of a
+// test, not its working-set size; this is the number the fleet pays a quarter of a
 // million times per seed sweep.
 func BenchmarkTestLifecycle(b *testing.B) {
 	cfg := QuickConfig(23, 40)

@@ -1,28 +1,15 @@
 package campaign
 
-import (
-	"context"
-	"runtime/pprof"
-)
-
-// ProfilePhases enables runtime/pprof phase labels on the batched engine's
-// cycle: "control" covers phase setup and bookkeeping, "kernel" the lockstep
-// tick passes, and "emit" the record staging and sink dispatch (the dataset
-// package adds a "hash" label at its digest folds when its own flag is set).
-// Profiling front-ends group samples by the `phase` label, so a CPU profile
-// splits cleanly along the engine's control/kernel/emit/hash boundaries.
+// ProfilePhases enables runtime/pprof labels on the production engine's
+// phone goroutines: every scheduled phase runs under a `phase` label naming
+// its test kind (bulk-dl, bulk-ul, rtt, speedtest, ar, cav, video, gaming,
+// static, or passive for the handover loggers) and an `op` label naming
+// the phone's operator (the dataset package adds a "hash" phase at its
+// digest folds when its own flag is set). Profiling front-ends group
+// samples by these labels, so a CPU profile splits along the campaign's
+// test phases and phones.
 //
-// Off by default: label maps are attached per goroutine and per region, and
-// the fleet's hot loop should not pay for them unless a profile is actually
-// being taken. cmd/fleet and cmd/drivesim set it alongside -cpuprofile.
+// Off by default: label maps are attached per phase, and the fleet's hot
+// loop should not pay for them unless a profile is actually being taken.
+// cmd/fleet and cmd/drivesim set it alongside -cpuprofile.
 var ProfilePhases bool
-
-// phaseDo runs f under the given `phase` pprof label when ProfilePhases is
-// set, and calls it directly otherwise.
-func phaseDo(name string, f func()) {
-	if !ProfilePhases {
-		f()
-		return
-	}
-	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) { f() })
-}

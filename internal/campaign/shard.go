@@ -19,9 +19,9 @@ const warmupSec = 30.0
 // sharedTestbed is the immutable per-seed campaign substrate built once and
 // reused by every shard worker: the seed-independent Testbed (route
 // geometry, server registry) plus the seed-dependent drive trace and
-// per-operator deployments. All of it is read-only after construction — the
-// serial engine already shares it across the fanOut goroutines — so workers
-// can share it without copies. Everything here derives from the seed alone
+// per-operator deployments. All of it is read-only after construction — a
+// serial campaign already shares it across its phone goroutines — so
+// workers can share it without copies. Everything here derives from the seed alone
 // (never from the shard), which is what keeps the route and radio footprint
 // identical across shard counts.
 type sharedTestbed struct {
@@ -30,6 +30,8 @@ type sharedTestbed struct {
 	reg   *servers.Registry
 	deps  []*deploy.Deployment // indexed by operator
 	ho    [radio.NumOperators]*ran.HandoverConfig
+
+	scratch *scratchPool
 }
 
 func newSharedTestbed(cfg Config, tb *Testbed) *sharedTestbed {
@@ -39,6 +41,8 @@ func newSharedTestbed(cfg Config, tb *Testbed) *sharedTestbed {
 		trace: newTrace(tb.Route, rng, cfg),
 		reg:   tb.Reg,
 		deps:  make([]*deploy.Deployment, radio.NumOperators),
+
+		scratch: tb.scratch,
 	}
 	depKm := deployKmBound(sh.trace, cfg)
 	for _, op := range radio.Operators() {
@@ -65,6 +69,7 @@ func newShardWorker(cfg Config, sh *sharedTestbed, shard int, startKm, stopKm fl
 		rng:     rng,
 		startKm: startKm,
 		stopKm:  stopKm,
+		scratch: sh.scratch,
 	}
 	for _, op := range radio.Operators() {
 		dep := sh.deps[op]

@@ -41,12 +41,21 @@ type Testbed struct {
 	// policy, mirroring Density, so testbeds built before policies existed
 	// behave exactly as before.
 	Handover [radio.NumOperators]ran.HandoverConfig
+
+	// scratch parks the production engine's buffers between the campaigns
+	// run on this testbed. It is the one mutable part, safe for concurrent
+	// use; copies of the testbed share it, and a testbed built without a
+	// constructor has none and simply reuses nothing across campaigns.
+	scratch *scratchPool
 }
 
-// NewTestbed builds the shared substrate once.
-func NewTestbed() *Testbed {
-	route := geo.NewRoute()
-	return &Testbed{Route: route, Reg: servers.NewRegistry(route)}
+// NewTestbed builds the paper's shared substrate once.
+func NewTestbed() *Testbed { return NewTestbedFor(geo.NewRoute()) }
+
+// NewTestbedFor builds the shared substrate over a compiled route: the
+// route's edge-server registry, default densities and handover policies.
+func NewTestbedFor(route *geo.Route) *Testbed {
+	return &Testbed{Route: route, Reg: servers.NewRegistry(route), scratch: new(scratchPool)}
 }
 
 // densityFor resolves the operator's deployment density, mapping the zero
@@ -101,11 +110,12 @@ func (tb *Testbed) PolicyDigest() string {
 func NewWithTestbed(cfg Config, tb *Testbed) *Campaign {
 	rng := sim.NewRNG(cfg.Seed)
 	c := &Campaign{
-		Cfg:   cfg,
-		Route: tb.Route,
-		Trace: newTrace(tb.Route, rng, cfg),
-		Reg:   tb.Reg,
-		rng:   rng,
+		Cfg:     cfg,
+		Route:   tb.Route,
+		Trace:   newTrace(tb.Route, rng, cfg),
+		Reg:     tb.Reg,
+		rng:     rng,
+		scratch: tb.scratch,
 	}
 	depKm := deployKmBound(c.Trace, cfg)
 	for _, op := range radio.Operators() {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"wheels/internal/apps/gaming"
@@ -27,7 +26,7 @@ func secs(s float64) time.Duration { return time.Duration(s * float64(time.Secon
 func utc(t float64) time.Time { return sim.TripStart.UTC().Add(secs(t)) }
 
 // bulkProfile maps a transfer direction to its traffic profile and test
-// kind, shared by both engines.
+// kind.
 func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 	if dir == radio.Uplink {
 		return ran.BacklogUL, dataset.TestBulkUL
@@ -35,24 +34,18 @@ func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 	return ran.BacklogDL, dataset.TestBulkDL
 }
 
-// runBulk runs one nuttcp-style bulk transfer on the scalar engine and
-// records its samples, KPI-joined rows, handovers, and the per-test
-// summary.
+// runBulk runs one nuttcp-style bulk transfer on the phone and records its
+// samples, KPI-joined rows, handovers, and the per-test summary.
 func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, static bool, st *staticState) {
 	profile, _ := bulkProfile(dir)
 	a := c.newAdapter(id, ph, t, profile, dir, st)
 	res := transport.RunBulkWith(&a.Bulk, pathAdapter{a}, c.Cfg.BulkSec)
 	c.emitBulk(sink, &a.Lane, t, dir, static, res)
-	a.release()
 }
 
-// emitBulk streams a finished bulk transfer's records — the emit half
-// shared by both engines, so the batched engine cannot drift from the
-// scalar one in what it writes. The per-table emission order (throughput
-// rows, handovers, summary) matches the order the pre-streaming merge
-// appended them. Rows stage into the lane's bank and reach the sink as one
-// batch per table, which every sink consumes in the same per-table order as
-// the former per-record calls.
+// emitBulk streams a finished bulk transfer's records — the emit half of
+// runBulk: throughput rows, handovers, then the summary. Rows stage into
+// the lane's bank and reach the sink as one batch per table.
 func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir radio.Direction, static bool, res transport.BulkResult) {
 	_, kind := bulkProfile(dir)
 	n := len(res.SamplesBps)
@@ -103,10 +96,10 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 }
 
 // rttIntervalSec is the ping cadence of the RTT test (one echo per 200 ms,
-// §5). Both engines tick RTT phases at this interval.
+// §5); RTT tests tick at this interval.
 const rttIntervalSec = 0.2
 
-// runRTT runs one ping test on the scalar engine and records each sample.
+// runRTT runs one ping test on the phone and records each sample.
 func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, static bool, st *staticState) {
 	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, st)
 	nextPing := 0.0
@@ -124,13 +117,11 @@ func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, stati
 		}
 	}
 	c.emitRTT(sink, &a.Lane, t, static)
-	a.release()
 }
 
-// emitRTT streams a finished ping test's records — the emit half shared by
-// both engines. Ping rows land in the rtt table in probe order, exactly as
-// the scalar engine's former inline emission did, staged through the lane's
-// bank like emitBulk's throughput rows.
+// emitRTT streams a finished ping test's records — the emit half of runRTT.
+// Ping rows land in the rtt table in probe order, staged through the
+// lane's bank like emitBulk's throughput rows.
 func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static bool) {
 	rtt := ln.Bank.RTT[:0]
 	for _, p := range ln.Pings {
@@ -242,29 +233,6 @@ func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64)
 		Miles:   c.Trace.MilesBetween(t, t+speedTestSec),
 		RxBytes: res.MeanBps / 8 * speedTestSec,
 	})
-	a.release()
-}
-
-// runAppBattery runs the four killer apps on all three phones (AR and CAV
-// with and without compression) and returns the next free time slot.
-func (c *Campaign) runAppBattery(t float64) float64 {
-	cfg := c.Cfg
-	for _, compressed := range []bool{false, true} {
-		compressed := compressed
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runOffload(sink, id, ph, t, offload.ARConfig(), dataset.TestAR, compressed)
-		})
-		t += offload.ARConfig().DurSec + cfg.GapSec
-		c.fanOut(func(sink dataset.Sink, id int, ph *phone) {
-			c.runOffload(sink, id, ph, t, offload.CAVConfig(), dataset.TestCAV, compressed)
-		})
-		t += offload.CAVConfig().DurSec + cfg.GapSec
-	}
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) { c.runVideo(sink, id, ph, t) })
-	t += cfg.VideoSec + cfg.GapSec
-	c.fanOut(func(sink dataset.Sink, id int, ph *phone) { c.runGaming(sink, id, ph, t) })
-	t += cfg.GamingSec + cfg.GapSec
-	return t
 }
 
 func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, appCfg offload.Config, kind dataset.TestKind, compressed bool) {
@@ -277,7 +245,6 @@ func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, a
 		HighSpeedFrac: a.HighSpeedFrac(), HOCount: a.HOCount(),
 		MedianE2EMs: res.MedianE2EMs, OffloadFPS: res.OffloadFPS, MAP: res.MAP,
 	})
-	a.release()
 }
 
 func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
@@ -289,7 +256,6 @@ func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
 		Server: a.Server.Kind, HighSpeedFrac: a.HighSpeedFrac(), HOCount: a.HOCount(),
 		QoE: res.QoE, RebufFrac: res.RebufFrac, AvgBitrate: res.AvgBitrate,
 	})
-	a.release()
 }
 
 func (c *Campaign) runGaming(sink dataset.Sink, id int, ph *phone, t float64) {
@@ -301,107 +267,75 @@ func (c *Campaign) runGaming(sink dataset.Sink, id int, ph *phone, t float64) {
 		Server: a.Server.Kind, HighSpeedFrac: a.HighSpeedFrac(), HOCount: a.HOCount(),
 		SendBitrate: res.SendBitrate, NetLatencyMs: res.NetLatencyMs, FrameDrop: res.FrameDrop,
 	})
-	a.release()
 }
 
-// runStaticBattery runs the static city baseline (§5.1): the team searched
-// each city for a 5G mmWave base station and measured facing it, falling
-// back to mid-band where mmWave could not be found — which in practice
-// meant mmWave for Verizon and AT&T and mid-band for T-Mobile (Fig. 3a).
-func (c *Campaign) runStaticBattery(t float64, s geo.Sample, city geo.City) {
-	for _, ph := range c.phones {
-		tech := radio.NRmmW
-		if ph.op == radio.TMobile && !ph.dep.HasTech(s.Km, radio.NRmmW) {
-			tech = radio.NRMid
-		}
-		st := &staticState{
-			link: radio.NewLink(c.rng.Stream("static", city.Name, ph.op.String(), tech.String()), ph.op, tech),
-			tech: tech,
-			km:   s.Km,
-			pos:  city.Pos,
-			zone: s.Zone,
-		}
-		c.runBulk(c.sink, c.newTestID(), ph, t, radio.Downlink, true, st)
-		c.runBulk(c.sink, c.newTestID(), ph, t+c.Cfg.BulkSec+2, radio.Uplink, true, st)
-		c.runRTT(c.sink, c.newTestID(), ph, t+2*(c.Cfg.BulkSec+2), true, st)
+// runStaticBattery runs one phone's static city baseline (§5.1) — a
+// downlink and an uplink bulk test and an RTT test, ids id onward — at a
+// stop s in city. The team searched each city for a 5G mmWave base station
+// and measured facing it, falling back to mid-band where mmWave could not
+// be found — which in practice meant mmWave for Verizon and AT&T and
+// mid-band for T-Mobile (Fig. 3a).
+func (c *Campaign) runStaticBattery(sink dataset.Sink, id int, ph *phone, t float64, s geo.Sample, city geo.City) {
+	tech := radio.NRmmW
+	if ph.op == radio.TMobile && !ph.dep.HasTech(s.Km, radio.NRmmW) {
+		tech = radio.NRMid
 	}
+	st := &staticState{
+		link: radio.NewLink(c.rng.Stream("static", city.Name, ph.op.String(), tech.String()), ph.op, tech),
+		tech: tech,
+		km:   s.Km,
+		pos:  city.Pos,
+		zone: s.Zone,
+	}
+	c.runBulk(sink, id, ph, t, radio.Downlink, true, st)
+	c.runBulk(sink, id+1, ph, t+c.Cfg.BulkSec+2, radio.Uplink, true, st)
+	c.runRTT(sink, id+2, ph, t+2*(c.Cfg.BulkSec+2), true, st)
 }
 
-// runPassiveLoggers walks three dedicated idle UEs (one per carrier)
-// through the entire trace, logging the serving technology every
-// PassiveSampleSec — the handover-logger phones of §3. The three loggers
-// are independent, so they run concurrently and merge in operator order.
-func (c *Campaign) runPassiveLoggers() {
-	end := c.endKm()
-	perOp := make([][]dataset.PassiveSample, radio.NumOperators)
-	var wg sync.WaitGroup
-	for _, op := range radio.Operators() {
-		wg.Add(1)
-		go func(op radio.Operator) {
-			defer wg.Done()
-			perOp[op] = c.runPassiveLogger(op, end)
-		}(op)
-	}
-	wg.Wait()
-	for _, samples := range perOp {
-		dataset.EmitPassiveAll(c.sink, samples)
-	}
-}
-
-// runPassiveLogger walks one carrier's handover-logger along the trace,
+// runPassiveLogger walks the phone's carrier's handover-logger — the §3
+// phones that passively logged the serving technology with ping-only
+// traffic for the whole trip, riding in the same car and so seeing the
+// same deployment — along the trace, logging every PassiveSampleSec,
 // bounded to the campaign's route segment in a shard worker.
-func (c *Campaign) runPassiveLogger(op radio.Operator, end float64) []dataset.PassiveSample {
+func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
+	end := c.endKm()
+	ue := ran.NewUEWithConfig(c.rng.Stream("ho-logger"), ph.dep, c.hoCfg[ph.op])
+	step := c.Cfg.PassiveSampleSec
+	if step <= 0 {
+		step = 2
+	}
+	start := 0
+	if c.startKm > 0 {
+		start = c.Trace.AtKm(c.startKm)
+	}
+	// Cell-ID memo: a logger camps on the same cell for many consecutive
+	// samples, so the string form is re-rendered only when the serving
+	// cell actually changes. The init flag matters because the zero
+	// CellKey names a real cell.
+	var lastKey deploy.CellKey
+	var lastID string
+	haveID := false
 	var out []dataset.PassiveSample
-	{
-		dep := deployFor(c, op)
-		ue := ran.NewUEWithConfig(c.rng.Stream("ho-logger"), dep, c.hoCfg[op])
-		step := c.Cfg.PassiveSampleSec
-		if step <= 0 {
-			step = 2
+	for i := start; i < len(c.Trace.Samples); i += int(step) {
+		s := c.Trace.Samples[i]
+		if s.Km >= end {
+			break
 		}
-		start := 0
-		if c.startKm > 0 {
-			start = c.Trace.AtKm(c.startKm)
+		snap := ue.Step(s.T, step, s.Km, s.MPH, s.Road, s.Zone, ran.Idle)
+		rec := dataset.PassiveSample{
+			Op: ph.op, TimeUTC: utc(s.T), Km: s.Km, Zone: s.Zone,
 		}
-		// Cell-ID memo: a logger camps on the same cell for many consecutive
-		// samples, so the string form is re-rendered only when the serving
-		// cell actually changes. The init flag matters because the zero
-		// CellKey names a real cell.
-		var lastKey deploy.CellKey
-		var lastID string
-		haveID := false
-		for i := start; i < len(c.Trace.Samples); i += int(step) {
-			s := c.Trace.Samples[i]
-			if s.Km >= end {
-				break
+		if snap.Outage {
+			rec.NoSvc = true
+			rec.Tech = radio.LTE
+		} else {
+			rec.Tech = snap.Tech
+			if key := snap.Cell.Key(); !haveID || key != lastKey {
+				lastKey, lastID, haveID = key, key.String(), true
 			}
-			snap := ue.Step(s.T, step, s.Km, s.MPH, s.Road, s.Zone, ran.Idle)
-			rec := dataset.PassiveSample{
-				Op: op, TimeUTC: utc(s.T), Km: s.Km, Zone: s.Zone,
-			}
-			if snap.Outage {
-				rec.NoSvc = true
-				rec.Tech = radio.LTE
-			} else {
-				rec.Tech = snap.Tech
-				if key := snap.Cell.Key(); !haveID || key != lastKey {
-					lastKey, lastID, haveID = key, key.String(), true
-				}
-				rec.Cell = lastID
-			}
-			out = append(out, rec)
+			rec.Cell = lastID
 		}
+		out = append(out, rec)
 	}
 	return out
-}
-
-// deployFor returns the deployment already built for the operator's phone;
-// the handover-logger rides in the same car and sees the same network.
-func deployFor(c *Campaign, op radio.Operator) *deploy.Deployment {
-	for _, ph := range c.phones {
-		if ph.op == op {
-			return ph.dep
-		}
-	}
-	panic("campaign: unknown operator")
 }

@@ -1,0 +1,183 @@
+package campaign
+
+import (
+	"context"
+	"runtime/pprof"
+	"sync"
+
+	"wheels/internal/batch"
+	"wheels/internal/dataset"
+)
+
+// phoneLead bounds how far a phone may run ahead of the merge: each phone
+// owns this many phase buffers and blocks once all of them hold finished
+// phases the merge has not reached yet. Two lets a phone run its next
+// phase while the merge drains the previous one, and keeps the records in
+// flight at O(phones × phoneLead) phases.
+const phoneLead = 2
+
+// timeline is one phone's side of the per-phone engine: filled phase
+// buffers travel to the merge on full and come back empty on free, and the
+// phone's passive-logger samples (when enabled) arrive once on passive.
+type timeline struct {
+	full, free chan *dataset.Collector
+	passive    chan []dataset.PassiveSample
+}
+
+// scratch is a campaign's reusable working memory: the phase schedule and,
+// for the production engine, each phone's test-lane buffers and its ring of
+// phase buffers.
+type scratch struct {
+	sd    schedule
+	lanes []batch.Lane
+	ring  [][phoneLead]dataset.Collector
+}
+
+// scratchPool parks scratch between the campaigns run on one testbed, so
+// a fleet's later seeds reuse the buffers its earlier seeds grew instead
+// of regrowing them. It holds at most one scratch per campaign that ran
+// concurrently, and it lives and dies with its testbed: nothing is parked
+// in package state. A nil pool parks nothing.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+func (p *scratchPool) get(phones int) *scratch {
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if n := len(p.free); n > 0 {
+			sc := p.free[n-1]
+			p.free = p.free[:n-1]
+			return sc
+		}
+	}
+	return &scratch{lanes: make([]batch.Lane, phones), ring: make([][phoneLead]dataset.Collector, phones)}
+}
+
+func (p *scratchPool) put(sc *scratch) {
+	if p != nil {
+		p.mu.Lock()
+		p.free = append(p.free, sc)
+		p.mu.Unlock()
+	}
+}
+
+// runTimeline is the production engine (EngineBatch). Each phone runs the
+// whole schedule on its own goroutine — its passive logger first, then
+// every phase in schedule order — into its own bounded ring of phase
+// buffers, while this goroutine merges: the passive block first, then each
+// phase's buffers in operator order, firing Cfg.Progress at each progress
+// mark and handing each drained buffer back to its phone.
+//
+// The output is a pure function of the schedule. A phone's simulation
+// state (UE, links, latency model, label-derived RNG streams, test
+// adapter) is touched by its goroutine alone; test ids come pre-allocated
+// from the schedule; and the merge order is fixed. So goroutine
+// scheduling cannot move a draw or a record, and the per-table record
+// order is exactly the scalar oracle's.
+func (c *Campaign) runTimeline(sc *scratch) {
+	sd := &sc.sd
+	tls := make([]timeline, len(c.phones))
+	var wg sync.WaitGroup
+	for i := range tls {
+		c.phones[i].a.Lane = sc.lanes[i]
+		tl := &tls[i]
+		tl.full = make(chan *dataset.Collector, phoneLead)
+		tl.free = make(chan *dataset.Collector, phoneLead)
+		for k := range sc.ring[i] {
+			tl.free <- &sc.ring[i][k]
+		}
+		if c.Cfg.EnablePassive {
+			tl.passive = make(chan []dataset.PassiveSample, 1)
+		}
+		wg.Add(1)
+		goPhone(func() {
+			defer wg.Done()
+			c.runPhone(i, sd, tl)
+		})
+	}
+	for i := range tls {
+		if tls[i].passive != nil {
+			dataset.EmitPassiveAll(c.sink, <-tls[i].passive)
+		}
+	}
+	for k := range sd.phases {
+		p := &sd.phases[k]
+		if p.kind == phaseProgress {
+			c.progress(sd, p)
+			continue
+		}
+		for i := range tls {
+			buf := <-tls[i].full
+			buf.D.EmitTo(c.sink)
+			buf.Reset()
+			tls[i].free <- buf
+		}
+	}
+	wg.Wait()
+	// Hand the grown lane buffers back, dropping every pointer into this
+	// campaign.
+	for i, ph := range c.phones {
+		sc.lanes[i] = ph.a.Lane.Recycle()
+		ph.a = adapter{}
+	}
+}
+
+// phoneJobs hands phone timelines to idle phone workers. A worker that
+// finishes a timeline waits here for the next one instead of exiting, so a
+// fleet running seed after seed reuses the same few goroutines rather than
+// churning through new ones — the runtime keeps every goroutine it ever
+// allocated in its goroutine table, and fresh ones would show up as live
+// heap growing with the seed count. The pool grows to the peak number of
+// phones running at once and holds no reference to a campaign between
+// timelines.
+var phoneJobs = make(chan func())
+
+// goPhone runs f on an idle phone worker, starting a new worker if none
+// is waiting.
+func goPhone(f func()) {
+	select {
+	case phoneJobs <- f:
+	default:
+		go phoneWorker(f)
+	}
+}
+
+func phoneWorker(f func()) {
+	for ; ; f = <-phoneJobs {
+		f()
+	}
+}
+
+// runPhone runs phone i's whole timeline. With ProfilePhases set, each
+// phase runs under its own `phase` and `op` pprof labels — one label scope
+// per phase, never per tick.
+func (c *Campaign) runPhone(i int, sd *schedule, tl *timeline) {
+	ph := c.phones[i]
+	if tl.passive != nil {
+		if ProfilePhases {
+			pprof.Do(context.Background(), pprof.Labels("phase", "passive", "op", ph.op.String()), func(context.Context) {
+				tl.passive <- c.runPassiveLogger(ph)
+			})
+		} else {
+			tl.passive <- c.runPassiveLogger(ph)
+		}
+	}
+	for k := range sd.phases {
+		p := &sd.phases[k]
+		if p.kind == phaseProgress {
+			continue
+		}
+		buf := <-tl.free
+		if ProfilePhases {
+			pprof.Do(context.Background(), pprof.Labels("phase", phaseLabels[p.kind], "op", ph.op.String()), func(context.Context) {
+				c.runPhase(buf, i, ph, sd, p)
+			})
+		} else {
+			c.runPhase(buf, i, ph, sd, p)
+		}
+		tl.full <- buf
+	}
+}

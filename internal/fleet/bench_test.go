@@ -49,13 +49,13 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportMetric(float64(growth)/seeds/1e6, "live-MB/seed")
 }
 
-// BenchmarkFleetBatch is BenchmarkFleet on the batched struct-of-arrays
-// tick engine — identical workload, identical output bytes (the
-// differential harness in internal/campaign proves it), different hot
-// path. CI gates its seeds/hour against the committed scalar
+// BenchmarkFleetBatch is BenchmarkFleet on the production engine, the
+// per-phone timeline engine — identical workload, identical output bytes
+// (the differential harness in internal/campaign proves it), different
+// scheduling. CI gates its seeds/hour against the committed scalar
 // BenchmarkFleet baseline and pins its live-MB/seed like the other fleet
-// benches: the kernel banks reuse flat rows across ticks, so the batched
-// path must hold no more live heap per seed than the scalar one.
+// benches: the engine's buffers are parked on the fleet's testbed, never
+// in package state, so it must hold no live heap once a fleet returns.
 func BenchmarkFleetBatch(b *testing.B) {
 	base := campaign.QuickConfig(0, 40)
 	base.Engine = campaign.EngineBatch

@@ -53,6 +53,43 @@ func TestTraceCursorMatchesAt(t *testing.T) {
 	}
 }
 
+// TestTraceCursorResetAtMatchesAt positions a cursor with ResetAt at random
+// times — inside driving days, inside every overnight gap, and before and
+// past the trace — and checks that it and a forward step from it answer
+// exactly as the binary-search Trace.At does.
+func TestTraceCursorResetAtMatchesAt(t *testing.T) {
+	r := NewRoute()
+	tr := Drive(r, sim.NewRNG(23).Stream("drive"))
+	s := tr.Samples
+	first, last := s[0].T, s[len(s)-1].T
+	times := []float64{first - 100, first, last, last + 100}
+	gaps := 0
+	for i := 0; i+1 < len(s); i++ {
+		if s[i+1].T-s[i].T > 2 {
+			gaps++
+			mid := s[i].T + (s[i+1].T-s[i].T)/2
+			times = append(times, s[i].T, s[i].T+3, mid, s[i+1].T-0.5, s[i+1].T)
+		}
+	}
+	if gaps == 0 {
+		t.Fatal("trace has no overnight gaps; the test would not cover them")
+	}
+	rng := sim.NewRNG(7)
+	for i := 0; i < 2000; i++ {
+		times = append(times, rng.Uniform(first-50, last+50))
+	}
+	var cur TraceCursor
+	for _, tt := range times {
+		cur.ResetAt(tr, tt)
+		if got, want := cur.At(tt), tr.At(tt); got != want {
+			t.Fatalf("ResetAt(%.2f) then At: cursor %d, trace %d", tt, got, want)
+		}
+		if got, want := cur.At(tt+1.7), tr.At(tt+1.7); got != want {
+			t.Fatalf("ResetAt(%.2f) then At(+1.7s): cursor %d, trace %d", tt, got, want)
+		}
+	}
+}
+
 // TestCursorAllocationFree pins the cursor queries at zero allocations.
 func TestCursorAllocationFree(t *testing.T) {
 	r := NewRoute()

@@ -143,9 +143,16 @@ type TraceCursor struct {
 // Cursor returns a new trace cursor positioned at the start of the trace.
 func (tr *Trace) Cursor() *TraceCursor { return &TraceCursor{tr: tr} }
 
-// Reset re-aims the cursor at the start of tr. Callers that embed a cursor
-// by value (pooled test adapters) reset it per use instead of allocating.
-func (c *TraceCursor) Reset(tr *Trace) { c.tr, c.idx = tr, 0 }
+// ResetAt re-aims the cursor at tr, positioned by binary search at time t,
+// so the first At call of a test starting mid-trace costs O(log n) rather
+// than a linear walk from the trace start. Callers that embed a cursor by
+// value (the per-phone test adapters) reset it this way at each test start.
+func (c *TraceCursor) ResetAt(tr *Trace, t float64) {
+	c.tr, c.idx = tr, 0
+	if i := tr.At(t); i > 0 {
+		c.idx = i
+	}
+}
 
 // At returns the index of the last sample with T <= t, or -1 if t precedes
 // the trace, exactly as Trace.At does.

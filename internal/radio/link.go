@@ -34,8 +34,7 @@ type Link struct {
 
 	// The correlated processes live by value inside the Link (not behind
 	// pointers), so one link's whole mutable channel state sits in a single
-	// contiguous block — the batch engine steps an array of Links without
-	// chasing per-process heap cells.
+	// contiguous block instead of per-process heap cells.
 	shadow  sim.GaussMarkov // log-normal shadowing, dB
 	interf  sim.GaussMarkov // interference-over-noise excursions, dB
 	load    sim.GaussMarkov // fraction of cell resources available to us
@@ -73,6 +72,16 @@ const (
 	sinrMinDB     = -10.0
 	shadowSigmaDB = 5.5
 	shadowTauSec  = 18.0
+)
+
+// SINR-rail memos: a clamped SINR always maps through the very same
+// functions, so MCSForSINR and the BLER logistic's Exp at the two rails are
+// computed once, by those functions, and are bit-identical by construction.
+var (
+	mcsRailLo = MCSForSINR(sinrMinDB)
+	mcsRailHi = MCSForSINR(sinrMaxDB)
+	blerExpLo = blerExp(sinrMinDB)
+	blerExpHi = blerExp(sinrMaxDB)
 )
 
 // loadMean returns the mean fraction of cell capacity available to one UE in
@@ -185,6 +194,30 @@ func interferencePenaltyDB(distFrac float64) float64 {
 	return p
 }
 
+// clampedSINR returns the SINR s0 - pen clamped to [sinrMin, sinrMax],
+// where s0 is the SINR before the interference penalty and pen is
+// interferencePenaltyDB(distFrac). pen ∈ [0, 34] by construction, so s0
+// alone decides the rails exactly: s0 ≤ sinrMin pins SINR low and
+// s0-34 ≥ sinrMax pins it high whatever pen is, and the penalty's Log/Exp
+// pair is skipped. Both bounds use only pen's hard range, never an
+// estimate of its value, so no bit can flip.
+func clampedSINR(s0, distFrac float64) float64 {
+	switch {
+	case s0 <= sinrMinDB:
+		return sinrMinDB
+	case s0-34 >= sinrMaxDB:
+		return sinrMaxDB
+	}
+	sinr := s0 - interferencePenaltyDB(distFrac)
+	if sinr > sinrMaxDB {
+		sinr = sinrMaxDB
+	}
+	if sinr < sinrMinDB {
+		sinr = sinrMinDB
+	}
+	return sinr
+}
+
 // NewLink returns a link for one (operator, technology) serving cell. The
 // stream should be derived per cell so each camped cell gets independent
 // shadowing and load.
@@ -275,18 +308,20 @@ func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadCla
 	}
 	st.RSRPdBm = rsrp
 
-	sinr := rsrp - noiseFloorDBm - math.Abs(l.interf.Step(dt)) -
-		interferencePenaltyDB(distKm/l.Band.RangeKm)
-	if sinr > sinrMaxDB {
-		sinr = sinrMaxDB
-	}
-	if sinr < sinrMinDB {
-		sinr = sinrMinDB
-	}
+	sinr := clampedSINR(rsrp-noiseFloorDBm-math.Abs(l.interf.Step(dt)), distKm/l.Band.RangeKm)
 	st.SINRdB = sinr
 
-	st.MCS = MCSForSINR(sinr)
-	st.BLER = BLER(sinr, mph)
+	// A railed SINR maps through MCSForSINR and the BLER logistic at
+	// exactly sinrMin/sinrMax, so both read memos computed once by the
+	// same functions (the high rail alone is ~31% of app ticks).
+	switch sinr {
+	case sinrMinDB:
+		st.MCS, st.BLER = mcsRailLo, blerFromExp(blerExpLo, mph)
+	case sinrMaxDB:
+		st.MCS, st.BLER = mcsRailHi, blerFromExp(blerExpHi, mph)
+	default:
+		st.MCS, st.BLER = MCSForSINR(sinr), BLER(sinr, mph)
+	}
 
 	st.CCDown, st.CCUp = l.carriersWithJit(rsrp, l.caJit.Step(dt))
 
@@ -301,8 +336,7 @@ func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadCla
 
 // stepShare folds the cell-load draw and the congestion chain into the UE's
 // share of the cell for this tick. loadVal must be the value just produced
-// by l.load.Step(dt) (with Mean already set for this environment) — the
-// bank fills all lanes' load draws subsystem-major before calling this.
+// by l.load.Step(dt), with Mean already set for this environment.
 func (l *Link) stepShare(dt, mph, loadVal float64) {
 	l.share = loadVal
 	if congested := l.congest.Step(dt) == 1; congested {
@@ -334,9 +368,7 @@ func (l *Link) stepShare(dt, mph, loadVal float64) {
 
 // carriersWithJit picks the number of aggregated component carriers from
 // link quality: secondary carriers drop off first as the UE approaches the
-// edge. The caller supplies the availability-jitter draw (caJit.Step) so
-// the bank can issue all lanes' draws in one subsystem-major fill before
-// the carrier arithmetic runs.
+// edge. The caller supplies the availability-jitter draw (caJit.Step).
 func (l *Link) carriersWithJit(rsrp, jit float64) (down, up int) {
 	q := (rsrp + 118) / 45 // 0 at deep edge, 1 near the cell
 	if l.Tech == NRmmW {

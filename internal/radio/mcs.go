@@ -47,7 +47,16 @@ func Efficiency(mcs int, maxSE float64) float64 {
 // (vehicle speed), which is how driving degrades the PHY even under good
 // RSRP.
 func BLER(sinrDB, mph float64) float64 {
-	b := 0.02 + 0.35/(1+math.Exp((sinrDB-3.0)/2.5)) + 0.0009*mph
+	return blerFromExp(blerExp(sinrDB), mph)
+}
+
+// blerExp is the logistic's Exp term of BLER at the given SINR.
+func blerExp(sinrDB float64) float64 { return math.Exp((sinrDB - 3.0) / 2.5) }
+
+// blerFromExp finishes BLER from its Exp term, so a memoized term yields
+// exactly the bits BLER computes.
+func blerFromExp(e, mph float64) float64 {
+	b := 0.02 + 0.35/(1+e) + 0.0009*mph
 	if b > 0.5 {
 		return 0.5
 	}

@@ -251,34 +251,10 @@ func (u *UE) Step(t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone,
 }
 
 // StepInto is Step writing the snapshot into caller-owned memory, so the
-// per-tick loops (the batch lanes in particular) land the radio state
-// directly in its long-lived slot instead of copying a Snapshot up the
-// call chain.
-//
-// StepInto is exactly StepControl + Link.StepInto + StepFinish. The batch
-// engine calls the three halves itself, stepping the gathered links of all
-// lanes through radio.LinkBank between the control and finish passes; both
-// engines therefore execute the same operations on the same state in the
-// same per-stream order, which is what keeps their output byte-identical.
+// per-tick loops (the campaign's test lanes in particular) land the radio
+// state directly in its long-lived slot instead of copying a Snapshot up
+// the call chain.
 func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) {
-	link, servDist, ok := u.StepControl(snap, t, km, tr, zone)
-	if !ok {
-		return
-	}
-	link.StepInto(&snap.Link, dt, servDist, mph, road)
-	u.StepFinish(snap, t)
-}
-
-// StepControl runs the control-plane half of a step: availability, attach,
-// forced and evaluated handovers, and the serving-distance geometry. It
-// fills every snapshot field except the link state and capacities and
-// returns the serving link to step plus the UE-to-cell distance. ok=false
-// means a dead zone: the outage snapshot is complete and no link steps this
-// tick. Control consumes only the UE's own "ue" stream (plus the target
-// link's reset draws on handover), never the serving link's per-subsystem
-// streams, so the batch engine may run all lanes' control passes before any
-// lane's link step without moving a draw within any stream.
-func (u *UE) StepControl(snap *Snapshot, t, km float64, tr Traffic, zone geo.Timezone) (link *radio.Link, servDist float64, ok bool) {
 	avail := u.Dep.AvailMask(km)
 	if avail == 0 {
 		// Dead zone: out of service entirely.
@@ -286,7 +262,7 @@ func (u *UE) StepControl(snap *Snapshot, t, km float64, tr Traffic, zone geo.Tim
 		u.wasOut = true
 		*snap = Snapshot{T: t, Outage: true, Tech: u.tech, Cell: u.cell,
 			Link: radio.LinkState{Tech: u.tech, RSRPdBm: -140, SINRdB: -10}}
-		return nil, 0, false
+		return
 	}
 	if !u.attached {
 		u.attach(t, km, avail, tr, zone)
@@ -313,7 +289,7 @@ func (u *UE) StepControl(snap *Snapshot, t, km float64, tr Traffic, zone geo.Tim
 	// serving cell their distances coincide, so the serving Hypot is only
 	// computed on the rare ticks where they differ.
 	nearest, nd := u.Dep.CellAt(km, u.tech)
-	servDist = nd
+	servDist := nd
 	if nearest.Index != u.cell.Index {
 		servDist = math.Hypot(km-u.cell.CenterKm, u.cell.LateralKm)
 		if nd < servDist-u.cfg.HysteresisFrac*u.Dep.SpacingKm(u.tech) {
@@ -324,25 +300,21 @@ func (u *UE) StepControl(snap *Snapshot, t, km float64, tr Traffic, zone geo.Tim
 
 	// Field-wise assignment (not a composite literal) so the compiler writes
 	// the caller's snapshot in place instead of building and copying a
-	// temporary; snap.Link is fully overwritten by the link step that
-	// follows.
+	// temporary; snap.Link is fully overwritten by the link step below.
 	snap.T = t
 	snap.Tech = u.tech
 	snap.Cell = u.cell
-	snap.InHO = false
 	snap.Outage = false
-	snap.CapDL = 0
-	snap.CapUL = 0
-	return &u.links[u.tech], servDist, true
-}
+	u.links[u.tech].StepInto(&snap.Link, dt, servDist, mph, road)
 
-// StepFinish applies the handover-execution gate after the serving link has
-// been stepped into snap.Link: during the interruption the snapshot carries
-// the radio KPIs but no usable capacity.
-func (u *UE) StepFinish(snap *Snapshot, t float64) {
+	// During a handover interruption the snapshot carries the radio KPIs
+	// but no usable capacity.
 	if t < u.hoUntil {
 		snap.InHO = true
+		snap.CapDL = 0
+		snap.CapUL = 0
 	} else {
+		snap.InHO = false
 		snap.CapDL = snap.Link.CapDL
 		snap.CapUL = snap.Link.CapUL
 	}

@@ -8,7 +8,6 @@ import (
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
 	"wheels/internal/radio"
-	"wheels/internal/servers"
 )
 
 // Scenario is a validated scenario definition. The only way to obtain one
@@ -132,13 +131,11 @@ func (s *Scenario) Compile() (*campaign.Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.cfg.Name, err)
 	}
-	return &campaign.Testbed{
-		Route:    route,
-		Reg:      servers.NewRegistry(route),
-		Scenario: s.cfg.Name,
-		Density:  s.Densities(),
-		Handover: s.HandoverConfigs(),
-	}, nil
+	tb := campaign.NewTestbedFor(route)
+	tb.Scenario = s.cfg.Name
+	tb.Density = s.Densities()
+	tb.Handover = s.HandoverConfigs()
+	return tb, nil
 }
 
 // MustCompile is Compile for scenarios known valid (the named library, the

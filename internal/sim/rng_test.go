@@ -228,3 +228,50 @@ func quickSelectMedian(v []float64) float64 {
 	sort.Float64s(c)
 	return c[len(c)/2]
 }
+
+// TestStreamDisjointInterleaving is the stream-disjointness property the
+// per-phone engine's determinism rests on: interleaving draws from
+// different label-derived streams in any cross-stream order — as the
+// scheduler interleaves the phone goroutines — cannot move a single draw
+// within any one stream. Here two consumers draw from three streams in
+// different global orders and must see identical per-stream sequences.
+func TestStreamDisjointInterleaving(t *testing.T) {
+	labels := []string{"shadow", "interf", "draws"}
+	const perStream = 64
+
+	drawAll := func(order func(draw func(stream int))) [][]float64 {
+		root := NewRNG(77)
+		streams := make([]*RNG, len(labels))
+		for i, l := range labels {
+			streams[i] = root.Stream("phone", l)
+		}
+		got := make([][]float64, len(labels))
+		order(func(s int) { got[s] = append(got[s], streams[s].NormFloat64()) })
+		return got
+	}
+
+	// Order A: stream-major (all of stream 0, then all of stream 1, ...).
+	a := drawAll(func(draw func(int)) {
+		for s := range labels {
+			for k := 0; k < perStream; k++ {
+				draw(s)
+			}
+		}
+	})
+	// Order B: round-robin across streams.
+	b := drawAll(func(draw func(int)) {
+		for k := 0; k < perStream; k++ {
+			for s := range labels {
+				draw(s)
+			}
+		}
+	})
+	for s := range labels {
+		for k := 0; k < perStream; k++ {
+			if a[s][k] != b[s][k] {
+				t.Fatalf("stream %q draw %d: %v != %v under reordering",
+					labels[s], k, a[s][k], b[s][k])
+			}
+		}
+	}
+}

@@ -16,7 +16,7 @@ type Path interface {
 	Step(dt float64) PathState
 }
 
-// TickSec is the transport simulation tick (exported for the batch engine, whose lockstep loops must tick at exactly this cadence). It is not exactly representable
+// TickSec is the transport simulation tick (exported for the campaign lanes, which must tick at exactly this cadence). It is not exactly representable
 // in binary floating point, so the runner loops drive time from an integer
 // tick index (t = i*TickSec, one correctly-rounded multiply) instead of
 // accumulating t += TickSec, whose rounding error compounds with every tick
@@ -62,10 +62,9 @@ func (r BulkResult) StdFrac() float64 {
 }
 
 // BulkRunner is the step-wise form of RunBulk: one nuttcp-style bulk
-// transfer whose tick loop is driven by the caller. The batch engine holds
-// one BulkRunner per lane and feeds all lanes from a single lockstep loop;
-// RunBulk drives the same state machine from its own loop, so the two
-// engines share every arithmetic step of the transfer, tick for tick.
+// transfer whose tick loop is driven by the caller. RunBulkWith drives it
+// from its own loop over a caller-owned runner (the campaign's per-phone
+// test lane keeps one, so its samples buffer is reused across tests).
 // The zero BulkRunner is ready after Reset.
 type BulkRunner struct {
 	Flow CubicFlow // by value: the flow state lives inside the runner
@@ -77,7 +76,7 @@ type BulkRunner struct {
 }
 
 // Reset rewinds the runner for a fresh durSec-second transfer, keeping the
-// samples backing array so a pooled runner stops allocating once it has
+// samples backing array so a reused runner stops allocating once it has
 // reached a test's working size.
 func (b *BulkRunner) Reset(durSec float64) {
 	b.Flow.Reset()
@@ -88,7 +87,7 @@ func (b *BulkRunner) Reset(durSec float64) {
 }
 
 // Recycle returns a zero runner that keeps the samples capacity, for
-// pooled reuse across tests.
+// reuse across tests.
 func (b *BulkRunner) Recycle() BulkRunner {
 	return BulkRunner{samples: b.samples[:0]}
 }
@@ -127,7 +126,7 @@ func RunBulk(p Path, durSec float64) BulkResult {
 	return RunBulkWith(&b, p, durSec)
 }
 
-// RunBulkWith is RunBulk over a caller-owned (typically pooled) runner.
+// RunBulkWith is RunBulk over a caller-owned (typically reused) runner.
 func RunBulkWith(b *BulkRunner, p Path, durSec float64) BulkResult {
 	b.Reset(durSec)
 	for i := 0; float64(i)*TickSec < durSec; i++ {
