@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W] [-shards K]
+//	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W]
 //	      [-checkpoint FILE] [-verify-resume] [-out FILE] [-html FILE]
 //	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-grid builtin|FILE]
 //	      [-print-grid] [-procs N] [-cpuprofile FILE] [-memprofile FILE]
@@ -51,10 +51,11 @@
 // With -checkpoint, completed seeds append to FILE as JSON lines; an
 // interrupted fleet re-run with the same flags resumes, skipping the seeds
 // already on disk, and the final report is byte-identical to an
-// uninterrupted run's. -verify-resume additionally re-runs each resumed
-// seed and warns when its recomputed dataset SHA-256 disagrees with the
-// checkpointed one — the signature of a checkpoint written by different
-// code.
+// uninterrupted run's. Rows written by older route-sharded builds summarize
+// a different dataset: the resume ignores them and says how many on
+// stderr. -verify-resume additionally re-runs each resumed seed and warns
+// when its recomputed dataset SHA-256 disagrees with the checkpointed one —
+// the signature of a checkpoint written by different code.
 //
 // -dump-dir DIR additionally streams each freshly-run seed's full dataset
 // to DIR/<scenario>/seed-N/ as gzip CSVs (parallel chunked compression),
@@ -102,7 +103,6 @@ func main() {
 		seeds      = flag.Int("seeds", 5, "number of campaigns per scenario (seeds start-seed..start-seed+N-1)")
 		startSeed  = flag.Int64("start-seed", 23, "first campaign seed")
 		workers    = flag.Int("workers", 0, "max campaigns in flight at once (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 1, "route shards per campaign (1 = serial engine)")
 		checkpoint = flag.String("checkpoint", "", "JSONL file to append per-seed summaries to and resume from")
 		verify     = flag.Bool("verify-resume", false, "re-run resumed seeds and warn when the recomputed dataset hash disagrees with the checkpoint (code drift)")
 		out        = flag.String("out", "", "write the cross-seed text report to this file (default stdout)")
@@ -222,7 +222,6 @@ func main() {
 		StartSeed:    *startSeed,
 		Seeds:        *seeds,
 		Workers:      *workers,
-		Shards:       *shards,
 		Checkpoint:   *checkpoint,
 		VerifyResume: *verify,
 		Progress: func(ev fleet.Event) {
@@ -266,8 +265,8 @@ func main() {
 	if grid != nil {
 		axis = fmt.Sprintf(" × %d policies", len(policies))
 	}
-	fmt.Fprintf(os.Stderr, "fleet: scenarios %s%s, %d seeds from %d, %d shard(s) per campaign...\n",
-		strings.Join(names, ","), axis, *seeds, *startSeed, *shards)
+	fmt.Fprintf(os.Stderr, "fleet: scenarios %s%s, %d seeds from %d...\n",
+		strings.Join(names, ","), axis, *seeds, *startSeed)
 
 	if *procs > 1 {
 		// Coordinator phase: partition the sweep across -procs re-invocations
@@ -341,6 +340,9 @@ func main() {
 
 	if err != nil {
 		log.Fatal(err)
+	}
+	if rep.ShardedRows > 0 {
+		fmt.Fprintf(os.Stderr, "fleet: ignored %d checkpoint row(s) written by route-sharded builds\n", rep.ShardedRows)
 	}
 
 	text := rep.RenderText()

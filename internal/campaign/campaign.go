@@ -118,9 +118,7 @@ type phone struct {
 	a   adapter
 }
 
-// Campaign holds the full testbed. A Campaign is either the whole serial
-// run (startKm = stopKm = 0) or one shard worker of a sharded run, bounded
-// to the route segment [startKm, stopKm).
+// Campaign holds the full testbed for one continuous drive.
 type Campaign struct {
 	Cfg    Config
 	Route  *geo.Route
@@ -133,11 +131,6 @@ type Campaign struct {
 	// (nil entries mean the default policy); the passive handover loggers
 	// read it so every UE in the campaign runs the same policy.
 	hoCfg [radio.NumOperators]*ran.HandoverConfig
-
-	// Shard bounds; zero values mean the full route. stopKm composes with
-	// Cfg.KmLimit through endKm().
-	startKm float64
-	stopKm  float64
 
 	// sink receives every record as it is produced. Run wires a Collector
 	// here; RunTo wires the caller's sink.
@@ -177,9 +170,9 @@ const traceTrailSec = 3600
 // newTrace simulates the drive, bounded to the campaign's KmLimit (plus
 // trail) when one is set. The generator stops drawing once the limit is
 // reached (geo.DriveLimited), which both sheds the dominant allocation of
-// short runs and skips simulating the days past the limit entirely; serial,
-// shard, and fleet runs over the same (seed, KmLimit) observe identical
-// samples either way.
+// short runs and skips simulating the days past the limit entirely; campaign
+// and fleet runs over the same (seed, KmLimit) observe identical samples
+// either way.
 func newTrace(route *geo.Route, rng *sim.RNG, cfg Config) *geo.Trace {
 	return geo.DriveLimited(route, rng.Stream("drive"), cfg.KmLimit, traceTrailSec)
 }
@@ -203,24 +196,6 @@ func deployKmBound(trace *geo.Trace, cfg Config) float64 {
 // is constructed once.
 func New(cfg Config) *Campaign {
 	return NewWithTestbed(cfg, NewTestbed())
-}
-
-// warmup settles a shard worker's fresh UEs by letting them camp idle at
-// the shard's first route position for warmupSec before measurements start.
-// Serial campaigns (startKm == 0) skip it: they begin with a cold attach in
-// LA exactly like the real phones did.
-func (c *Campaign) warmup() {
-	if c.startKm <= 0 {
-		return
-	}
-	idx := c.Trace.AtKm(c.startKm)
-	if idx >= len(c.Trace.Samples) {
-		return
-	}
-	s := c.Trace.Samples[idx]
-	for _, ph := range c.phones {
-		ph.ue.Warmup(s.T, s.Km, s.MPH, s.Road, s.Zone, warmupSec)
-	}
 }
 
 // maxExtrapolateSec caps how far past a trace sample where may extrapolate
@@ -266,9 +241,6 @@ func (c *Campaign) endKm() float64 {
 	if c.Cfg.KmLimit > 0 && c.Cfg.KmLimit < end {
 		end = c.Cfg.KmLimit
 	}
-	if c.stopKm > 0 && c.stopKm < end {
-		end = c.stopKm
-	}
 	return end
 }
 
@@ -282,15 +254,13 @@ func (c *Campaign) Run() *dataset.Dataset {
 	return col.Dataset()
 }
 
-// RunTo executes the campaign over its route segment (the whole route for a
-// serial campaign, the shard's [startKm, stopKm) for a shard worker),
-// emitting every record into sink as it is produced. Records of one table
-// arrive in the same order Run appends them, so a Collector sink reproduces
-// Run's dataset byte-for-byte. RunTo does not call sink.Flush — the sink's
-// owner does, after all campaigns feeding it have finished.
+// RunTo executes the campaign, emitting every record into sink as it is
+// produced. Records of one table arrive in the same order Run appends them,
+// so a Collector sink reproduces Run's dataset byte-for-byte. RunTo does not
+// call sink.Flush — the sink's owner does, after all campaigns feeding it
+// have finished.
 func (c *Campaign) RunTo(sink dataset.Sink) {
 	c.sink = sink
-	c.warmup()
 	sc := c.scratch.get(len(c.phones))
 	c.plan(&sc.sd)
 	if c.Cfg.engineBatch() {

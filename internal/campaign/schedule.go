@@ -100,11 +100,6 @@ func (c *Campaign) plan(sd *schedule) {
 	end := c.endKm()
 	last := c.Trace.Samples[len(c.Trace.Samples)-1].T
 	t := c.Trace.Samples[0].T
-	if c.startKm > 0 {
-		if idx := c.Trace.AtKm(c.startKm); idx < len(c.Trace.Samples) {
-			t = c.Trace.Samples[idx].T
-		}
-	}
 	// t and s.Km only move forward here, so every cursor lookup after the
 	// first is O(1).
 	cur := c.Trace.Cursor()
@@ -131,16 +126,12 @@ func (c *Campaign) plan(sd *schedule) {
 			continue
 		}
 
-		// Static baseline battery once per newly entered city. A city whose
-		// urban area straddles a shard boundary is owned by the shard that
-		// contains the area's start, so sharded runs never duplicate (or
-		// drop) a city battery. The battery does not advance the clock.
+		// Static baseline battery once per newly entered city. The battery
+		// does not advance the clock.
 		if c.Cfg.EnableStatic {
-			if city, areaStart, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
+			if city, _, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
 				visited[city.Name] = true
-				if areaStart >= c.startKm {
-					addStop(phaseStatic, t, staticTests*n, stop{s: s, city: city})
-				}
+				addStop(phaseStatic, t, staticTests*n, stop{s: s, city: city})
 			}
 		}
 

@@ -3,8 +3,6 @@ package campaign
 import (
 	"bytes"
 	"testing"
-
-	"wheels/internal/dataset"
 )
 
 // TestNewWithTestbedByteIdentical pins the testbed-sharing contract: a
@@ -23,22 +21,5 @@ func TestNewWithTestbedByteIdentical(t *testing.T) {
 	NewWithTestbed(QuickConfig(31, 60), tb).Run()
 	if got := exportBytes(t, NewWithTestbed(cfg, tb).Run()); !bytes.Equal(got, want) {
 		t.Fatal("reused Testbed no longer reproduces seed 23 — shared state was mutated")
-	}
-}
-
-// TestTestbedRunShardedToMatchesRunSharded: the testbed-shared sharded
-// entry point streams the same bytes as the package-level engine.
-func TestTestbedRunShardedToMatchesRunSharded(t *testing.T) {
-	cfg := QuickConfig(23, 90)
-	want := exportBytes(t, RunSharded(cfg, 3, 0))
-
-	tb := NewTestbed()
-	col := dataset.NewCollector(cfg.Seed)
-	tb.RunShardedTo(cfg, 3, 0, col)
-	if err := col.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := exportBytes(t, col.Dataset()); !bytes.Equal(got, want) {
-		t.Fatal("Testbed.RunShardedTo dataset differs from RunSharded")
 	}
 }

@@ -295,18 +295,13 @@ func (c *Campaign) runStaticBattery(sink dataset.Sink, id int, ph *phone, t floa
 // runPassiveLogger walks the phone's carrier's handover-logger — the §3
 // phones that passively logged the serving technology with ping-only
 // traffic for the whole trip, riding in the same car and so seeing the
-// same deployment — along the trace, logging every PassiveSampleSec,
-// bounded to the campaign's route segment in a shard worker.
+// same deployment — along the trace, logging every PassiveSampleSec.
 func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
 	end := c.endKm()
 	ue := ran.NewUEWithConfig(c.rng.Stream("ho-logger"), ph.dep, c.hoCfg[ph.op])
 	step := c.Cfg.PassiveSampleSec
 	if step <= 0 {
 		step = 2
-	}
-	start := 0
-	if c.startKm > 0 {
-		start = c.Trace.AtKm(c.startKm)
 	}
 	// Cell-ID memo: a logger camps on the same cell for many consecutive
 	// samples, so the string form is re-rendered only when the serving
@@ -316,7 +311,7 @@ func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
 	var lastID string
 	haveID := false
 	var out []dataset.PassiveSample
-	for i := start; i < len(c.Trace.Samples); i += int(step) {
+	for i := 0; i < len(c.Trace.Samples); i += int(step) {
 		s := c.Trace.Samples[i]
 		if s.Km >= end {
 			break

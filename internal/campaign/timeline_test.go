@@ -33,11 +33,11 @@ func TestTimelineGOMAXPROCSDifferential(t *testing.T) {
 		t.Skip("full-config differential run is slow")
 	}
 	cfg := fullCellConfig()
-	want := engineDigest(t, cfg, EngineScalar, 1)
+	want := engineDigest(t, cfg, EngineScalar)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		if got := engineDigest(t, cfg, EngineBatch, 1); got != want {
+		if got := engineDigest(t, cfg, EngineBatch); got != want {
 			t.Errorf("GOMAXPROCS=%d: production digest %s, scalar oracle %s", procs, got, want)
 		}
 	}

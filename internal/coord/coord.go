@@ -150,7 +150,7 @@ func (cfg Config) logf(format string, args ...any) {
 // main file lacks (work finished but not yet merged) are left exactly
 // where they are for the worker to resume from.
 func seedShards(main string, shardPaths []string) error {
-	rows, err := fleet.LoadCheckpoint(main)
+	rows, _, err := fleet.LoadCheckpoint(main)
 	if err != nil {
 		return fmt.Errorf("coord: reading checkpoint: %w", err)
 	}
@@ -172,7 +172,7 @@ func seedShards(main string, shardPaths []string) error {
 		return a.Seed < b.Seed
 	})
 	for _, path := range shardPaths {
-		have, err := fleet.LoadCheckpoint(path)
+		have, _, err := fleet.LoadCheckpoint(path)
 		if err != nil {
 			return fmt.Errorf("coord: reading shard %s: %w", path, err)
 		}

@@ -286,17 +286,25 @@ func TestParallelCSVWriterBatchIdentical(t *testing.T) {
 	}
 }
 
+// recordOnly exposes only the Sink methods of what it wraps, so the
+// EmitXxxAll helpers must take their per-record fallback for it.
+type recordOnly struct{ Sink }
+
 // TestTeeBatchFallback checks the helper dispatch: a Tee over one batch-aware
 // and one scalar-only sink must deliver every record to both.
 func TestTeeBatchFallback(t *testing.T) {
 	d := testBatchDataset()
 	col := NewCollector(d.Seed)
-	ren := NewRenumber(NewCollector(0)) // Renumber has no batch path by design
-	d.EmitTo(Tee(col, ren))
+	inner := NewCollector(d.Seed)
+	var ro Sink = recordOnly{inner}
+	if _, batch := ro.(BatchSink); batch {
+		t.Fatal("recordOnly must not implement BatchSink")
+	}
+	d.EmitTo(Tee(col, ro))
 	if got, want := len(col.D.Thr), len(d.Thr); got != want {
 		t.Fatalf("collector got %d thr rows, want %d", got, want)
 	}
-	if got, want := len(ren.dst.(*Collector).D.Thr), len(d.Thr); got != want {
-		t.Fatalf("renumbered collector got %d thr rows, want %d", got, want)
+	if got, want := len(inner.D.Thr), len(d.Thr); got != want {
+		t.Fatalf("per-record sink got %d thr rows, want %d", got, want)
 	}
 }

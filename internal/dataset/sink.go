@@ -128,7 +128,7 @@ func EmitPassiveAll(sink Sink, recs []PassiveSample) {
 // Replaying a Collector's dataset reproduces the original per-table emit
 // order, which is what makes streaming and materialized consumers
 // byte-equivalent. Each table goes through the batch helpers, so replaying
-// into batch-aware sinks (the fleet reduction, the fan-out merge) costs six
+// into batch-aware sinks (the fleet reduction, the phase merge) costs six
 // dispatches per member, not one per record.
 func (d *Dataset) EmitTo(sink Sink) {
 	EmitThrAll(sink, d.Thr)
@@ -264,66 +264,6 @@ func (t tee) Flush() error {
 	}
 	return first
 }
-
-// Renumber is the streaming shard-merge wrapper: it forwards records to dst
-// with every test id shifted past the running maximum of all earlier parts,
-// so concatenating shard streams in route order yields campaign-unique ids
-// that increase along the route — the sink equivalent of MergeRenumbered.
-//
-// Emit one part's records, then call Advance before starting the next part.
-// Passive samples carry no test id and pass through unshifted.
-type Renumber struct {
-	dst    Sink
-	offset int // ids of the current part shift by this much
-	max    int // largest shifted id seen in the current part
-}
-
-// NewRenumber returns a Renumber forwarding to dst.
-func NewRenumber(dst Sink) *Renumber { return &Renumber{dst: dst} }
-
-// Advance seals the current part: subsequent records shift past the largest
-// id emitted so far.
-func (r *Renumber) Advance() {
-	if r.max > r.offset {
-		r.offset = r.max
-	}
-}
-
-func (r *Renumber) shift(id int) int {
-	id += r.offset
-	if id > r.max {
-		r.max = id
-	}
-	return id
-}
-
-func (r *Renumber) EmitThr(s ThroughputSample) {
-	s.TestID = r.shift(s.TestID)
-	r.dst.EmitThr(s)
-}
-func (r *Renumber) EmitRTT(s RTTSample) {
-	s.TestID = r.shift(s.TestID)
-	r.dst.EmitRTT(s)
-}
-func (r *Renumber) EmitHandover(h HandoverRecord) {
-	h.TestID = r.shift(h.TestID)
-	r.dst.EmitHandover(h)
-}
-func (r *Renumber) EmitTest(t TestSummary) {
-	t.ID = r.shift(t.ID)
-	r.dst.EmitTest(t)
-}
-func (r *Renumber) EmitApp(a AppRun) {
-	a.ID = r.shift(a.ID)
-	r.dst.EmitApp(a)
-}
-func (r *Renumber) EmitPassive(p PassiveSample) { r.dst.EmitPassive(p) }
-func (r *Renumber) Flush() error                { return r.dst.Flush() }
-
-// Renumber deliberately does not implement BatchSink: shifting ids in bulk
-// would mean mutating the borrowed batch slice (visible to every other Tee
-// member sharing it) or copying it per call. The per-record fallback in the
-// EmitXxxAll helpers keeps it correct at the old cost.
 
 // HashSink computes a SHA-256 fingerprint of the dataset's canonical CSV
 // encoding without materializing any of it: each record is CSV-encoded

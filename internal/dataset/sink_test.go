@@ -86,25 +86,6 @@ func TestHashSinkFingerprint(t *testing.T) {
 	}
 }
 
-// TestRenumberMatchesMergeRenumbered: merging shard parts through the
-// streaming Renumber wrapper equals the slice-level merge it replaced.
-func TestRenumberMatchesMergeRenumbered(t *testing.T) {
-	a, b := fuzzSeedDataset(), fuzzSeedDataset()
-	want := MergeRenumbered(a, b)
-	col := NewCollector(a.Seed)
-	r := NewRenumber(col)
-	a.EmitTo(r)
-	r.Advance()
-	b.EmitTo(r)
-	r.Advance()
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, col.Dataset()) {
-		t.Fatal("Renumber stream merge differs from MergeRenumbered")
-	}
-}
-
 // FuzzCSVRoundTrip mutates record fields, streams the dataset to disk with
 // CSVWriter, and asserts that whatever LoadCompressed accepts streams back
 // out byte-identically — the canonical gzip CSV form is a fixed point of

@@ -10,9 +10,13 @@ package fleet
 //   - unknown fields are ignored, so older binaries read newer files;
 //   - an absent scenario field means "paper" — the only scenario builds
 //     that predate scenarios could run — so their files keep resuming;
-//   - any undecodable line is skipped rather than failing the resume.
+//   - any undecodable line is skipped rather than failing the resume;
+//   - a row written by a route-sharded build ("shards" above 1) summarizes
+//     a different dataset, so it is dropped and counted before the dedup,
+//     where it would otherwise shadow the row a fresh run appends behind
+//     it. Rows with no "shards" field or "shards":1 are adopted.
 //
-// Every surviving entry is a pure function of (scenario, seed, shards), so
+// Every surviving entry is a pure function of (scenario, policy, seed), so
 // "skip the seeds already on disk" is equivalent to re-running them.
 
 import (
@@ -38,12 +42,13 @@ type SeedKey struct {
 }
 
 // ParseCheckpoint reads checkpoint JSONL from r and returns the surviving
-// summaries keyed by (scenario, seed), with absent scenario fields
-// defaulted to "paper". It never fails on malformed content — torn lines,
-// garbage, and duplicates are skipped per the rules above — and only
-// returns r's read error, if any.
-func ParseCheckpoint(r io.Reader) (map[SeedKey]SeedSummary, error) {
-	out := map[SeedKey]SeedSummary{}
+// summaries keyed by (scenario, policy, seed), with absent scenario fields
+// defaulted to "paper", and the number of route-sharded rows it dropped.
+// It never fails on malformed content — torn lines, garbage, and
+// duplicates are skipped per the rules above — and only returns r's read
+// error, if any.
+func ParseCheckpoint(r io.Reader) (rows map[SeedKey]SeedSummary, sharded int, err error) {
+	rows = map[SeedKey]SeedSummary{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxCheckpointLine)
 	for sc.Scan() {
@@ -54,9 +59,14 @@ func ParseCheckpoint(r io.Reader) (map[SeedKey]SeedSummary, error) {
 		// A record must at least carry an explicit seed: this rejects torn
 		// lines and stray JSON (which would otherwise register seed 0).
 		var probe struct {
-			Seed *int64 `json:"seed"`
+			Seed   *int64 `json:"seed"`
+			Shards int    `json:"shards"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil || probe.Seed == nil {
+			continue
+		}
+		if probe.Shards > 1 {
+			sharded++
 			continue
 		}
 		var sum SeedSummary
@@ -67,23 +77,23 @@ func ParseCheckpoint(r io.Reader) (map[SeedKey]SeedSummary, error) {
 			sum.Scenario = "paper" // pre-scenario checkpoint line
 		}
 		key := SeedKey{Scenario: sum.Scenario, Policy: sum.Policy, Seed: sum.Seed}
-		if _, dup := out[key]; dup {
+		if _, dup := rows[key]; dup {
 			continue // first occurrence wins; never double-count a seed
 		}
-		out[key] = sum
+		rows[key] = sum
 	}
-	return out, sc.Err()
+	return rows, sharded, sc.Err()
 }
 
-// LoadCheckpoint reads the checkpoint file at path. A missing file is an
-// empty checkpoint, not an error.
-func LoadCheckpoint(path string) (map[SeedKey]SeedSummary, error) {
+// LoadCheckpoint reads the checkpoint file at path, as ParseCheckpoint
+// does. A missing file is an empty checkpoint, not an error.
+func LoadCheckpoint(path string) (rows map[SeedKey]SeedSummary, sharded int, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return map[SeedKey]SeedSummary{}, nil
+		return map[SeedKey]SeedSummary{}, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	return ParseCheckpoint(f)

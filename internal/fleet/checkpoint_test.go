@@ -11,7 +11,6 @@ func sampleSummary(seed int64) SeedSummary {
 	return SeedSummary{
 		Scenario: "paper",
 		Seed:     seed,
-		Shards:   1,
 		Ops: map[string]OpSummary{
 			"V": {DriveDLMedMbps: 15.7, StaticDLMedMbps: 1290, HOsPerMileMed: 1.9},
 			"T": {DriveDLMedMbps: 20.6, FiveGMileShare: 0.64},
@@ -34,7 +33,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		buf.Write(line)
 	}
-	got, err := ParseCheckpoint(&buf)
+	got, _, err := ParseCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestCheckpointLegacyFixture(t *testing.T) {
 	if bytes.Contains(b, []byte("scenario")) {
 		t.Fatal("legacy fixture mentions scenarios — it must stay a genuine pre-scenario file")
 	}
-	got, err := ParseCheckpoint(bytes.NewReader(b))
+	got, _, err := ParseCheckpoint(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,32 +90,39 @@ func TestCheckpointLegacyFixture(t *testing.T) {
 
 func TestCheckpointDecoderTolerance(t *testing.T) {
 	line23, _ := EncodeSummary(sampleSummary(23))
-	dup23, _ := EncodeSummary(SeedSummary{Scenario: "paper", Seed: 23, Shards: 1, ThrSamples: 9999})
-	urban23, _ := EncodeSummary(SeedSummary{Scenario: "dense-urban", Seed: 23, Shards: 1, ThrSamples: 777})
+	dup23, _ := EncodeSummary(SeedSummary{Scenario: "paper", Seed: 23, ThrSamples: 9999})
+	urban23, _ := EncodeSummary(SeedSummary{Scenario: "dense-urban", Seed: 23, ThrSamples: 777})
+	sharded23 := `{"seed":23,"shards":2,"thr_samples":9999}` + "\n"
 
 	paper := func(seed int64) SeedKey { return SeedKey{Scenario: "paper", Seed: seed} }
 	cases := []struct {
-		name  string
-		input string
-		keys  []SeedKey
+		name    string
+		input   string
+		keys    []SeedKey
+		sharded int
 	}{
-		{"truncated last line", string(line23) + `{"seed":24,"shards":1,"ops":{"V":{"dri`, []SeedKey{paper(23)}},
-		{"duplicate seed keeps first", string(line23) + string(dup23), []SeedKey{paper(23)}},
-		{"unknown fields ignored", `{"seed":31,"shards":1,"future_field":{"x":1},"thr_samples":7}` + "\n", []SeedKey{paper(31)}},
-		{"blank lines and garbage", "\n\nnot json at all\n" + string(line23) + "\n", []SeedKey{paper(23)}},
-		{"json without a seed is not seed 0", `{"shards":1,"thr_samples":5}` + "\n", nil},
-		{"absent scenario reads as paper", `{"seed":40,"shards":1,"thr_samples":3}` + "\n", []SeedKey{paper(40)}},
+		{"truncated last line", string(line23) + `{"seed":24,"shards":1,"ops":{"V":{"dri`, []SeedKey{paper(23)}, 0},
+		{"duplicate seed keeps first", string(line23) + string(dup23), []SeedKey{paper(23)}, 0},
+		{"unknown fields ignored", `{"seed":31,"shards":1,"future_field":{"x":1},"thr_samples":7}` + "\n", []SeedKey{paper(31)}, 0},
+		{"blank lines and garbage", "\n\nnot json at all\n" + string(line23) + "\n", []SeedKey{paper(23)}, 0},
+		{"json without a seed is not seed 0", `{"shards":1,"thr_samples":5}` + "\n", nil, 0},
+		{"absent scenario reads as paper", `{"seed":40,"shards":1,"thr_samples":3}` + "\n", []SeedKey{paper(40)}, 0},
 		{"same seed in two scenarios keeps both", string(line23) + string(urban23),
-			[]SeedKey{paper(23), {Scenario: "dense-urban", Seed: 23}}},
+			[]SeedKey{paper(23), {Scenario: "dense-urban", Seed: 23}}, 0},
+		{"sharded rows dropped before the dedup", sharded23 + sharded23 + string(line23), []SeedKey{paper(23)}, 2},
+		{"sharded row alone leaves nothing", sharded23, nil, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ParseCheckpoint(strings.NewReader(tc.input))
+			got, sharded, err := ParseCheckpoint(strings.NewReader(tc.input))
 			if err != nil {
 				t.Fatalf("ParseCheckpoint: %v", err)
 			}
 			if len(got) != len(tc.keys) {
 				t.Fatalf("decoded %d summaries (%v), want keys %v", len(got), got, tc.keys)
+			}
+			if sharded != tc.sharded {
+				t.Errorf("dropped %d sharded rows, want %d", sharded, tc.sharded)
 			}
 			for _, key := range tc.keys {
 				if _, ok := got[key]; !ok {
@@ -146,7 +152,7 @@ func FuzzParseCheckpoint(f *testing.F) {
 	f.Add(`{"seed":1}` + "\n" + `{"seed":1,"scenario":"dense-urban"}` + "\n")
 	f.Add("{\"seed\":null}\n[]\n{}\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		got, err := ParseCheckpoint(strings.NewReader(input))
+		got, _, err := ParseCheckpoint(strings.NewReader(input))
 		if err != nil {
 			t.Fatalf("ParseCheckpoint errored on in-memory input: %v", err)
 		}
@@ -170,7 +176,7 @@ func FuzzParseCheckpoint(f *testing.F) {
 			}
 			again.Write(line)
 		}
-		got2, err := ParseCheckpoint(&again)
+		got2, _, err := ParseCheckpoint(&again)
 		if err != nil {
 			t.Fatal(err)
 		}

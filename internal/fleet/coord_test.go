@@ -248,7 +248,7 @@ func TestCoordWorkerFailureSkipsMerge(t *testing.T) {
 		t.Error("failed run wrote the main checkpoint before the merge")
 	}
 	// Shard 0 finished its half; its progress must survive into the retry.
-	shard0, err := fleet.LoadCheckpoint(coord.ShardPath(ckpt, 0))
+	shard0, _, err := fleet.LoadCheckpoint(coord.ShardPath(ckpt, 0))
 	if err != nil || len(shard0) == 0 {
 		t.Errorf("surviving worker's shard progress lost: %d rows, err %v", len(shard0), err)
 	}

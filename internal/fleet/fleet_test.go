@@ -68,7 +68,7 @@ func TestFleetCheckpointResume(t *testing.T) {
 	if len(lines) < 3 {
 		t.Fatalf("checkpoint has %d lines, want >= 3", len(lines))
 	}
-	truncated := lines[0] + lines[1] + `{"seed":25,"shards":1,"ops":{"V":{"drive_dl`
+	truncated := lines[0] + lines[1] + `{"seed":25,"ops":{"V":{"drive_dl`
 	if err := os.WriteFile(ck, []byte(truncated), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -103,44 +103,99 @@ func TestFleetCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestFleetShardMismatchNotReused: a summary reduced under a different
-// shard count is a different dataset and must not satisfy a resume.
-func TestFleetShardMismatchNotReused(t *testing.T) {
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "fleet.jsonl")
+// checkpointRows runs cfg once against a fresh checkpoint and returns its
+// one row, plus that row re-tagged as older builds wrote it: with
+// "shards":2, as a route-sharded run did, and with "shards":1, as an
+// unsharded run did.
+func checkpointRows(t *testing.T, cfg Config) (fresh, sharded, unsharded string) {
+	t.Helper()
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "fresh.jsonl")
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := string(b)
+	if strings.Count(line, "\n") != 1 || !strings.HasPrefix(line, "{") || strings.Contains(line, `"shards"`) {
+		t.Fatalf("want one fresh row without a shards field, got %q", line)
+	}
+	return line, `{"shards":2,` + line[1:], `{"shards":1,` + line[1:]
+}
 
-	cfg := testConfig(ck)
+// TestFleetShardedRowDoesNotShadowFreshRow: a route-sharded row ahead of
+// an adoptable row for the same (scenario, policy, seed) is ignored and
+// counted, so the seed resumes from the row behind it instead of re-running
+// on every pass.
+func TestFleetShardedRowDoesNotShadowFreshRow(t *testing.T) {
+	cfg := testConfig("")
 	cfg.Seeds = 1
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
+	want := renderedReport(t, cfg)
+	_, sharded, unsharded := checkpointRows(t, cfg)
 
-	cfg.Shards = 2
-	var events []Event
-	cfg.Progress = func(ev Event) { events = append(events, ev) }
-	if _, err := Run(cfg); err != nil {
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "fleet.jsonl")
+	if err := os.WriteFile(cfg.Checkpoint, []byte(sharded+unsharded), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range events {
-		if ev.Resumed {
-			t.Errorf("seed %d resumed from a checkpoint written with a different shard count", ev.Seed)
+	for pass := 1; pass <= 2; pass++ {
+		var reran []int64
+		cfg.Progress = func(ev Event) {
+			if !ev.Resumed {
+				reran = append(reran, ev.Seed)
+			}
+		}
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reran) != 0 {
+			t.Errorf("pass %d re-ran seeds %v instead of resuming", pass, reran)
+		}
+		if rep.ShardedRows != 1 {
+			t.Errorf("pass %d: ShardedRows = %d, want 1", pass, rep.ShardedRows)
+		}
+		if got := rep.RenderText(); got != want {
+			t.Errorf("pass %d: resumed report differs from a checkpoint-free run", pass)
 		}
 	}
 }
 
-func TestFleetShardedSmoke(t *testing.T) {
+// TestMergeShardsSkipsShardedRows: MergeShards reads rows the way Run
+// does, so a fresh row a worker appended behind a route-sharded one is
+// merged, and a merged one is never merged twice.
+func TestMergeShardsSkipsShardedRows(t *testing.T) {
 	cfg := testConfig("")
 	cfg.Seeds = 1
-	cfg.Shards = 2
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Summaries) != 1 || rep.Summaries[0].ThrSamples == 0 {
-		t.Fatalf("sharded fleet produced %+v", rep.Summaries)
-	}
-	if rep.Summaries[0].Shards != 2 {
-		t.Errorf("summary records %d shards, want 2", rep.Summaries[0].Shards)
+	fresh, sharded, unsharded := checkpointRows(t, cfg)
+	for _, tc := range []struct {
+		name, main, shard, want string
+	}{
+		{"fresh row behind a sharded row is merged", sharded, sharded + fresh, sharded + fresh},
+		{"adopted row is not merged again", sharded + unsharded, sharded + unsharded, sharded + unsharded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mcfg := cfg
+			mcfg.Checkpoint = filepath.Join(dir, "main.jsonl")
+			shard := filepath.Join(dir, "main.jsonl.shard0")
+			if err := os.WriteFile(mcfg.Checkpoint, []byte(tc.main), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(shard, []byte(tc.shard), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := mcfg.MergeShards([]string{shard}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(mcfg.Checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Errorf("merged checkpoint:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -256,7 +311,7 @@ func TestFleetScenarioSweepResume(t *testing.T) {
 	if len(lines) < 6 {
 		t.Fatalf("sweep checkpoint has %d lines, want >= 6", len(lines))
 	}
-	truncated := lines[0] + lines[1] + lines[2] + `{"scenario":"dense-urban","seed":24,"shards":1,"ops":{"V":{"dri`
+	truncated := lines[0] + lines[1] + lines[2] + `{"scenario":"dense-urban","seed":24,"ops":{"V":{"dri`
 	if err := os.WriteFile(ck, []byte(truncated), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +340,8 @@ func TestFleetScenarioSweepResume(t *testing.T) {
 }
 
 // TestFleetScenarioMismatchNotReused: a checkpoint row from one scenario
-// must never satisfy another scenario's (seed, shards) — same seed, same
-// shard count, different route, different data.
+// must never satisfy another scenario's seed — same seed, different route,
+// different data.
 func TestFleetScenarioMismatchNotReused(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
 	cfg := testConfig(ck)
@@ -371,8 +426,8 @@ func TestReduceEmptyDataset(t *testing.T) {
 		{Seed: 99},
 		{Seed: 99, Tests: []dataset.TestSummary{{ID: 1, Miles: 1}}},
 	} {
-		sum := Reduce(ds, 1)
-		if sum.Seed != 99 || sum.Shards != 1 {
+		sum := Reduce(ds)
+		if sum.Seed != 99 {
 			t.Fatalf("Reduce keyed summary wrong: %+v", sum)
 		}
 		for op, o := range sum.Ops {
@@ -400,7 +455,7 @@ func TestReduceEmptyDataset(t *testing.T) {
 // TestFleetReportEmpty: a fleet whose seeds all failed to load still
 // renders (and HTML-renders) without NaNs or panics.
 func TestFleetReportEmpty(t *testing.T) {
-	rep := &Report{StartSeed: 5, Seeds: 2, Shards: 1}
+	rep := &Report{StartSeed: 5, Seeds: 2}
 	text := rep.RenderText()
 	if !strings.Contains(text, "no completed seeds") {
 		t.Errorf("empty report rendered:\n%s", text)

@@ -17,12 +17,13 @@ import (
 // the single-process run would have written over the same starting
 // content: same prefix (the pre-existing bytes are never rewritten), same
 // appended rows (EncodeSummary is deterministic and each summary is a pure
-// function of (scenario, seed, shards)), same sequence.
+// function of (scenario, policy, seed)), same sequence.
 //
-// Rows outside this sweep (other scenarios, other seed ranges, other shard
-// counts) are ignored wherever they appear: shard files start as copies of
-// the main checkpoint, so such rows are either already in the main file or
-// belong to a different sweep entirely.
+// Rows outside this sweep (other scenarios, other seed ranges) are ignored
+// wherever they appear: shard files start as copies of the main
+// checkpoint, so such rows are either already in the main file or belong
+// to a different sweep entirely. Route-sharded rows never get this far:
+// LoadCheckpoint drops them on both sides.
 //
 // The merge is idempotent and kill-tolerant: first-wins dedup skips rows
 // already present, so re-running a merge that was interrupted mid-append
@@ -41,12 +42,7 @@ func (cfg Config) MergeShards(shardPaths []string) error {
 	for i, sn := range scenarios {
 		cellIdx[SeedKey{Scenario: sn.Name, Policy: sn.Policy}] = i
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-
-	have, err := LoadCheckpoint(cfg.Checkpoint)
+	have, _, err := LoadCheckpoint(cfg.Checkpoint)
 	if err != nil {
 		return fmt.Errorf("fleet: reading checkpoint: %w", err)
 	}
@@ -56,21 +52,16 @@ func (cfg Config) MergeShards(shardPaths []string) error {
 	}
 	var rows []fresh
 	for _, path := range shardPaths {
-		part, err := LoadCheckpoint(path)
+		part, _, err := LoadCheckpoint(path)
 		if err != nil {
 			return fmt.Errorf("fleet: reading shard %s: %w", path, err)
 		}
 		for key, sum := range part {
-			// A row already present counts as a duplicate only if Run would
-			// adopt it (matching shard count) — a single-process fleet re-runs
-			// a pair whose row was reduced under a different shard count and
-			// appends the fresh summary alongside the stale row, so the merge
-			// must too.
-			if old, dup := have[key]; dup && old.Shards == shards {
+			if _, dup := have[key]; dup {
 				continue
 			}
 			ci, swept := cellIdx[SeedKey{Scenario: key.Scenario, Policy: key.Policy}]
-			if !swept || key.Seed < cfg.StartSeed || key.Seed >= cfg.StartSeed+int64(cfg.Seeds) || sum.Shards != shards {
+			if !swept || key.Seed < cfg.StartSeed || key.Seed >= cfg.StartSeed+int64(cfg.Seeds) {
 				continue
 			}
 			have[key] = sum // dedup across shards, first shard wins

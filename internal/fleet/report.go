@@ -18,9 +18,13 @@ import (
 type Report struct {
 	StartSeed int64
 	Seeds     int
-	Shards    int
 	Scenarios []string      // sweep order; empty on pre-scenario reports
 	Summaries []SeedSummary // sorted by (scenario sweep position, seed)
+
+	// ShardedRows counts the checkpoint rows written by route-sharded
+	// builds that the resume ignored. It is never rendered: a checkpointed
+	// and a checkpoint-free fleet must render identical reports.
+	ShardedRows int
 }
 
 // scenarioNames returns the report's grouping labels: the recorded sweep
@@ -316,8 +320,8 @@ func (r *Report) RenderText() string {
 		if names[0] != "paper" {
 			scenarioNote = fmt.Sprintf(", scenario %s", names[0])
 		}
-		fmt.Fprintf(&b, "Replication fleet: seeds %s (%d of %d campaigns, %d shard(s) each%s)\n",
-			r.seedRange(), len(r.Summaries), r.Seeds, r.Shards, scenarioNote)
+		fmt.Fprintf(&b, "Replication fleet: seeds %s (%d of %d campaigns%s)\n",
+			r.seedRange(), len(r.Summaries), r.Seeds, scenarioNote)
 		if len(r.Summaries) == 0 {
 			b.WriteString("  no completed seeds\n")
 			return b.String()
@@ -328,8 +332,8 @@ func (r *Report) RenderText() string {
 		return b.String()
 	}
 
-	fmt.Fprintf(&b, "Replication fleet: %d scenarios x seeds %s (%d of %d campaigns, %d shard(s) each)\n",
-		len(names), r.seedRange(), len(r.Summaries), len(names)*r.Seeds, r.Shards)
+	fmt.Fprintf(&b, "Replication fleet: %d scenarios x seeds %s (%d of %d campaigns)\n",
+		len(names), r.seedRange(), len(r.Summaries), len(names)*r.Seeds)
 	fmt.Fprintf(&b, "Scenarios: %s\n", strings.Join(names, ", "))
 	if len(r.Summaries) == 0 {
 		b.WriteString("  no completed seeds\n")
@@ -388,8 +392,8 @@ func (r *Report) HTML() ([]byte, error) {
 	}
 	return report.BuildPage(
 		"Replication fleet — cross-seed shape verdicts",
-		fmt.Sprintf("Scenarios %s; seeds %s, %d shard(s) per campaign: %d completed summaries.",
-			strings.Join(names, ", "), r.seedRange(), r.Shards, len(r.Summaries)),
-		"Generated by cmd/fleet. Summaries are pure functions of (scenario, seed, shards); the report regenerates bit-identically.",
+		fmt.Sprintf("Scenarios %s; seeds %s: %d completed summaries.",
+			strings.Join(names, ", "), r.seedRange(), len(r.Summaries)),
+		"Generated by cmd/fleet. Summaries are pure functions of (scenario, policy, seed); the report regenerates bit-identically.",
 		sections)
 }

@@ -13,8 +13,8 @@
 // at once.
 // Summaries checkpoint to a JSONL file as seeds finish; an interrupted
 // fleet resumes by skipping completed seeds, and because a summary is a
-// pure function of (seed, shards), the resumed report is byte-identical to
-// an uninterrupted run's.
+// pure function of (scenario, policy, seed), the resumed report is
+// byte-identical to an uninterrupted run's.
 package fleet
 
 import (
@@ -113,10 +113,9 @@ type OpSummary struct {
 
 // SeedSummary is the per-seed reduction the fleet keeps after dropping the
 // dataset, and the unit record of the checkpoint JSONL file. It is a pure
-// function of (scenario, seed, shards): re-running the same seed with the
-// same shard count over the same scenario reproduces the summary
-// bit-for-bit, which is what makes checkpoint resume equivalent to
-// re-execution.
+// function of (scenario, policy, seed): re-running the same seed over the
+// same scenario and policy reproduces the summary bit-for-bit, which is
+// what makes checkpoint resume equivalent to re-execution.
 type SeedSummary struct {
 	// Scenario names the route this seed ran over. It is omitted from the
 	// JSON encoding when empty so pre-scenario fleets' checkpoint lines are
@@ -131,8 +130,7 @@ type SeedSummary struct {
 	Policy     string `json:"policy,omitempty"`
 	PolicyName string `json:"policy_name,omitempty"`
 
-	Seed   int64 `json:"seed"`
-	Shards int   `json:"shards"`
+	Seed int64 `json:"seed"`
 
 	Ops    map[string]OpSummary `json:"ops"`    // keyed by radio.Operator.Short()
 	Shapes map[string]bool      `json:"shapes"` // analysis.CheckShapes verdicts
@@ -168,13 +166,13 @@ type SeedSummary struct {
 // campaign yields zero tests of some kind): empty slices reduce to
 // zero-valued medians, never NaN — the summary must survive a JSON
 // round-trip through the checkpoint file.
-func Reduce(ds *dataset.Dataset, shards int) SeedSummary {
+func Reduce(ds *dataset.Dataset) SeedSummary {
 	acc := analysis.NewAccumulator(ds.Seed)
 	h := dataset.NewHashSink()
 	sink := dataset.Tee(acc, h)
 	ds.EmitTo(sink)
 	sink.Flush() // Accumulator and HashSink flushes cannot fail
-	return summarize(acc, h.Sum(), shards, "paper")
+	return summarize(acc, h.Sum(), "paper")
 }
 
 // seedScratch is one fleet worker's reusable per-seed reduction state: the
@@ -197,7 +195,7 @@ func newSeedScratch() *seedScratch {
 // substrate and the shape thresholds to score against (sn must be
 // normalized — see Config.scenarios); extra, when non-nil, is teed into the
 // record stream (the CLI's per-seed CSV dump).
-func runSeed(c campaign.Config, sn Scenario, shards int, sc *seedScratch, extra dataset.Sink) (SeedSummary, error) {
+func runSeed(c campaign.Config, sn Scenario, sc *seedScratch, extra dataset.Sink) (SeedSummary, error) {
 	sc.acc.Reset(c.Seed)
 	sc.acc.SetShapeParams(sn.Shapes)
 	sc.h.Reset()
@@ -205,28 +203,20 @@ func runSeed(c campaign.Config, sn Scenario, shards int, sc *seedScratch, extra 
 	if extra != nil {
 		sink = dataset.Tee(sc.acc, sc.h, extra)
 	}
-	if shards > 1 {
-		sn.Testbed.RunShardedTo(c, shards, 0, sink)
-	} else {
-		campaign.NewWithTestbed(c, sn.Testbed).RunTo(sink)
-	}
+	campaign.NewWithTestbed(c, sn.Testbed).RunTo(sink)
 	err := sink.Flush()
-	sum := summarize(sc.acc, sc.h.Sum(), shards, sn.Name)
+	sum := summarize(sc.acc, sc.h.Sum(), sn.Name)
 	sum.Policy = sn.Policy
 	sum.PolicyName = sn.PolicyName
 	return sum, err
 }
 
 // summarize projects a fully-fed accumulator into the SeedSummary record.
-func summarize(acc *analysis.Accumulator, sha string, shards int, scenario string) SeedSummary {
-	if shards < 1 {
-		shards = 1
-	}
+func summarize(acc *analysis.Accumulator, sha string, scenario string) SeedSummary {
 	n := acc.Counts()
 	sum := SeedSummary{
 		Scenario:       scenario,
 		Seed:           acc.Seed(),
-		Shards:         shards,
 		Ops:            map[string]OpSummary{},
 		Shapes:         map[string]bool{},
 		ThrSamples:     n.Thr,

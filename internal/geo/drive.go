@@ -173,8 +173,7 @@ func (c *TraceCursor) At(t float64) int {
 
 // AtKm returns the index of the first sample with Km >= km, or len(Samples)
 // if km is beyond the trace. Km is nondecreasing across the whole trip, so
-// this is a binary search; shard workers use it to find where their route
-// segment begins.
+// this is a binary search.
 func (tr *Trace) AtKm(km float64) int {
 	lo, hi := 0, len(tr.Samples)
 	for lo < hi {

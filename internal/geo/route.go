@@ -367,10 +367,7 @@ func (r *Route) CityAt(km float64) (City, bool) {
 }
 
 // CityAreaAt returns the city whose urban area contains route distance km
-// together with the route distance at which that area begins. The area
-// start gives shard workers an unambiguous ownership rule: the shard whose
-// km range contains the area start runs the city's static battery, even
-// when the urban area straddles a shard boundary.
+// together with the route distance at which that area begins.
 func (r *Route) CityAreaAt(km float64) (City, float64, bool) {
 	leg, off := r.legAt(km)
 	return r.cityAreaOf(leg, off)

@@ -21,7 +21,7 @@ import (
 
 // ExportBytes saves the dataset under a temp dir and returns the
 // concatenation of "<basename>\0<bytes>" for every CSV file in sorted name
-// order — the byte-level identity the sharding contract and the seed-23
+// order — the byte-level identity the engine differential and the seed-23
 // golden promise. Every byte-identity test must hash exactly this form, so
 // the campaign goldens and the scenario guard agree on what "identical
 // output" means.

@@ -221,26 +221,6 @@ func (u *UE) attach(t float64, km float64, avail deploy.TechMask, tr Traffic, zo
 	}
 }
 
-// Warmup walks a fresh UE through warmSec seconds of idle camping at a
-// fixed route position strictly before measurement time t0. Shard workers
-// use it so a UE that begins its segment at a mid-route km starts with
-// settled RRC state, link filters, and an evaluation timer, instead of a
-// cold initial attach in the middle of the trip. The handover events and
-// signaling messages generated during warm-up are discarded, and the
-// camped-cell history is reset so UniqueCells counts only measured cells.
-func (u *UE) Warmup(t0, km, mph float64, road geo.RoadClass, zone geo.Timezone, warmSec float64) {
-	for t := t0 - warmSec; t < t0; t += warmupTickSec {
-		u.Step(t, warmupTickSec, km, mph, road, zone, Idle)
-	}
-	u.events = nil
-	u.msgs = nil
-	u.cells = map[deploy.CellKey]bool{}
-}
-
-// warmupTickSec matches the campaign sample tick so warm-up exercises the
-// link filters at the same cadence measurement will.
-const warmupTickSec = 0.5
-
 // Step advances the UE by dt seconds at the given route position and
 // returns the radio snapshot. The traffic profile drives the elevation
 // policy.

@@ -285,37 +285,3 @@ func TestHandoversPerMileBallpark(t *testing.T) {
 		t.Errorf("handover rate = %.2f per mile, want 0.5-6", rate)
 	}
 }
-
-func TestWarmupSettlesStateAndDiscardsEvents(t *testing.T) {
-	route, _, ue := testSetup(t, radio.TMobile)
-	const t0, km = 5000.0, 700.0
-	ue.Warmup(t0, km, 45, route.RoadClassAt(km), route.TimezoneAt(km), 30)
-	if _, attached := ue.ServingTech(); !attached {
-		t.Fatal("UE not attached after warm-up over covered terrain")
-	}
-	if ev := ue.TakeHandovers(); len(ev) != 0 {
-		t.Errorf("warm-up leaked %d handover events", len(ev))
-	}
-	if msgs := ue.TakeSignaling(); len(msgs) != 0 {
-		t.Errorf("warm-up leaked %d signaling messages", len(msgs))
-	}
-	if n := ue.UniqueCells(); n != 0 {
-		t.Errorf("warm-up left %d cells in the camped-cell history", n)
-	}
-}
-
-func TestWarmupDeterminism(t *testing.T) {
-	route, _, a := testSetup(t, radio.Verizon)
-	_, _, b := testSetup(t, radio.Verizon)
-	const t0, km = 9000.0, 1500.0
-	a.Warmup(t0, km, 60, route.RoadClassAt(km), route.TimezoneAt(km), 30)
-	b.Warmup(t0, km, 60, route.RoadClassAt(km), route.TimezoneAt(km), 30)
-	for i := 0; i < 50; i++ {
-		tt := t0 + float64(i)
-		sa := a.Step(tt, 1, km+float64(i)*0.02, 60, route.RoadClassAt(km), route.TimezoneAt(km), BacklogDL)
-		sb := b.Step(tt, 1, km+float64(i)*0.02, 60, route.RoadClassAt(km), route.TimezoneAt(km), BacklogDL)
-		if sa.Tech != sb.Tech || sa.CapDL != sb.CapDL {
-			t.Fatalf("warmed-up UEs diverged at step %d", i)
-		}
-	}
-}

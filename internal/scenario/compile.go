@@ -124,7 +124,7 @@ func (s *Scenario) ApplySchedule(cfg campaign.Config) campaign.Config {
 // Compile builds the immutable campaign.Testbed for this scenario: the
 // compiled route, the edge-server registry derived from it, the scenario
 // name for checkpoint/report grouping, and the deployment densities. The
-// testbed is shared read-only across every seed and shard of a fleet, so
+// testbed is shared read-only across every seed of a fleet, so
 // compilation cost is paid once per scenario, not per campaign.
 func (s *Scenario) Compile() (*campaign.Testbed, error) {
 	route, err := geo.NewRouteFrom(s.RouteSpec())
