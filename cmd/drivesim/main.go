@@ -22,10 +22,9 @@
 // on its own goroutine, so one campaign keeps at most three cores busy.
 // -stream-out DIR streams records to gzip CSVs as they are produced instead
 // of materializing the dataset, holding only the running summary in memory
-// (see README "Streaming the dataset"); it replaces -out/-gzip. The gzip
-// compression runs on -stream-workers cores (chunked multi-member gzip,
-// byte-deterministic regardless of the worker count); -stream-workers 1
-// selects the serial single-member writer.
+// (see README "Streaming the dataset"); it replaces -out/-gzip. Both gzip
+// outputs are chunked multi-member gzip compressed on all cores,
+// byte-deterministic regardless of the core count.
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -53,7 +52,6 @@ func main() {
 		km       = flag.Float64("km", 0, "truncate the campaign to the first N km (0 = full trip)")
 		out      = flag.String("out", "dataset", "output directory for the CSV dataset")
 		stream   = flag.String("stream-out", "", "stream gzip CSVs to this directory without materializing the dataset (replaces -out/-gzip)")
-		streamW  = flag.Int("stream-workers", 0, "gzip compression workers for -stream-out (0 = GOMAXPROCS, 1 = serial single-member writer)")
 		quick    = flag.Bool("quick", false, "network tests only, first 200 km")
 		video    = flag.Float64("video", 180, "video session length in seconds")
 		gaming   = flag.Float64("gaming", 60, "gaming session length in seconds")
@@ -116,16 +114,7 @@ func main() {
 	var ds *dataset.Dataset
 	var acc *analysis.Accumulator
 	if *stream != "" {
-		// One compression worker means the plain serial writer (one gzip
-		// member per file); anything else is the chunked parallel writer,
-		// whose multi-member files every gzip reader decodes transparently.
-		var w dataset.Sink
-		var err error
-		if *streamW == 1 {
-			w, err = dataset.NewCSVWriter(*stream)
-		} else {
-			w, err = dataset.NewParallelCSVWriter(*stream, *streamW, 0)
-		}
+		w, err := dataset.NewParallelCSVWriter(*stream, 0, 0)
 		if err != nil {
 			log.Fatalf("opening stream output: %v", err)
 		}

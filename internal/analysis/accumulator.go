@@ -176,9 +176,8 @@ func (a *Accumulator) EmitPassive(dataset.PassiveSample) { a.n.Passive++ }
 
 // Batch emits reduce each record through the scalar methods: the
 // accumulator's state transitions are strictly per-record, so the loop is
-// equivalent by construction. Implementing dataset.BatchSink still pays off
-// because each batch costs the Tee one dispatch here instead of one per
-// record, and the loop body devirtualizes.
+// equivalent by construction. Each batch still costs the Tee one dispatch
+// here instead of one per record, and the loop body devirtualizes.
 func (a *Accumulator) EmitThrAll(recs []dataset.ThroughputSample) {
 	for i := range recs {
 		a.EmitThr(recs[i])

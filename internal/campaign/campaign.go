@@ -287,7 +287,7 @@ func (c *Campaign) runScalar(sd *schedule) {
 		}
 		wg.Wait()
 		for _, samples := range perOp {
-			dataset.EmitPassiveAll(c.sink, samples)
+			c.sink.EmitPassiveAll(samples)
 		}
 	}
 	for k := range sd.phases {

@@ -14,23 +14,17 @@ import (
 // TestParallelSinkSeed23 pins the parallel export path on real campaign
 // output: the seed-23 record stream written through ParallelCSVWriter is
 // byte-identical across 1, 2, and 8 workers, and decompresses to exactly
-// what the serial CSVWriter produces.
+// the plain CSV Save writes.
 func TestParallelSinkSeed23(t *testing.T) {
 	d := New(QuickConfig(23, 60)).Run()
 
-	serialDir := t.TempDir()
-	sw, err := dataset.NewCSVWriter(serialDir)
-	if err != nil {
+	plainDir := t.TempDir()
+	if err := d.Save(plainDir); err != nil {
 		t.Fatal(err)
 	}
-	d.EmitTo(sw)
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	tables, err := filepath.Glob(filepath.Join(serialDir, "*.csv.gz"))
+	tables, err := filepath.Glob(filepath.Join(plainDir, "*.csv"))
 	if err != nil || len(tables) == 0 {
-		t.Fatalf("no serial tables written: %v", err)
+		t.Fatalf("no plain tables written: %v", err)
 	}
 
 	var first map[string][]byte
@@ -46,14 +40,11 @@ func TestParallelSinkSeed23(t *testing.T) {
 		}
 		raw := map[string][]byte{}
 		for _, p := range tables {
-			name := filepath.Base(p)
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
+			name := filepath.Base(p) + ".gz"
+			b := readFile(t, filepath.Join(dir, name))
 			raw[name] = b
-			if got, want := gunzip(t, b), gunzip(t, readFile(t, p)); !bytes.Equal(got, want) {
-				t.Errorf("workers=%d: %s decompresses differently from serial writer", workers, name)
+			if got, want := gunzip(t, b), readFile(t, p); !bytes.Equal(got, want) {
+				t.Errorf("workers=%d: %s decompresses differently from Save's CSV", workers, name)
 			}
 		}
 		if first == nil {

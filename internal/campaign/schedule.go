@@ -129,7 +129,7 @@ func (c *Campaign) plan(sd *schedule) {
 		// Static baseline battery once per newly entered city. The battery
 		// does not advance the clock.
 		if c.Cfg.EnableStatic {
-			if city, _, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
+			if city, ok := routeCur.CityAreaAt(s.Km); ok && !visited[city.Name] {
 				visited[city.Name] = true
 				addStop(phaseStatic, t, staticTests*n, stop{s: s, city: city})
 			}

@@ -27,17 +27,17 @@ func TestRunToCollectorMatchesRun(t *testing.T) {
 }
 
 // TestStreamedCSVRoundTripSeed23 runs the golden seed-23 configuration once
-// through a Tee(Collector, CSVWriter) and checks the streaming export both
-// ways: the .gz files on disk are byte-identical to SaveCompressed's for
-// the collected dataset, and LoadCompressed reads them back into a dataset
-// that re-exports identically.
+// through a Tee(Collector, ParallelCSVWriter) and checks the streaming
+// export both ways: the .gz files on disk are byte-identical to
+// SaveCompressed's for the collected dataset, and LoadCompressed reads them
+// back into a dataset that re-exports identically.
 func TestStreamedCSVRoundTripSeed23(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden campaign run is slow")
 	}
 	cfg := goldenConfig()
 	streamDir := t.TempDir()
-	w, err := dataset.NewCSVWriter(streamDir)
+	w, err := dataset.NewParallelCSVWriter(streamDir, 0, 0)
 	if err != nil {
 		t.Fatalf("opening CSV writer: %v", err)
 	}

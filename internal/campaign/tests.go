@@ -69,8 +69,8 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 		})
 	}
 	ln.Bank.Thr = thr
-	dataset.EmitThrAll(sink, thr)
-	dataset.EmitHandoverAll(sink, ln.HORecs)
+	sink.EmitThrAll(thr)
+	sink.EmitHandoverAll(ln.HORecs)
 
 	if c.Cfg.RawLogDir != "" {
 		if err := c.exportRaw(ln, string(kind), t, res.SamplesBps, n); err != nil {
@@ -132,8 +132,8 @@ func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static 
 		})
 	}
 	ln.Bank.RTT = rtt
-	dataset.EmitRTTAll(sink, rtt)
-	dataset.EmitHandoverAll(sink, ln.HORecs)
+	sink.EmitRTTAll(rtt)
+	sink.EmitHandoverAll(ln.HORecs)
 
 	mean, stdFrac := meanStdFracPings(ln.Pings)
 	sum := dataset.TestSummary{
@@ -224,7 +224,7 @@ const speedTestSec = 15.0
 func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64) {
 	a := c.newAdapter(id, ph, t, ran.BacklogDL, radio.Downlink, nil)
 	res := transport.RunSpeedTest(pathAdapter{a}, speedTestSec, transport.SpeedTestConns)
-	dataset.EmitHandoverAll(sink, a.HORecs)
+	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitTest(dataset.TestSummary{
 		ID: a.TestID, Op: ph.op, Kind: dataset.TestSpeed, Dir: radio.Downlink, StartUTC: utc(t),
 		DurSec: speedTestSec, Zone: a.LastS.Zone, Server: a.Server.Kind,
@@ -238,7 +238,7 @@ func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64)
 func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, appCfg offload.Config, kind dataset.TestKind, compressed bool) {
 	a := c.newAdapter(id, ph, t, ran.AppUL, radio.Uplink, nil)
 	res := offload.Run(netAdapter{a}, appCfg, compressed, true)
-	dataset.EmitHandoverAll(sink, a.HORecs)
+	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
 		ID: a.TestID, Op: ph.op, App: kind, StartUTC: utc(t), DurSec: appCfg.DurSec,
 		Server: a.Server.Kind, Compressed: compressed,
@@ -250,7 +250,7 @@ func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, a
 func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
 	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, nil)
 	res := video.Run(netAdapter{a}, c.Cfg.VideoSec)
-	dataset.EmitHandoverAll(sink, a.HORecs)
+	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
 		ID: a.TestID, Op: ph.op, App: dataset.TestVideo, StartUTC: utc(t), DurSec: c.Cfg.VideoSec,
 		Server: a.Server.Kind, HighSpeedFrac: a.HighSpeedFrac(), HOCount: a.HOCount(),
@@ -261,7 +261,7 @@ func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
 func (c *Campaign) runGaming(sink dataset.Sink, id int, ph *phone, t float64) {
 	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, nil)
 	res := gaming.Run(netAdapter{a}, c.Cfg.GamingSec)
-	dataset.EmitHandoverAll(sink, a.HORecs)
+	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
 		ID: a.TestID, Op: ph.op, App: dataset.TestGaming, StartUTC: utc(t), DurSec: c.Cfg.GamingSec,
 		Server: a.Server.Kind, HighSpeedFrac: a.HighSpeedFrac(), HOCount: a.HOCount(),

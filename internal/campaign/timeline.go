@@ -100,7 +100,7 @@ func (c *Campaign) runTimeline(sc *scratch) {
 	}
 	for i := range tls {
 		if tls[i].passive != nil {
-			dataset.EmitPassiveAll(c.sink, <-tls[i].passive)
+			c.sink.EmitPassiveAll(<-tls[i].passive)
 		}
 	}
 	for k := range sd.phases {

@@ -80,6 +80,33 @@ func (s *progressOrderSink) EmitApp(r dataset.AppRun)              { s.check(r.S
 func (s *progressOrderSink) EmitPassive(dataset.PassiveSample)     {}
 func (s *progressOrderSink) Flush() error                          { return nil }
 
+func (s *progressOrderSink) EmitThrAll(recs []dataset.ThroughputSample) {
+	for _, r := range recs {
+		s.check(r.TimeUTC)
+	}
+}
+func (s *progressOrderSink) EmitRTTAll(recs []dataset.RTTSample) {
+	for _, r := range recs {
+		s.check(r.TimeUTC)
+	}
+}
+func (s *progressOrderSink) EmitHandoverAll(recs []dataset.HandoverRecord) {
+	for _, r := range recs {
+		s.check(r.TimeUTC)
+	}
+}
+func (s *progressOrderSink) EmitTestAll(recs []dataset.TestSummary) {
+	for _, r := range recs {
+		s.check(r.StartUTC)
+	}
+}
+func (s *progressOrderSink) EmitAppAll(recs []dataset.AppRun) {
+	for _, r := range recs {
+		s.check(r.StartUTC)
+	}
+}
+func (s *progressOrderSink) EmitPassiveAll([]dataset.PassiveSample) {}
+
 // TestProgressPrecedesDayRecords runs a two-day campaign on the production
 // engine, whose phones run ahead of the merge, and checks that the
 // Cfg.Progress days arrive in order, each before the first record of that

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -29,15 +30,10 @@ const (
 
 const timeLayout = time.RFC3339Nano
 
-func f2s(v float64) string   { return strconv.FormatFloat(v, 'g', -1, 64) }
-func i2s(v int) string       { return strconv.Itoa(v) }
-func b2s(v bool) string      { return strconv.FormatBool(v) }
-func t2s(t time.Time) string { return t.Format(timeLayout) }
-
-// Table indices. Save, the streaming CSVWriter sink, and HashSink all
-// iterate the tables in this canonical order, and all three encode rows
-// through the shared encode* codecs below, so "the CSV bytes of a record"
-// has exactly one definition in the package.
+// Table indices. Save, ParallelCSVWriter, and HashSink all iterate the
+// tables in this canonical order and encode rows through the one tableEnc
+// front end (sink.go) over the byte codecs of rowbytes.go, so "the CSV
+// bytes of a record" has exactly one definition in the package.
 const (
 	tabThr = iota
 	tabRTT
@@ -62,51 +58,6 @@ var tableHeaders = [numTables][]string{
 		"high_speed_frac", "ho_count", "median_e2e_ms", "offload_fps", "map", "qoe",
 		"rebuf_frac", "avg_bitrate", "send_bitrate", "net_latency_ms", "frame_drop"},
 	tabPassive: {"op", "time_utc", "km", "tech", "cell", "zone", "no_svc"},
-}
-
-// The append* codecs write a record's fields into a caller-owned slice;
-// Save feeds them to encoding/csv through the encode* wrappers. The
-// streaming sinks (CSVWriter, HashSink, ParallelCSVWriter) encode the same
-// rows through the byte codecs in rowbytes.go, which skip the per-field
-// string allocations; TestRowBytesMatchCSV pins the two encodings
-// byte-identical, so "the CSV bytes of a record" still has exactly one
-// definition in the package.
-
-func appendThr(dst []string, s ThroughputSample) []string {
-	return append(dst, i2s(s.TestID), s.Op.String(), s.Dir.String(), t2s(s.TimeUTC), f2s(s.Bps),
-		s.Tech.String(), f2s(s.RSRPdBm), f2s(s.SINRdB), i2s(s.MCS), f2s(s.BLER), i2s(s.CC),
-		f2s(s.MPH), f2s(s.Km), s.Zone.String(), s.Road.String(), s.Server.String(),
-		b2s(s.Static), i2s(s.HOs))
-}
-
-func appendRTT(dst []string, s RTTSample) []string {
-	return append(dst, i2s(s.TestID), s.Op.String(), t2s(s.TimeUTC), f2s(s.Ms), s.Tech.String(),
-		f2s(s.MPH), f2s(s.Km), s.Zone.String(), s.Server.String(), b2s(s.Static))
-}
-
-func appendHO(dst []string, h HandoverRecord) []string {
-	return append(dst, i2s(h.TestID), h.Op.String(), t2s(h.TimeUTC), f2s(h.DurSec),
-		h.FromTech.String(), h.ToTech.String(), h.FromCell, h.ToCell, h.Dir.String())
-}
-
-func appendTest(dst []string, t TestSummary) []string {
-	return append(dst, i2s(t.ID), t.Op.String(), string(t.Kind), t.Dir.String(), t2s(t.StartUTC),
-		f2s(t.DurSec), t.Zone.String(), t.Server.String(), b2s(t.Static), f2s(t.MeanBps),
-		f2s(t.StdFracBps), f2s(t.MeanRTTms), f2s(t.StdFracRTT), f2s(t.HighSpeedFrac),
-		f2s(t.Miles), i2s(t.HOCount), f2s(t.RxBytes), f2s(t.TxBytes))
-}
-
-func appendApp(dst []string, a AppRun) []string {
-	return append(dst, i2s(a.ID), a.Op.String(), string(a.App), t2s(a.StartUTC), f2s(a.DurSec),
-		a.Server.String(), b2s(a.Static), b2s(a.Compressed), f2s(a.HighSpeedFrac),
-		i2s(a.HOCount), f2s(a.MedianE2EMs), f2s(a.OffloadFPS), f2s(a.MAP), f2s(a.QoE),
-		f2s(a.RebufFrac), f2s(a.AvgBitrate), f2s(a.SendBitrate), f2s(a.NetLatencyMs),
-		f2s(a.FrameDrop))
-}
-
-func appendPassive(dst []string, p PassiveSample) []string {
-	return append(dst, p.Op.String(), t2s(p.TimeUTC), f2s(p.Km), p.Tech.String(), p.Cell,
-		p.Zone.String(), b2s(p.NoSvc))
 }
 
 type rowErr struct {
@@ -222,30 +173,6 @@ func (p *parser) road(s string) geo.RoadClass {
 	return geo.RoadCity
 }
 
-func writeCSV(dir, name string, header []string, n int, row func(i int) []string) error {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		f.Close()
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := w.Write(row(i)); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func readCSV(in io.Reader, name string, wantCols int, row func(line int, rec []string) error) error {
 	r := csv.NewReader(in)
 	r.FieldsPerRecord = wantCols
@@ -268,31 +195,72 @@ func readCSV(in io.Reader, name string, wantCols int, row func(line int, rec []s
 
 // Save writes the dataset as CSV files under dir, creating it if needed.
 func (d *Dataset) Save(dir string) error {
+	w, err := newPlainWriter(dir)
+	if err != nil {
+		return err
+	}
+	d.EmitTo(w)
+	return w.Flush()
+}
+
+// plainWriter is Save's Sink: the six plain <table>.csv files, each chunk
+// written straight to its file. The first write error is latched; later
+// chunks are dropped and Flush reports it.
+type plainWriter struct {
+	tableEnc
+	files [numTables]*os.File
+	err   error
+}
+
+func newPlainWriter(dir string) (*plainWriter, error) {
+	files, err := createTables(dir, "")
+	if err != nil {
+		return nil, err
+	}
+	w := &plainWriter{files: files}
+	w.chunkRows, w.chunkBytes, w.hand = math.MaxInt, chunkBytes, w.write
+	for i := range w.buf {
+		w.start(i, nil)
+	}
+	return w, nil
+}
+
+func (w *plainWriter) write(tab int, b []byte) []byte {
+	if w.err == nil {
+		_, w.err = w.files[tab].Write(b)
+	}
+	return b[:0]
+}
+
+// Flush writes every partial chunk and closes the files.
+func (w *plainWriter) Flush() error {
+	w.flush()
+	for _, f := range w.files {
+		if err := f.Close(); err != nil && w.err == nil {
+			w.err = err
+		}
+	}
+	return w.err
+}
+
+// createTables creates dir if needed and the six table files in it, named
+// by table with suffix appended. On error no file is left open.
+func createTables(dir, suffix string) ([numTables]*os.File, error) {
+	var files [numTables]*os.File
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return files, err
 	}
-	if err := writeCSV(dir, fileThr, tableHeaders[tabThr],
-		len(d.Thr), func(i int) []string { return appendThr(nil, d.Thr[i]) }); err != nil {
-		return err
+	for i, name := range tableNames {
+		f, err := os.Create(filepath.Join(dir, name+suffix))
+		if err != nil {
+			for _, g := range files[:i] {
+				g.Close()
+			}
+			return files, err
+		}
+		files[i] = f
 	}
-	if err := writeCSV(dir, fileRTT, tableHeaders[tabRTT],
-		len(d.RTT), func(i int) []string { return appendRTT(nil, d.RTT[i]) }); err != nil {
-		return err
-	}
-	if err := writeCSV(dir, fileHO, tableHeaders[tabHO],
-		len(d.Handovers), func(i int) []string { return appendHO(nil, d.Handovers[i]) }); err != nil {
-		return err
-	}
-	if err := writeCSV(dir, fileTests, tableHeaders[tabTests],
-		len(d.Tests), func(i int) []string { return appendTest(nil, d.Tests[i]) }); err != nil {
-		return err
-	}
-	if err := writeCSV(dir, fileApps, tableHeaders[tabApps],
-		len(d.Apps), func(i int) []string { return appendApp(nil, d.Apps[i]) }); err != nil {
-		return err
-	}
-	return writeCSV(dir, filePassive, tableHeaders[tabPassive],
-		len(d.Passive), func(i int) []string { return appendPassive(nil, d.Passive[i]) })
+	return files, nil
 }
 
 // Load reads a dataset previously written with Save.
@@ -410,10 +378,10 @@ func load(dir string, gz bool) (*Dataset, error) {
 }
 
 // SaveCompressed writes the dataset CSVs gzip-compressed (one .csv.gz per
-// table) — the full-campaign dataset is ~80 MB as plain CSV. The tables
-// stream through the CSVWriter exporter, so nothing is staged on disk.
+// table, multi-member gzip from ParallelCSVWriter) — the full-campaign
+// dataset is ~80 MB as plain CSV.
 func (d *Dataset) SaveCompressed(dir string) error {
-	w, err := NewCSVWriter(dir)
+	w, err := NewParallelCSVWriter(dir, 0, 0)
 	if err != nil {
 		return err
 	}

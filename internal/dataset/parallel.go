@@ -3,8 +3,8 @@ package dataset
 import (
 	"bytes"
 	"compress/gzip"
+	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 )
@@ -16,61 +16,62 @@ import (
 // single table.
 const DefaultChunkRows = 8192
 
-// ParallelCSVWriter is the multi-core counterpart of CSVWriter: the same
-// six <table>.csv.gz files, the same headers and row codecs, but the gzip
-// compression — which dominates the serial writer's cost — runs on a
-// bounded worker pool. Rows are CSV-encoded in emit order into fixed-size
-// chunks; each full chunk is compressed as an independent gzip member and
-// the members are concatenated in order. Concatenated members are a valid
-// gzip stream (RFC 1952 §2.2), so gzip.Reader — and therefore
-// LoadCompressed — decodes the files transparently.
+// ParallelCSVWriter is the gzip CSV exporter: one <table>.csv.gz file per
+// record type, the same headers and row encoding as Save's plain files,
+// with the compression on a bounded worker pool. Rows are CSV-encoded in
+// emit order into chunks of chunkRows rows; each full chunk is compressed
+// as an independent gzip member and the members are concatenated in order.
+// Concatenated members are a valid gzip stream (RFC 1952 §2.2), so
+// gzip.Reader — and therefore LoadCompressed — decodes the files
+// transparently.
 //
 // The output is byte-deterministic for a fixed chunk size: each member's
 // bytes depend only on its chunk's contents, so the worker count changes
-// wall-clock time, never the file. (The bytes differ from CSVWriter's
-// single-member stream; the decompressed CSV is identical.)
+// wall-clock time, never the file.
 //
 // Like every Sink, it is single-producer: Emit methods must come from one
-// goroutine, with Flush called exactly once after the last emit.
+// goroutine, with Flush called exactly once after the last emit. Emits
+// after Flush are dropped.
 type ParallelCSVWriter struct {
-	files [numTables]*os.File
-	tabs  [numTables]chunkTable
-	row   []byte // reusable row encoding buffer
-	enc   rowEnc
-
-	chunkRows int
-	jobs      chan compressJob
-	workers   sync.WaitGroup
-	writers   sync.WaitGroup
+	tableEnc
+	files   [numTables]*os.File
+	cur     [numTables]*chunk // chunk whose raw buffer tableEnc encodes into
+	pending [numTables]chan *chunk
+	jobs    chan *chunk
+	workers sync.WaitGroup
+	writers sync.WaitGroup
 
 	mu   sync.Mutex
 	err  error
 	done bool
 }
 
-// chunkTable is one table's encoding state: byte-encoded rows accumulate in
-// buf, and futures for submitted chunks queue in pending for the table's
-// writer goroutine to commit in order.
-type chunkTable struct {
-	buf     *bytes.Buffer
-	rows    int
-	pending chan chan compressed
-}
-
-type compressJob struct {
-	raw *bytes.Buffer // chunk plaintext; returned to rawPool by the worker
-	out chan compressed
-}
-
-type compressed struct {
-	buf *bytes.Buffer // gzip member; returned to gzBufPool by the writer
+// chunk is one gzip member in flight: rows encoded by the emit goroutine,
+// deflated by a pool worker, written by its table's commit goroutine.
+type chunk struct {
+	raw  []byte
+	gz   bytes.Buffer
+	done chan struct{} // signalled once gz holds the member
+	last bool          // Flush's final, partial chunk of its table
 }
 
 var (
-	rawPool   = sync.Pool{New: func() any { return &bytes.Buffer{} }}
-	gzBufPool = sync.Pool{New: func() any { return &bytes.Buffer{} }}
-	gzwPool   = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	// chunkPools has one pool per table, so a recycled chunk's buffers are
+	// already sized for the table it serves; through one shared pool every
+	// chunk would grow to the largest table's size. Only full chunks are
+	// recycled: a writer's last chunk of a table is a partial tail, and
+	// keeping those alive between writers costs more memory than
+	// reallocating them.
+	chunkPools [numTables]sync.Pool
+	gzwPool    = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 )
+
+func getChunk(tab int) *chunk {
+	if c, ok := chunkPools[tab].Get().(*chunk); ok {
+		return c
+	}
+	return &chunk{done: make(chan struct{}, 1)}
+}
 
 // NewParallelCSVWriter creates dir if needed, opens the six table streams,
 // and starts the compression pool. workers <= 0 means GOMAXPROCS;
@@ -78,7 +79,8 @@ var (
 // output bytes (but never the decompressed content); keep it fixed where
 // byte-level reproducibility of the .gz files matters.
 func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWriter, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	files, err := createTables(dir, ".gz")
+	if err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -87,31 +89,16 @@ func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWrite
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	w := &ParallelCSVWriter{chunkRows: chunkRows}
-	for i, name := range tableNames {
-		f, err := os.Create(filepath.Join(dir, name+".gz"))
-		if err != nil {
-			for j := 0; j < i; j++ {
-				w.files[j].Close()
-			}
-			return nil, err
-		}
-		w.files[i] = f
-	}
-	// No goroutines exist before this point, so the error path above leaks
-	// nothing. From here on construction cannot fail.
-	w.jobs = make(chan compressJob)
-	for i := range w.tabs {
-		t := &w.tabs[i]
-		t.buf = rawPool.Get().(*bytes.Buffer)
-		t.buf.Reset()
-		w.row = csvAppendRow(w.row[:0], tableHeaders[i])
-		t.buf.Write(w.row) // bytes.Buffer writes never fail
+	w := &ParallelCSVWriter{files: files, jobs: make(chan *chunk)}
+	w.chunkRows, w.chunkBytes, w.hand = chunkRows, math.MaxInt, w.submit
+	for i := range w.cur {
+		w.cur[i] = getChunk(i)
+		w.start(i, w.cur[i].raw)
 		// 2×workers of slack keeps every worker busy while the writer
 		// commits, and bounds in-flight chunks (memory) per table.
-		t.pending = make(chan chan compressed, 2*workers)
+		w.pending[i] = make(chan *chunk, 2*workers)
 		w.writers.Add(1)
-		go w.commitLoop(w.files[i], t.pending)
+		go w.commitLoop(i)
 	}
 	w.workers.Add(workers)
 	for n := 0; n < workers; n++ {
@@ -123,36 +110,36 @@ func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWrite
 // compressLoop turns chunk plaintext into independent gzip members.
 func (w *ParallelCSVWriter) compressLoop() {
 	defer w.workers.Done()
-	for job := range w.jobs {
-		out := gzBufPool.Get().(*bytes.Buffer)
-		out.Reset()
+	for c := range w.jobs {
+		c.gz.Reset()
 		zw := gzwPool.Get().(*gzip.Writer)
-		zw.Reset(out)
-		_, werr := zw.Write(job.raw.Bytes())
+		zw.Reset(&c.gz)
+		_, werr := zw.Write(c.raw)
 		cerr := zw.Close()
 		gzwPool.Put(zw)
-		rawPool.Put(job.raw)
 		if werr != nil || cerr != nil {
 			// Writes to a bytes.Buffer cannot fail in practice; latch
 			// defensively and emit an empty member so ordering survives.
 			w.latch(werr)
 			w.latch(cerr)
-			out.Reset()
+			c.gz.Reset()
 		}
-		job.out <- compressed{buf: out}
+		c.done <- struct{}{}
 	}
 }
 
-// commitLoop writes one table's compressed members to its file in
+// commitLoop writes table tab's compressed members to its file in
 // submission order.
-func (w *ParallelCSVWriter) commitLoop(f *os.File, pending chan chan compressed) {
+func (w *ParallelCSVWriter) commitLoop(tab int) {
 	defer w.writers.Done()
-	for fut := range pending {
-		c := <-fut
-		if _, err := f.Write(c.buf.Bytes()); err != nil {
+	for c := range w.pending[tab] {
+		<-c.done
+		if _, err := w.files[tab].Write(c.gz.Bytes()); err != nil {
 			w.latch(err)
 		}
-		gzBufPool.Put(c.buf)
+		if !c.last {
+			chunkPools[tab].Put(c)
+		}
 	}
 }
 
@@ -167,97 +154,23 @@ func (w *ParallelCSVWriter) latch(err error) {
 	w.mu.Unlock()
 }
 
-// submit ships the table's current chunk to the pool and starts a fresh
-// buffer. Caller is the single emit goroutine.
-func (w *ParallelCSVWriter) submit(t *chunkTable) {
-	if t.buf.Len() == 0 {
-		t.rows = 0
-		return
+// submit is the tableEnc hand-off: it ships the table's full chunk to the
+// pool and returns the raw buffer of a fresh one. Caller is the single emit
+// goroutine.
+func (w *ParallelCSVWriter) submit(tab int, b []byte) []byte {
+	c := w.cur[tab]
+	if c == nil { // emits after Flush are dropped
+		return b[:0]
 	}
-	fut := make(chan compressed, 1)
-	t.pending <- fut // blocks when the table is 2×workers ahead
-	w.jobs <- compressJob{raw: t.buf, out: fut}
-	t.buf = rawPool.Get().(*bytes.Buffer)
-	t.buf.Reset()
-	t.rows = 0
-}
-
-func (w *ParallelCSVWriter) write(tab int) {
-	if w.done {
-		return
+	c.raw, c.last = b, w.done
+	w.pending[tab] <- c // blocks when the table is 2×workers ahead
+	w.jobs <- c
+	w.cur[tab] = nil
+	if w.done { // Flush's final hand-off needs no next chunk
+		return nil
 	}
-	t := &w.tabs[tab]
-	t.buf.Write(w.row)
-	t.rows++
-	if t.rows >= w.chunkRows {
-		w.submit(t)
-	}
-}
-
-func (w *ParallelCSVWriter) EmitThr(s ThroughputSample) {
-	w.row = w.enc.csvAppendThr(w.row[:0], s)
-	w.write(tabThr)
-}
-func (w *ParallelCSVWriter) EmitRTT(s RTTSample) {
-	w.row = w.enc.csvAppendRTT(w.row[:0], s)
-	w.write(tabRTT)
-}
-func (w *ParallelCSVWriter) EmitHandover(h HandoverRecord) {
-	w.row = w.enc.csvAppendHO(w.row[:0], h)
-	w.write(tabHO)
-}
-func (w *ParallelCSVWriter) EmitTest(t TestSummary) {
-	w.row = w.enc.csvAppendTest(w.row[:0], t)
-	w.write(tabTests)
-}
-func (w *ParallelCSVWriter) EmitApp(a AppRun) {
-	w.row = w.enc.csvAppendApp(w.row[:0], a)
-	w.write(tabApps)
-}
-func (w *ParallelCSVWriter) EmitPassive(p PassiveSample) {
-	w.row = w.enc.csvAppendPassive(w.row[:0], p)
-	w.write(tabPassive)
-}
-
-// Batch emits run the per-record encode+write loop without the interface
-// dispatch. Chunk row counting must stay per record — the chunk boundaries
-// define the gzip member bytes — so unlike CSVWriter there is no single
-// flat Write here.
-func (w *ParallelCSVWriter) EmitThrAll(recs []ThroughputSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendThr(w.row[:0], recs[i])
-		w.write(tabThr)
-	}
-}
-func (w *ParallelCSVWriter) EmitRTTAll(recs []RTTSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendRTT(w.row[:0], recs[i])
-		w.write(tabRTT)
-	}
-}
-func (w *ParallelCSVWriter) EmitHandoverAll(recs []HandoverRecord) {
-	for i := range recs {
-		w.row = w.enc.csvAppendHO(w.row[:0], recs[i])
-		w.write(tabHO)
-	}
-}
-func (w *ParallelCSVWriter) EmitTestAll(recs []TestSummary) {
-	for i := range recs {
-		w.row = w.enc.csvAppendTest(w.row[:0], recs[i])
-		w.write(tabTests)
-	}
-}
-func (w *ParallelCSVWriter) EmitAppAll(recs []AppRun) {
-	for i := range recs {
-		w.row = w.enc.csvAppendApp(w.row[:0], recs[i])
-		w.write(tabApps)
-	}
-}
-func (w *ParallelCSVWriter) EmitPassiveAll(recs []PassiveSample) {
-	for i := range recs {
-		w.row = w.enc.csvAppendPassive(w.row[:0], recs[i])
-		w.write(tabPassive)
-	}
+	w.cur[tab] = getChunk(tab)
+	return w.cur[tab].raw[:0]
 }
 
 // Flush submits every partial chunk (the header-only chunk of an empty
@@ -269,13 +182,12 @@ func (w *ParallelCSVWriter) Flush() error {
 		return w.flushErr()
 	}
 	w.done = true
-	for i := range w.tabs {
-		w.submit(&w.tabs[i])
-	}
+	w.flush()
+	w.cur = [numTables]*chunk{}
 	close(w.jobs)
 	w.workers.Wait()
-	for i := range w.tabs {
-		close(w.tabs[i].pending)
+	for i := range w.pending {
+		close(w.pending[i])
 	}
 	w.writers.Wait()
 	for i := range w.files {

@@ -79,16 +79,14 @@ func gunzipFile(t *testing.T, path string) []byte {
 	return b
 }
 
+// writeSerial writes the same rows as emitSynthetic as the plain-CSV
+// encoding/csv oracle: the serial reference the parallel writer's
+// decompressed output must equal.
 func writeSerial(t *testing.T, dir string, n int) {
 	t.Helper()
-	w, err := NewCSVWriter(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitSynthetic(w, n)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(0)
+	emitSynthetic(col, n)
+	writeOracle(t, dir, col.Dataset())
 }
 
 func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
@@ -101,13 +99,16 @@ func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// Emits after Flush are dropped: they must neither panic nor reach the
+	// files the callers compare.
+	emitSynthetic(w, 1)
 }
 
 // TestParallelCSVWriterMatchesSerial: for row counts straddling every chunk
 // boundary case — empty table, single row, one row short of a chunk, an
 // exact chunk, one over, several chunks — the parallel writer's files
-// decompress to exactly the serial writer's content, and LoadCompressed
-// reads them back.
+// decompress to exactly the plain-CSV oracle's content, and LoadCompressed
+// reads them back into what Load reads from the oracle.
 func TestParallelCSVWriterMatchesSerial(t *testing.T) {
 	const chunk = 4
 	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk, 3*chunk + 2} {
@@ -116,13 +117,13 @@ func TestParallelCSVWriterMatchesSerial(t *testing.T) {
 			writeSerial(t, serial, n)
 			writeParallel(t, par, n, 3, chunk)
 			for _, name := range tableNames {
-				want := gunzipFile(t, filepath.Join(serial, name+".gz"))
+				want := readFile(t, filepath.Join(serial, name))
 				got := gunzipFile(t, filepath.Join(par, name+".gz"))
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s: parallel content differs from serial", name)
 				}
 			}
-			want, err := LoadCompressed(serial)
+			want, err := Load(serial)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func TestParallelCSVWriterDeterministicAcrossWorkers(t *testing.T) {
 
 // FuzzParallelChunking drives random (row count, chunk size) pairs through
 // the parallel writer and verifies the gzip.Reader round trip always
-// reproduces the serial writer's content — the multi-member framing can
+// reproduces the plain-CSV oracle's content — the multi-member framing can
 // never depend on where chunk boundaries land.
 func FuzzParallelChunking(f *testing.F) {
 	f.Add(uint8(0), uint8(1))
@@ -185,11 +186,44 @@ func FuzzParallelChunking(f *testing.F) {
 		writeSerial(t, serial, n)
 		writeParallel(t, par, n, 2, chunk)
 		for _, name := range tableNames {
-			want := gunzipFile(t, filepath.Join(serial, name+".gz"))
+			want := readFile(t, filepath.Join(serial, name))
 			got := gunzipFile(t, filepath.Join(par, name+".gz"))
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rows=%d chunk=%d %s: content mismatch", n, chunk, name)
 			}
 		}
 	})
+}
+
+// TestParallelCSVWriterDiskFull points one table file at /dev/full, where
+// every write fails with ENOSPC: Flush must report the error instead of
+// leaving a silently truncated dataset behind. Save's plain-file writer
+// must do the same.
+func TestParallelCSVWriterDiskFull(t *testing.T) {
+	w, err := NewParallelCSVWriter(fullTableDir(t, ".gz"), 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitSynthetic(w, 10)
+	if err := w.Flush(); err == nil {
+		t.Fatal("Flush returned nil after writes to a full device")
+	}
+	if err := sampleDataset().Save(fullTableDir(t, "")); err == nil {
+		t.Fatal("Save returned nil after writes to a full device")
+	}
+}
+
+// fullTableDir returns a temp dir whose throughput table path (with suffix)
+// is a symlink to /dev/full, skipping the test where the device does not
+// exist.
+func fullTableDir(t *testing.T, suffix string) string {
+	t.Helper()
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, fileThr+suffix)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }

@@ -8,21 +8,19 @@ import (
 	"unicode/utf8"
 )
 
-// Byte-level row codecs for the streaming sinks.
+// Byte-level row codecs: the one CSV encoding of the dataset.
 //
-// The append* codecs above produce a []string row that encoding/csv then
-// copies, quotes, and joins — which means every numeric field allocates a
-// string and every row walks the csv.Writer state machine. The hot sinks
-// (HashSink, CSVWriter, ParallelCSVWriter) emit millions of rows per fleet
-// run, so they encode through these csvAppend* codecs instead: fields are
-// formatted directly into a caller-owned byte buffer with strconv's
-// Append* forms and joined with the exact quoting rules of encoding/csv.
+// Every exporter (Save, ParallelCSVWriter, HashSink) encodes through these
+// csvAppend* codecs via the tableEnc front end, and the fleet's sinks run
+// millions of rows through them: fields are formatted directly into a
+// caller-owned byte buffer with strconv's Append* forms and joined with the
+// exact quoting rules of encoding/csv, with no per-field string allocations.
 //
 // The byte stream is bit-identical to what csv.Writer (Comma=',',
-// UseCRLF=false) produces for the corresponding append* row — the golden
-// dataset hashes and the CSV exports depend on that. TestRowBytesMatchCSV
-// pins the equivalence for every table codec, including fields that need
-// quoting or escaping.
+// UseCRLF=false) produces for the same fields — the golden dataset hashes
+// and the CSV exports depend on that. TestRowBytesMatchCSV pins the
+// equivalence against an encoding/csv reference for every table, including
+// fields that need quoting or escaping.
 
 // quoteF, quoteI, quoteB, quoteT append one field of the given type. The
 // formatted forms never contain a comma, quote, CR/LF, or leading space

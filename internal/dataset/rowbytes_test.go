@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -13,7 +16,92 @@ import (
 	"wheels/internal/sim"
 )
 
-// csvLine encodes one []string record exactly the way Save does.
+// The append* functions render a record as the []string row encoding/csv
+// writes. They are the reference encoding the byte codecs of rowbytes.go
+// are pinned to: csvLine encodes one such row, writeOracle a whole dataset.
+
+func f2s(v float64) string   { return strconv.FormatFloat(v, 'g', -1, 64) }
+func i2s(v int) string       { return strconv.Itoa(v) }
+func b2s(v bool) string      { return strconv.FormatBool(v) }
+func t2s(t time.Time) string { return t.Format(timeLayout) }
+
+func appendThr(dst []string, s ThroughputSample) []string {
+	return append(dst, i2s(s.TestID), s.Op.String(), s.Dir.String(), t2s(s.TimeUTC), f2s(s.Bps),
+		s.Tech.String(), f2s(s.RSRPdBm), f2s(s.SINRdB), i2s(s.MCS), f2s(s.BLER), i2s(s.CC),
+		f2s(s.MPH), f2s(s.Km), s.Zone.String(), s.Road.String(), s.Server.String(),
+		b2s(s.Static), i2s(s.HOs))
+}
+
+func appendRTT(dst []string, s RTTSample) []string {
+	return append(dst, i2s(s.TestID), s.Op.String(), t2s(s.TimeUTC), f2s(s.Ms), s.Tech.String(),
+		f2s(s.MPH), f2s(s.Km), s.Zone.String(), s.Server.String(), b2s(s.Static))
+}
+
+func appendHO(dst []string, h HandoverRecord) []string {
+	return append(dst, i2s(h.TestID), h.Op.String(), t2s(h.TimeUTC), f2s(h.DurSec),
+		h.FromTech.String(), h.ToTech.String(), h.FromCell, h.ToCell, h.Dir.String())
+}
+
+func appendTest(dst []string, t TestSummary) []string {
+	return append(dst, i2s(t.ID), t.Op.String(), string(t.Kind), t.Dir.String(), t2s(t.StartUTC),
+		f2s(t.DurSec), t.Zone.String(), t.Server.String(), b2s(t.Static), f2s(t.MeanBps),
+		f2s(t.StdFracBps), f2s(t.MeanRTTms), f2s(t.StdFracRTT), f2s(t.HighSpeedFrac),
+		f2s(t.Miles), i2s(t.HOCount), f2s(t.RxBytes), f2s(t.TxBytes))
+}
+
+func appendApp(dst []string, a AppRun) []string {
+	return append(dst, i2s(a.ID), a.Op.String(), string(a.App), t2s(a.StartUTC), f2s(a.DurSec),
+		a.Server.String(), b2s(a.Static), b2s(a.Compressed), f2s(a.HighSpeedFrac),
+		i2s(a.HOCount), f2s(a.MedianE2EMs), f2s(a.OffloadFPS), f2s(a.MAP), f2s(a.QoE),
+		f2s(a.RebufFrac), f2s(a.AvgBitrate), f2s(a.SendBitrate), f2s(a.NetLatencyMs),
+		f2s(a.FrameDrop))
+}
+
+func appendPassive(dst []string, p PassiveSample) []string {
+	return append(dst, p.Op.String(), t2s(p.TimeUTC), f2s(p.Km), p.Tech.String(), p.Cell,
+		p.Zone.String(), b2s(p.NoSvc))
+}
+
+// writeOracle writes d under dir in Save's layout (six plain CSV files,
+// headers first) through encoding/csv and the append* rows — the
+// independent reference every exporter's bytes are checked against.
+func writeOracle(t *testing.T, dir string, d *Dataset) {
+	t.Helper()
+	var rows [numTables][][]string
+	for _, r := range d.Thr {
+		rows[tabThr] = append(rows[tabThr], appendThr(nil, r))
+	}
+	for _, r := range d.RTT {
+		rows[tabRTT] = append(rows[tabRTT], appendRTT(nil, r))
+	}
+	for _, r := range d.Handovers {
+		rows[tabHO] = append(rows[tabHO], appendHO(nil, r))
+	}
+	for _, r := range d.Tests {
+		rows[tabTests] = append(rows[tabTests], appendTest(nil, r))
+	}
+	for _, r := range d.Apps {
+		rows[tabApps] = append(rows[tabApps], appendApp(nil, r))
+	}
+	for _, r := range d.Passive {
+		rows[tabPassive] = append(rows[tabPassive], appendPassive(nil, r))
+	}
+	for i, name := range tableNames {
+		var buf bytes.Buffer
+		w := csv.NewWriter(&buf)
+		if err := w.Write(tableHeaders[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteAll(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// csvLine encodes one []string record through encoding/csv.
 func csvLine(t *testing.T, rec []string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -41,10 +129,10 @@ var trickyFloats = []float64{
 }
 
 // TestRowBytesMatchCSV pins the byte codecs of rowbytes.go to the
-// encoding/csv output of the append* codecs for every table, across
+// encoding/csv output of the append* reference rows for every table, across
 // adversarial strings, floats, and times. This is the invariant that lets
-// HashSink/CSVWriter skip encoding/csv without changing a single output
-// byte (golden hashes included).
+// every exporter skip encoding/csv without changing a single output byte
+// (golden hashes included).
 func TestRowBytesMatchCSV(t *testing.T) {
 	rng := sim.NewRNG(7)
 	// One encoder across all rows, so the time cache and float memo carry

@@ -177,8 +177,8 @@ func testBatchDataset() *Dataset {
 	return d
 }
 
-// emitScalar replays d record by record through the Sink interface — the
-// pre-batch path the BatchSink implementations must reproduce exactly.
+// emitScalar replays d record by record through the per-record Sink
+// methods — the path every batch method must reproduce exactly.
 func emitScalar(d *Dataset, sink Sink) {
 	for _, r := range d.Thr {
 		sink.EmitThr(r)
@@ -209,43 +209,6 @@ func TestHashSinkBatchIdentical(t *testing.T) {
 	d.EmitTo(batched)
 	if a, b := scalar.Sum(), batched.Sum(); a != b {
 		t.Fatalf("batch emit changed the digest: scalar %s batch %s", a, b)
-	}
-}
-
-// TestCSVWriterBatchIdentical pins the flat-Write batch path of CSVWriter to
-// per-record emission at the .gz byte level: DEFLATE must not care about
-// Write boundaries.
-func TestCSVWriterBatchIdentical(t *testing.T) {
-	d := testBatchDataset()
-	dirA, dirB := t.TempDir(), t.TempDir()
-	wa, err := NewCSVWriter(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitScalar(d, wa)
-	if err := wa.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wb, err := NewCSVWriter(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.EmitTo(wb)
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tableNames {
-		a, err := os.ReadFile(filepath.Join(dirA, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s.gz differs between per-record and batch emission", name)
-		}
 	}
 }
 
@@ -283,28 +246,5 @@ func TestParallelCSVWriterBatchIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s.gz differs between per-record and batch emission", name)
 		}
-	}
-}
-
-// recordOnly exposes only the Sink methods of what it wraps, so the
-// EmitXxxAll helpers must take their per-record fallback for it.
-type recordOnly struct{ Sink }
-
-// TestTeeBatchFallback checks the helper dispatch: a Tee over one batch-aware
-// and one scalar-only sink must deliver every record to both.
-func TestTeeBatchFallback(t *testing.T) {
-	d := testBatchDataset()
-	col := NewCollector(d.Seed)
-	inner := NewCollector(d.Seed)
-	var ro Sink = recordOnly{inner}
-	if _, batch := ro.(BatchSink); batch {
-		t.Fatal("recordOnly must not implement BatchSink")
-	}
-	d.EmitTo(Tee(col, ro))
-	if got, want := len(col.D.Thr), len(d.Thr); got != want {
-		t.Fatalf("collector got %d thr rows, want %d", got, want)
-	}
-	if got, want := len(inner.D.Thr), len(d.Thr); got != want {
-		t.Fatalf("per-record sink got %d thr rows, want %d", got, want)
 	}
 }

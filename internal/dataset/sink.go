@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"hash"
 	"io"
+	"math"
 	"runtime/pprof"
+	"slices"
 )
 
 // ProfilePhases enables the "hash" runtime/pprof phase label around
@@ -16,17 +18,24 @@ import (
 // and cmd/drivesim set it alongside -cpuprofile.
 var ProfilePhases bool
 
-// Sink consumes campaign records one at a time, in production order. It is
-// the streaming counterpart of Dataset: the campaign engine emits every
-// record into a Sink the moment it exists, so a consumer that reduces
-// incrementally (analysis.Accumulator, CSVWriter, HashSink) never holds the
-// whole dataset in memory. Collector is the Sink that materializes a
-// Dataset, reproducing the pre-streaming behavior byte-for-byte.
+// Sink consumes campaign records in production order, one record or one
+// borrowed slice of records per call. It is the streaming counterpart of
+// Dataset: the campaign engine emits every record into a Sink the moment it
+// exists, so a consumer that reduces incrementally (analysis.Accumulator,
+// ParallelCSVWriter, HashSink) never holds the whole dataset in memory.
+// Collector is the Sink that materializes a Dataset, reproducing the
+// pre-streaming behavior byte-for-byte.
+//
+// Each EmitXxxAll call is exactly equivalent to emitting the slice's
+// records in order through the per-record method — same records, same
+// per-table order, so the same bytes from every sink. The slice is borrowed
+// for the duration of the call: implementations must neither mutate nor
+// retain it (a Tee hands the same slice to every member).
 //
 // Emit methods do not return errors; sinks with fallible backends (e.g.
-// CSVWriter) latch the first error internally and report it from Flush.
-// Flush finalizes the sink — closing files, flushing buffers — and must be
-// called exactly once by whoever owns the sink, after the last emit.
+// ParallelCSVWriter) latch the first error internally and report it from
+// Flush. Flush finalizes the sink — closing files, flushing buffers — and
+// must be called exactly once by whoever owns the sink, after the last emit.
 type Sink interface {
 	EmitThr(ThroughputSample)
 	EmitRTT(RTTSample)
@@ -34,109 +43,47 @@ type Sink interface {
 	EmitTest(TestSummary)
 	EmitApp(AppRun)
 	EmitPassive(PassiveSample)
-	Flush() error
-}
-
-// BatchSink is the optional bulk interface of a Sink: a sink that also
-// implements it consumes a whole slice of records per call, so a producer
-// with records already staged in a slice pays one interface dispatch per
-// batch instead of one per record (per Tee member). Each EmitXxxAll call is
-// exactly equivalent to emitting the slice's records in order through the
-// scalar method — same records, same per-table order, so the same bytes
-// from every sink. The slice is borrowed for the duration of the call:
-// implementations must neither mutate nor retain it (a Tee hands the same
-// slice to every member).
-type BatchSink interface {
 	EmitThrAll([]ThroughputSample)
 	EmitRTTAll([]RTTSample)
 	EmitHandoverAll([]HandoverRecord)
 	EmitTestAll([]TestSummary)
 	EmitAppAll([]AppRun)
 	EmitPassiveAll([]PassiveSample)
+	Flush() error
 }
 
-// EmitThrAll emits a batch into sink: one bulk call when sink implements
-// BatchSink, the per-record loop otherwise. The EmitXxxAll helpers are how
-// producers dispatch batches without caring which kind of sink they hold.
-func EmitThrAll(sink Sink, recs []ThroughputSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitThrAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitThr(r)
-	}
-}
+// EmitThrAll emits a batch into sink; it and the other EmitXxxAll
+// functions forward to the Sink method of the same name.
+func EmitThrAll(sink Sink, recs []ThroughputSample) { sink.EmitThrAll(recs) }
 
 // EmitRTTAll emits a batch of RTT samples; see EmitThrAll.
-func EmitRTTAll(sink Sink, recs []RTTSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitRTTAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitRTT(r)
-	}
-}
+func EmitRTTAll(sink Sink, recs []RTTSample) { sink.EmitRTTAll(recs) }
 
 // EmitHandoverAll emits a batch of handover records; see EmitThrAll.
-func EmitHandoverAll(sink Sink, recs []HandoverRecord) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitHandoverAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitHandover(r)
-	}
-}
+func EmitHandoverAll(sink Sink, recs []HandoverRecord) { sink.EmitHandoverAll(recs) }
 
 // EmitTestAll emits a batch of test summaries; see EmitThrAll.
-func EmitTestAll(sink Sink, recs []TestSummary) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitTestAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitTest(r)
-	}
-}
+func EmitTestAll(sink Sink, recs []TestSummary) { sink.EmitTestAll(recs) }
 
 // EmitAppAll emits a batch of app runs; see EmitThrAll.
-func EmitAppAll(sink Sink, recs []AppRun) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitAppAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitApp(r)
-	}
-}
+func EmitAppAll(sink Sink, recs []AppRun) { sink.EmitAppAll(recs) }
 
 // EmitPassiveAll emits a batch of passive samples; see EmitThrAll.
-func EmitPassiveAll(sink Sink, recs []PassiveSample) {
-	if b, ok := sink.(BatchSink); ok {
-		b.EmitPassiveAll(recs)
-		return
-	}
-	for _, r := range recs {
-		sink.EmitPassive(r)
-	}
-}
+func EmitPassiveAll(sink Sink, recs []PassiveSample) { sink.EmitPassiveAll(recs) }
 
 // EmitTo replays every record of d into sink, table by table in the
 // canonical CSV order (throughput, RTT, handovers, tests, apps, passive).
 // Replaying a Collector's dataset reproduces the original per-table emit
 // order, which is what makes streaming and materialized consumers
-// byte-equivalent. Each table goes through the batch helpers, so replaying
-// into batch-aware sinks (the fleet reduction, the phase merge) costs six
-// dispatches per member, not one per record.
+// byte-equivalent. Each table goes through one batch call, so a replay
+// costs six dispatches per sink, not one per record.
 func (d *Dataset) EmitTo(sink Sink) {
-	EmitThrAll(sink, d.Thr)
-	EmitRTTAll(sink, d.RTT)
-	EmitHandoverAll(sink, d.Handovers)
-	EmitTestAll(sink, d.Tests)
-	EmitAppAll(sink, d.Apps)
-	EmitPassiveAll(sink, d.Passive)
+	sink.EmitThrAll(d.Thr)
+	sink.EmitRTTAll(d.RTT)
+	sink.EmitHandoverAll(d.Handovers)
+	sink.EmitTestAll(d.Tests)
+	sink.EmitAppAll(d.Apps)
+	sink.EmitPassiveAll(d.Passive)
 }
 
 // Collector is the materializing Sink: it appends every record to an
@@ -222,37 +169,36 @@ func (t tee) EmitPassive(p PassiveSample) {
 	}
 }
 
-// Batch emits fan the same borrowed slice out through the helpers, so each
-// member takes its fastest path (bulk when it implements BatchSink, the
-// per-record loop otherwise) and none may mutate the records.
+// Batch emits fan the same borrowed slice out to every member, none of
+// which may mutate the records.
 func (t tee) EmitThrAll(recs []ThroughputSample) {
 	for _, k := range t {
-		EmitThrAll(k, recs)
+		k.EmitThrAll(recs)
 	}
 }
 func (t tee) EmitRTTAll(recs []RTTSample) {
 	for _, k := range t {
-		EmitRTTAll(k, recs)
+		k.EmitRTTAll(recs)
 	}
 }
 func (t tee) EmitHandoverAll(recs []HandoverRecord) {
 	for _, k := range t {
-		EmitHandoverAll(k, recs)
+		k.EmitHandoverAll(recs)
 	}
 }
 func (t tee) EmitTestAll(recs []TestSummary) {
 	for _, k := range t {
-		EmitTestAll(k, recs)
+		k.EmitTestAll(recs)
 	}
 }
 func (t tee) EmitAppAll(recs []AppRun) {
 	for _, k := range t {
-		EmitAppAll(k, recs)
+		k.EmitAppAll(recs)
 	}
 }
 func (t tee) EmitPassiveAll(recs []PassiveSample) {
 	for _, k := range t {
-		EmitPassiveAll(k, recs)
+		k.EmitPassiveAll(recs)
 	}
 }
 func (t tee) Flush() error {
@@ -265,169 +211,183 @@ func (t tee) Flush() error {
 	return first
 }
 
-// HashSink computes a SHA-256 fingerprint of the dataset's canonical CSV
-// encoding without materializing any of it: each record is CSV-encoded
-// through the byte codecs (bit-identical to the encoding Save writes) and
-// fed to a per-table hash, and Sum combines the per-table digests (bound to
-// their file names) into one hex string. Emitting a dataset into a HashSink
-// therefore fingerprints exactly the bytes Save would write, table order
-// and headers included.
-type HashSink struct {
-	h   [numTables]hash.Hash
-	buf [numTables][]byte // rows accumulate here between hash writes
-	enc rowEnc
+// tableEnc is the one emit front end of the byte sinks (HashSink,
+// ParallelCSVWriter, and Save's plain-file writer): it CSV-encodes every
+// record through the rowEnc codecs into its table's chunk buffer, which
+// starts with the table's header row, and hands a chunk to its owner
+// through hand once the chunk holds chunkRows rows or chunkBytes bytes (an
+// owner sets the limit it does not use to math.MaxInt). hand consumes the
+// chunk and returns the buffer the table's next chunk is encoded into. Embedding a tableEnc gives the owner all twelve Sink emit
+// methods; the owner adds Flush, which calls flush.
+type tableEnc struct {
+	enc  rowEnc
+	buf  [numTables][]byte
+	rows [numTables]int // rows in buf, the header not counted
+
+	chunkRows, chunkBytes int
+	hand                  func(tab int, chunk []byte) []byte
 }
 
-// hashChunkBytes is how many encoded row bytes accumulate per table before
-// they are folded into the hash. SHA-256 consumes input in 64-byte blocks,
-// so the chunk size only amortizes call overhead — larger chunks keep the
-// hash loop (SHA-NI on amd64) running over long contiguous buffers — and it
-// never changes the digest.
-const hashChunkBytes = 64 * 1024
+// chunkBytes is the chunk size of the owners that cut by size: large enough
+// to amortize the per-chunk hash or write call over long contiguous
+// buffers, and it never changes their output.
+const chunkBytes = 64 * 1024
 
-// NewHashSink returns a HashSink with the table headers already hashed.
+// start begins table tab's first chunk in b with the header row.
+func (e *tableEnc) start(tab int, b []byte) {
+	e.buf[tab] = csvAppendRow(b[:0], tableHeaders[tab])
+	e.rows[tab] = 0
+}
+
+// rowHeadroom is the free capacity add keeps ahead of the next row. A
+// chunk buffer that runs short is doubled here, not left to append, whose
+// ~1.25× steps at these sizes would allocate about five times a chunk's
+// final size on the way there instead of about two.
+const rowHeadroom = 1024
+
+// add counts the row just encoded into b and hands b off when the chunk is
+// full, returning the buffer to keep encoding into.
+func (e *tableEnc) add(tab int, b []byte) []byte {
+	e.rows[tab]++
+	if e.rows[tab] >= e.chunkRows || len(b) >= e.chunkBytes {
+		e.rows[tab] = 0
+		return e.hand(tab, b)
+	}
+	if cap(b)-len(b) < rowHeadroom {
+		b = slices.Grow(b, cap(b)+rowHeadroom)
+	}
+	return b
+}
+
+// flush hands off every table's partial chunk. A table that never saw a
+// row still hands off its header, so every output carries all six headers.
+func (e *tableEnc) flush() {
+	for i := range e.buf {
+		if len(e.buf[i]) > 0 {
+			e.rows[i] = 0
+			e.buf[i] = e.hand(i, e.buf[i])
+		}
+	}
+}
+
+func (e *tableEnc) EmitThr(r ThroughputSample) {
+	e.buf[tabThr] = e.add(tabThr, e.enc.csvAppendThr(e.buf[tabThr], r))
+}
+func (e *tableEnc) EmitRTT(r RTTSample) {
+	e.buf[tabRTT] = e.add(tabRTT, e.enc.csvAppendRTT(e.buf[tabRTT], r))
+}
+func (e *tableEnc) EmitHandover(r HandoverRecord) {
+	e.buf[tabHO] = e.add(tabHO, e.enc.csvAppendHO(e.buf[tabHO], r))
+}
+func (e *tableEnc) EmitTest(r TestSummary) {
+	e.buf[tabTests] = e.add(tabTests, e.enc.csvAppendTest(e.buf[tabTests], r))
+}
+func (e *tableEnc) EmitApp(r AppRun) {
+	e.buf[tabApps] = e.add(tabApps, e.enc.csvAppendApp(e.buf[tabApps], r))
+}
+func (e *tableEnc) EmitPassive(r PassiveSample) {
+	e.buf[tabPassive] = e.add(tabPassive, e.enc.csvAppendPassive(e.buf[tabPassive], r))
+}
+
+// Batch emits run the same per-row encode and chunk check, keeping the
+// table's buffer in a local across the slice.
+func (e *tableEnc) EmitThrAll(recs []ThroughputSample) {
+	b := e.buf[tabThr]
+	for i := range recs {
+		b = e.add(tabThr, e.enc.csvAppendThr(b, recs[i]))
+	}
+	e.buf[tabThr] = b
+}
+func (e *tableEnc) EmitRTTAll(recs []RTTSample) {
+	b := e.buf[tabRTT]
+	for i := range recs {
+		b = e.add(tabRTT, e.enc.csvAppendRTT(b, recs[i]))
+	}
+	e.buf[tabRTT] = b
+}
+func (e *tableEnc) EmitHandoverAll(recs []HandoverRecord) {
+	b := e.buf[tabHO]
+	for i := range recs {
+		b = e.add(tabHO, e.enc.csvAppendHO(b, recs[i]))
+	}
+	e.buf[tabHO] = b
+}
+func (e *tableEnc) EmitTestAll(recs []TestSummary) {
+	b := e.buf[tabTests]
+	for i := range recs {
+		b = e.add(tabTests, e.enc.csvAppendTest(b, recs[i]))
+	}
+	e.buf[tabTests] = b
+}
+func (e *tableEnc) EmitAppAll(recs []AppRun) {
+	b := e.buf[tabApps]
+	for i := range recs {
+		b = e.add(tabApps, e.enc.csvAppendApp(b, recs[i]))
+	}
+	e.buf[tabApps] = b
+}
+func (e *tableEnc) EmitPassiveAll(recs []PassiveSample) {
+	b := e.buf[tabPassive]
+	for i := range recs {
+		b = e.add(tabPassive, e.enc.csvAppendPassive(b, recs[i]))
+	}
+	e.buf[tabPassive] = b
+}
+
+// HashSink computes a SHA-256 fingerprint of the dataset's canonical CSV
+// encoding without materializing any of it: each record is CSV-encoded
+// exactly as Save writes it and fed to a per-table hash, and Sum combines
+// the per-table digests (bound to their file names) into one hex string.
+// Emitting a dataset into a HashSink therefore fingerprints exactly the
+// bytes Save would write, table order and headers included.
+type HashSink struct {
+	tableEnc
+	h [numTables]hash.Hash
+}
+
+// NewHashSink returns a HashSink with the table headers already encoded.
+// Chunks are folded into the hashes every chunkBytes: SHA-256 consumes
+// input in 64-byte blocks, so the chunk size only amortizes call overhead
+// (the hash loop, SHA-NI on amd64, runs over long contiguous buffers) and
+// never changes the digest.
 func NewHashSink() *HashSink {
 	s := &HashSink{}
+	s.chunkRows, s.chunkBytes, s.hand = math.MaxInt, chunkBytes, s.fold
 	for i := range s.h {
 		s.h[i] = sha256.New()
-		s.buf[i] = csvAppendRow(make([]byte, 0, hashChunkBytes+512), tableHeaders[i])
+		s.start(i, make([]byte, 0, chunkBytes+rowHeadroom))
 	}
 	return s
 }
 
-// Reset rewinds the sink to its freshly-constructed state (headers hashed,
+// Reset rewinds the sink to its freshly-constructed state (headers encoded,
 // nothing else), reusing the hash and buffer machinery. Fleet workers reset
 // one HashSink per seed instead of allocating a new one.
 func (s *HashSink) Reset() {
 	for i := range s.h {
 		s.h[i].Reset()
-		s.buf[i] = csvAppendRow(s.buf[i][:0], tableHeaders[i])
+		s.start(i, s.buf[i])
 	}
 }
 
 // fold feeds one chunk of encoded rows into the table's hash, under the
 // "hash" pprof phase label when ProfilePhases is set. hash.Hash writes never
-// fail. Folds happen once per hashChunkBytes of rows, so the label region
+// fail. Folds happen once per chunkBytes of rows, so the label region
 // overhead is amortized over ~64 KiB of hashing.
-func (s *HashSink) fold(tab int, b []byte) {
+func (s *HashSink) fold(tab int, b []byte) []byte {
 	if !ProfilePhases {
 		s.h[tab].Write(b)
-		return
+		return b[:0]
 	}
 	pprof.Do(context.Background(), pprof.Labels("phase", "hash"), func(context.Context) {
 		s.h[tab].Write(b)
 	})
+	return b[:0]
 }
 
-// sink folds the table's buffer into its hash once enough rows accumulated.
-func (s *HashSink) sink(tab int) {
-	if len(s.buf[tab]) >= hashChunkBytes {
-		s.fold(tab, s.buf[tab])
-		s.buf[tab] = s.buf[tab][:0]
-	}
-}
-
-func (s *HashSink) EmitThr(r ThroughputSample) {
-	s.buf[tabThr] = s.enc.csvAppendThr(s.buf[tabThr], r)
-	s.sink(tabThr)
-}
-func (s *HashSink) EmitRTT(r RTTSample) {
-	s.buf[tabRTT] = s.enc.csvAppendRTT(s.buf[tabRTT], r)
-	s.sink(tabRTT)
-}
-func (s *HashSink) EmitHandover(h HandoverRecord) {
-	s.buf[tabHO] = s.enc.csvAppendHO(s.buf[tabHO], h)
-	s.sink(tabHO)
-}
-func (s *HashSink) EmitTest(t TestSummary) {
-	s.buf[tabTests] = s.enc.csvAppendTest(s.buf[tabTests], t)
-	s.sink(tabTests)
-}
-func (s *HashSink) EmitApp(a AppRun) {
-	s.buf[tabApps] = s.enc.csvAppendApp(s.buf[tabApps], a)
-	s.sink(tabApps)
-}
-func (s *HashSink) EmitPassive(p PassiveSample) {
-	s.buf[tabPassive] = s.enc.csvAppendPassive(s.buf[tabPassive], p)
-	s.sink(tabPassive)
-}
-
-// Batch emits encode the whole slice into the table buffer, folding full
-// chunks as they fill — one virtual call per batch, and the fold check runs
-// against a register-resident buffer instead of re-loading per record.
-func (s *HashSink) EmitThrAll(recs []ThroughputSample) {
-	b := s.buf[tabThr]
-	for i := range recs {
-		b = s.enc.csvAppendThr(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabThr, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabThr] = b
-}
-func (s *HashSink) EmitRTTAll(recs []RTTSample) {
-	b := s.buf[tabRTT]
-	for i := range recs {
-		b = s.enc.csvAppendRTT(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabRTT, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabRTT] = b
-}
-func (s *HashSink) EmitHandoverAll(recs []HandoverRecord) {
-	b := s.buf[tabHO]
-	for i := range recs {
-		b = s.enc.csvAppendHO(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabHO, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabHO] = b
-}
-func (s *HashSink) EmitTestAll(recs []TestSummary) {
-	b := s.buf[tabTests]
-	for i := range recs {
-		b = s.enc.csvAppendTest(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabTests, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabTests] = b
-}
-func (s *HashSink) EmitAppAll(recs []AppRun) {
-	b := s.buf[tabApps]
-	for i := range recs {
-		b = s.enc.csvAppendApp(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabApps, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabApps] = b
-}
-func (s *HashSink) EmitPassiveAll(recs []PassiveSample) {
-	b := s.buf[tabPassive]
-	for i := range recs {
-		b = s.enc.csvAppendPassive(b, recs[i])
-		if len(b) >= hashChunkBytes {
-			s.fold(tabPassive, b)
-			b = b[:0]
-		}
-	}
-	s.buf[tabPassive] = b
-}
+// Flush folds every partial chunk into its hash.
 func (s *HashSink) Flush() error {
-	for i := range s.buf {
-		if len(s.buf[i]) > 0 {
-			s.fold(i, s.buf[i])
-			s.buf[i] = s.buf[i][:0]
-		}
-	}
+	s.flush()
 	return nil
 }
 

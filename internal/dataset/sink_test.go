@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"compress/gzip"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,13 +24,13 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVWriterMatchesSaveCompressed: SaveCompressed streams through the
-// CSVWriter exporter, whose rows must decompress to exactly the bytes the
-// independent encoding/csv path of Save writes — same headers, same row
-// encoding.
-func TestCSVWriterMatchesSaveCompressed(t *testing.T) {
+// TestSaveMatchesCSVOracle: Save's plain files and the gunzipped files of
+// SaveCompressed both equal the encoding/csv oracle for the same dataset —
+// same headers, same row encoding, table by table.
+func TestSaveMatchesCSVOracle(t *testing.T) {
 	ds := fuzzSeedDataset()
-	plainDir, gzDir := t.TempDir(), t.TempDir()
+	oracleDir, plainDir, gzDir := t.TempDir(), t.TempDir(), t.TempDir()
+	writeOracle(t, oracleDir, ds)
 	if err := ds.Save(plainDir); err != nil {
 		t.Fatal(err)
 	}
@@ -40,27 +38,23 @@ func TestCSVWriterMatchesSaveCompressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range csvFiles {
-		plain, err := os.ReadFile(filepath.Join(plainDir, name))
-		if err != nil {
-			t.Fatal(err)
+		want := readFile(t, filepath.Join(oracleDir, name))
+		if got := readFile(t, filepath.Join(plainDir, name)); !bytes.Equal(got, want) {
+			t.Errorf("%s: Save bytes differ from the encoding/csv oracle", name)
 		}
-		f, err := os.Open(filepath.Join(gzDir, name+".gz"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := io.ReadAll(zr)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(plain, streamed) {
-			t.Errorf("%s: gunzipped SaveCompressed bytes differ from Save's", name)
+		if got := gunzipFile(t, filepath.Join(gzDir, name+".gz")); !bytes.Equal(got, want) {
+			t.Errorf("%s: gunzipped SaveCompressed bytes differ from the encoding/csv oracle", name)
 		}
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestHashSinkFingerprint: the hash is deterministic for identical streams
@@ -87,7 +81,7 @@ func TestHashSinkFingerprint(t *testing.T) {
 }
 
 // FuzzCSVRoundTrip mutates record fields, streams the dataset to disk with
-// CSVWriter, and asserts that whatever LoadCompressed accepts streams back
+// ParallelCSVWriter, and asserts that whatever LoadCompressed accepts streams back
 // out byte-identically — the canonical gzip CSV form is a fixed point of
 // stream-write ∘ load, exactly like the uncompressed Save ∘ Load pair.
 func FuzzCSVRoundTrip(f *testing.F) {
@@ -105,7 +99,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 		ds.Passive[1].NoSvc = nosvc
 
 		dir1 := t.TempDir()
-		w, err := NewCSVWriter(dir1)
+		w, err := NewParallelCSVWriter(dir1, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +114,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 			return
 		}
 		dir2 := t.TempDir()
-		w2, err := NewCSVWriter(dir2)
+		w2, err := NewParallelCSVWriter(dir2, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,15 +123,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 			t.Fatalf("re-streaming an accepted dataset failed: %v", err)
 		}
 		for _, name := range csvFiles {
-			b1, err := os.ReadFile(filepath.Join(dir1, name+".gz"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b2, err := os.ReadFile(filepath.Join(dir2, name+".gz"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1, b2) {
+			if !bytes.Equal(readFile(t, filepath.Join(dir1, name+".gz")), readFile(t, filepath.Join(dir2, name+".gz"))) {
 				t.Fatalf("%s.gz: stream-write -> load -> stream-write is not byte-identical", name)
 			}
 		}

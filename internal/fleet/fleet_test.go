@@ -402,7 +402,7 @@ func TestFleetSeedSinkPerPolicy(t *testing.T) {
 		mu.Lock()
 		opened[path]++
 		mu.Unlock()
-		return dataset.NewCSVWriter(path)
+		return dataset.NewParallelCSVWriter(path, 0, 0)
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
@@ -415,6 +415,42 @@ func TestFleetSeedSinkPerPolicy(t *testing.T) {
 	}
 	if len(opened) != 2 {
 		t.Errorf("opened %d distinct sink paths, want 2: %v", len(opened), opened)
+	}
+}
+
+// TestFleetSeedSinkDiskFull: a seed whose dataset dump cannot be written
+// (its throughput table is /dev/full, where writes fail with ENOSPC) fails
+// the run and is not checkpointed, so a resume re-runs and re-dumps it.
+func TestFleetSeedSinkDiskFull(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available")
+	}
+	tmp := t.TempDir()
+	cfg := testConfig(filepath.Join(tmp, "ckpt.jsonl"))
+	cfg.Base = campaign.QuickConfig(0, 20)
+	cfg.Seeds = 1
+	cfg.Workers = 1
+	cfg.SeedSink = func(scn string, seed int64) (dataset.Sink, error) {
+		dir := filepath.Join(tmp, scn, fmt.Sprintf("seed-%d", seed))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := os.Symlink("/dev/full", filepath.Join(dir, "throughput_samples.csv.gz")); err != nil {
+			return nil, err
+		}
+		return dataset.NewParallelCSVWriter(dir, 0, 0)
+	}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("fleet.Run succeeded although the seed's dump hit a full device")
+	}
+	rows, _, err := LoadCheckpoint(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range rows {
+		if key.Seed == cfg.StartSeed {
+			t.Fatalf("checkpoint holds a row for seed %d whose dump failed", key.Seed)
+		}
 	}
 }
 

@@ -320,15 +320,15 @@ func (r *Route) roadClassOf(leg *Leg, off float64) RoadClass {
 }
 
 // cityAreaOf resolves the city whose urban area contains offset off into a
-// leg, together with the route distance at which that area begins.
-func (r *Route) cityAreaOf(leg *Leg, off float64) (City, float64, bool) {
+// leg.
+func (r *Route) cityAreaOf(leg *Leg, off float64) (City, bool) {
 	if off < r.Bands.CityKm {
-		return r.cityByName(leg.From), leg.startKm, true
+		return r.cityByName(leg.From), true
 	}
 	if leg.RoadKm-off < r.Bands.CityKm {
-		return r.cityByName(leg.To), leg.startKm + leg.RoadKm - r.Bands.CityKm, true
+		return r.cityByName(leg.To), true
 	}
-	return City{}, 0, false
+	return City{}, false
 }
 
 // zoneAt maps a position to its timezone under the route's timezone layout.
@@ -362,13 +362,12 @@ func (r *Route) RoadClassAt(km float64) RoadClass {
 // CityAt returns the city whose urban area contains route distance km, if
 // any. Only leg endpoints count: intermediate towns are not major cities.
 func (r *Route) CityAt(km float64) (City, bool) {
-	city, _, ok := r.CityAreaAt(km)
-	return city, ok
+	return r.CityAreaAt(km)
 }
 
-// CityAreaAt returns the city whose urban area contains route distance km
-// together with the route distance at which that area begins.
-func (r *Route) CityAreaAt(km float64) (City, float64, bool) {
+// CityAreaAt returns the city whose urban area contains route distance km,
+// if any.
+func (r *Route) CityAreaAt(km float64) (City, bool) {
 	leg, off := r.legAt(km)
 	return r.cityAreaOf(leg, off)
 }
@@ -427,9 +426,9 @@ func (c *Cursor) RoadClassAt(km float64) RoadClass {
 	return c.r.roadClassOf(leg, off)
 }
 
-// CityAreaAt returns the city whose urban area contains route distance km
-// together with the route distance at which that area begins.
-func (c *Cursor) CityAreaAt(km float64) (City, float64, bool) {
+// CityAreaAt returns the city whose urban area contains route distance km,
+// if any.
+func (c *Cursor) CityAreaAt(km float64) (City, bool) {
 	leg, off := c.legAt(km)
 	return c.r.cityAreaOf(leg, off)
 }

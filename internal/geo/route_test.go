@@ -189,32 +189,25 @@ func TestCountiesEstimate(t *testing.T) {
 
 func TestCityAreaAt(t *testing.T) {
 	r := NewRoute()
-	// Los Angeles sits at the route start: its urban area begins at km 0.
-	city, start, ok := r.CityAreaAt(3)
-	if !ok || city.Name != "Los Angeles" || start != 0 {
-		t.Fatalf("CityAreaAt(3) = %v/%v/%v, want Los Angeles from km 0", city.Name, start, ok)
+	// Los Angeles sits at the route start.
+	if city, ok := r.CityAreaAt(3); !ok || city.Name != "Los Angeles" {
+		t.Fatalf("CityAreaAt(3) = %v/%v, want Los Angeles", city.Name, ok)
 	}
-	// An interior city approached from the preceding leg reports an area
-	// start cityKm before the leg boundary; past the boundary the same city
-	// reports the boundary itself. Both starts must lie inside the area.
+	// An interior city is reported on both sides of its leg boundary.
 	boundary := r.Legs[0].RoadKm // Las Vegas
 	for _, km := range []float64{boundary - 2, boundary + 2} {
-		city, start, ok := r.CityAreaAt(km)
-		if !ok || city.Name != "Las Vegas" {
+		if city, ok := r.CityAreaAt(km); !ok || city.Name != "Las Vegas" {
 			t.Fatalf("CityAreaAt(%v) = %v/%v, want Las Vegas", km, city.Name, ok)
-		}
-		if start > km || km-start > 2*r.Bands.CityKm {
-			t.Errorf("area start %v not within %v km before km %v", start, 2*r.Bands.CityKm, km)
 		}
 	}
 	// Mid-leg positions are not in any city.
-	if _, _, ok := r.CityAreaAt(boundary / 2); ok {
+	if _, ok := r.CityAreaAt(boundary / 2); ok {
 		t.Errorf("CityAreaAt(%v) reported a city in the middle of leg 1", boundary/2)
 	}
 	// CityAt must agree with CityAreaAt.
 	for _, km := range []float64{0, 3, boundary - 2, boundary / 2, r.LengthKm() - 1} {
 		c1, ok1 := r.CityAt(km)
-		c2, _, ok2 := r.CityAreaAt(km)
+		c2, ok2 := r.CityAreaAt(km)
 		if ok1 != ok2 || c1.Name != c2.Name {
 			t.Errorf("CityAt(%v) = %v/%v disagrees with CityAreaAt %v/%v", km, c1.Name, ok1, c2.Name, ok2)
 		}
