@@ -88,7 +88,7 @@ func main() {
 	}
 	for _, c := range route.Cities {
 		for km := 0.0; km < route.LengthKm(); km += binKm / 2 {
-			if cc, ok := route.CityAt(km); ok && cc.Name == c.Name {
+			if cc, ok := route.CityAreaAt(km); ok && cc.Name == c.Name {
 				marks[int(km/binKm)] = '^'
 				break
 			}

@@ -29,7 +29,7 @@ func TestRunToCollectorMatchesRun(t *testing.T) {
 // TestStreamedCSVRoundTripSeed23 runs the golden seed-23 configuration once
 // through a Tee(Collector, ParallelCSVWriter) and checks the streaming
 // export both ways: the .gz files on disk are byte-identical to
-// SaveCompressed's for the collected dataset, and LoadCompressed reads them
+// SaveCompressed's for the collected dataset, and Load reads them
 // back into a dataset that re-exports identically.
 func TestStreamedCSVRoundTripSeed23(t *testing.T) {
 	if testing.Short() {
@@ -75,7 +75,7 @@ func TestStreamedCSVRoundTripSeed23(t *testing.T) {
 		}
 	}
 
-	back, err := dataset.LoadCompressed(streamDir)
+	back, err := dataset.Load(streamDir)
 	if err != nil {
 		t.Fatalf("loading streamed export: %v", err)
 	}

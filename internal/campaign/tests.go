@@ -135,7 +135,7 @@ func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static 
 	sink.EmitRTTAll(rtt)
 	sink.EmitHandoverAll(ln.HORecs)
 
-	mean, stdFrac := meanStdFracPings(ln.Pings)
+	mean, stdFrac := pingMeanStdFrac(ln.Pings)
 	sum := dataset.TestSummary{
 		ID: ln.TestID, Op: ln.Op, Kind: dataset.TestRTT, Dir: radio.Downlink, StartUTC: utc(t),
 		DurSec: c.Cfg.RTTSec, Zone: ln.LastS.Zone, Server: ln.Server.Kind, Static: static,
@@ -148,28 +148,9 @@ func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static 
 	sink.EmitTest(sum)
 }
 
-func meanStdFrac(v []float64) (mean, stdFrac float64) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(len(v))
-	if mean == 0 {
-		return 0, 0
-	}
-	var ss float64
-	for _, x := range v {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss/float64(len(v))) / mean
-}
-
-// meanStdFracPings is meanStdFrac over the RTT values of a ping series,
-// accumulated in the same order with the same arithmetic.
-func meanStdFracPings(pings []batch.Ping) (mean, stdFrac float64) {
+// pingMeanStdFrac returns the mean RTT of a ping series and its standard
+// deviation as a fraction of that mean (0, 0 for an empty or zero series).
+func pingMeanStdFrac(pings []batch.Ping) (mean, stdFrac float64) {
 	if len(pings) == 0 {
 		return 0, 0
 	}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"compress/gzip"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -263,22 +264,17 @@ func createTables(dir, suffix string) ([numTables]*os.File, error) {
 	return files, nil
 }
 
-// Load reads a dataset previously written with Save.
-func Load(dir string) (*Dataset, error) { return load(dir, false) }
-
-// LoadCompressed reads a dataset previously written with SaveCompressed,
-// decompressing each table as it is parsed.
-func LoadCompressed(dir string) (*Dataset, error) { return load(dir, true) }
-
-// load parses the six tables under dir, from their .csv.gz files when gz
-// is set.
-func load(dir string, gz bool) (*Dataset, error) {
+// Load reads a dataset previously written with Save or SaveCompressed, or
+// streamed by ParallelCSVWriter. Each table is read from <table>.csv when
+// that file exists and from <table>.csv.gz otherwise.
+func Load(dir string) (*Dataset, error) {
 	table := func(name string, wantCols int, row func(line int, rec []string) error) error {
 		path := filepath.Join(dir, name)
-		if gz {
-			path += ".gz"
-		}
 		f, err := os.Open(path)
+		gz := errors.Is(err, os.ErrNotExist)
+		if gz {
+			f, err = os.Open(path + ".gz")
+		}
 		if err != nil {
 			return err
 		}

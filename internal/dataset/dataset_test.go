@@ -172,14 +172,24 @@ func TestCompressedRoundTrip(t *testing.T) {
 			t.Errorf("unexpected artifact %s", e.Name())
 		}
 	}
-	got, err := LoadCompressed(dir)
+	// Load falls back to <table>.csv.gz, so the compressed directory reads
+	// back exactly as the plain one does.
+	got, err := Load(dir)
 	if err != nil {
-		t.Fatalf("LoadCompressed: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	if !reflect.DeepEqual(d.Thr, got.Thr) || !reflect.DeepEqual(d.Apps, got.Apps) {
-		t.Error("compressed round trip lost records")
+	plain := t.TempDir()
+	if err := d.Save(plain); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	if _, err := LoadCompressed(t.TempDir()); err == nil {
-		t.Error("LoadCompressed of an empty dir succeeded")
+	want, err := Load(plain)
+	if err != nil {
+		t.Fatalf("Load(plain): %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("compressed round trip differs from the plain one")
+	}
+	if _, err := Load(t.TempDir()); err == nil {
+		t.Error("Load of an empty dir succeeded")
 	}
 }

@@ -22,7 +22,7 @@ const DefaultChunkRows = 8192
 // emit order into chunks of chunkRows rows; each full chunk is compressed
 // as an independent gzip member and the members are concatenated in order.
 // Concatenated members are a valid gzip stream (RFC 1952 §2.2), so
-// gzip.Reader — and therefore LoadCompressed — decodes the files
+// gzip.Reader — and therefore Load — decodes the files
 // transparently.
 //
 // The output is byte-deterministic for a fixed chunk size: each member's

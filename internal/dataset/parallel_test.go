@@ -107,7 +107,7 @@ func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
 // TestParallelCSVWriterMatchesSerial: for row counts straddling every chunk
 // boundary case — empty table, single row, one row short of a chunk, an
 // exact chunk, one over, several chunks — the parallel writer's files
-// decompress to exactly the plain-CSV oracle's content, and LoadCompressed
+// decompress to exactly the plain-CSV oracle's content, and Load
 // reads them back into what Load reads from the oracle.
 func TestParallelCSVWriterMatchesSerial(t *testing.T) {
 	const chunk = 4
@@ -127,9 +127,9 @@ func TestParallelCSVWriterMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadCompressed(par)
+			got, err := Load(par)
 			if err != nil {
-				t.Fatalf("LoadCompressed(parallel): %v", err)
+				t.Fatalf("Load(parallel): %v", err)
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Error("parallel dataset loads differently from serial")

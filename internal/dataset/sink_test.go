@@ -81,7 +81,7 @@ func TestHashSinkFingerprint(t *testing.T) {
 }
 
 // FuzzCSVRoundTrip mutates record fields, streams the dataset to disk with
-// ParallelCSVWriter, and asserts that whatever LoadCompressed accepts streams back
+// ParallelCSVWriter, and asserts that whatever Load accepts streams back
 // out byte-identically — the canonical gzip CSV form is a fixed point of
 // stream-write ∘ load, exactly like the uncompressed Save ∘ Load pair.
 func FuzzCSVRoundTrip(f *testing.F) {
@@ -107,7 +107,7 @@ func FuzzCSVRoundTrip(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatalf("streaming a valid record set failed: %v", err)
 		}
-		back, err := LoadCompressed(dir1)
+		back, err := Load(dir1)
 		if err != nil {
 			// Rejection is fine (e.g. control characters in cell ids);
 			// panics and accept-then-corrupt are not.

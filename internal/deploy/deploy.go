@@ -67,9 +67,8 @@ type Cell struct {
 }
 
 // CellKey packs a cell's identity (operator, technology, route index) into
-// one comparable word. The hot path tracks camped cells and signaling
-// targets by key; the human-readable string form is derived only at
-// dataset-export time.
+// one comparable word. The passive logger tracks the camped cell by key;
+// the human-readable string form is derived only at dataset-export time.
 type CellKey uint64
 
 // Key returns the packed identity of the cell.

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"syscall"
 	"time"
 )
@@ -73,9 +75,9 @@ func AcquireCheckpointLock(ckpt string) (*CheckpointLock, error) {
 }
 
 // readLock decodes a lock file and reports whether it is stale: held by a
-// process on this host that no longer exists, or unreadable/empty (a crash
-// between create and write). A lock from another host is never stale — PID
-// liveness cannot be checked remotely.
+// process on this host that no longer exists or is a zombie, or
+// unreadable/empty (a crash between create and write). A lock from another
+// host is never stale — PID liveness cannot be checked remotely.
 func readLock(path string) (lockInfo, bool) {
 	var info lockInfo
 	data, err := os.ReadFile(path)
@@ -86,6 +88,9 @@ func readLock(path string) (lockInfo, bool) {
 	if info.Host != host {
 		return info, false
 	}
+	if zombie(info.PID) {
+		return info, true
+	}
 	proc, err := os.FindProcess(info.PID)
 	if err != nil {
 		return info, true
@@ -94,6 +99,20 @@ func readLock(path string) (lockInfo, bool) {
 	// the process exists under another user, so only "done"/ESRCH is stale.
 	sigErr := proc.Signal(syscall.Signal(0))
 	return info, errors.Is(sigErr, os.ErrProcessDone) || errors.Is(sigErr, syscall.ESRCH)
+}
+
+// zombie reports whether pid has exited but is not yet reaped by its parent,
+// which signal 0 cannot tell from a live process. It reads the state field of
+// /proc/<pid>/stat, the byte after the ") " that closes the command name;
+// where that file is missing (the process is gone, or off Linux) it reports
+// false and the signal probe decides.
+func zombie(pid int) bool {
+	stat, err := os.ReadFile("/proc/" + strconv.Itoa(pid) + "/stat")
+	if err != nil {
+		return false
+	}
+	i := bytes.LastIndexByte(stat, ')')
+	return i >= 0 && bytes.HasPrefix(stat[i+1:], []byte(" Z"))
 }
 
 // Release removes the lock file. Safe to call once per acquired lock.

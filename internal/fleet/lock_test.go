@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +83,54 @@ func TestCheckpointLockEmptyFileIsStale(t *testing.T) {
 	cfg.Seeds = 1
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("fleet did not break an empty lock file: %v", err)
+	}
+}
+
+// TestCheckpointLockBreaksZombie: a holder that was killed but not yet
+// reaped still answers signal 0, yet its lock is stale and is broken.
+func TestCheckpointLockBreaksZombie(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("zombie detection reads /proc/<pid>/stat")
+	}
+	sleep, err := exec.LookPath("sleep")
+	if err != nil {
+		t.Skipf("no sleep binary: %v", err)
+	}
+	p, err := os.StartProcess(sleep, []string{"sleep", "60"}, &os.ProcAttr{})
+	if err != nil {
+		t.Skipf("cannot spawn helper process: %v", err)
+	}
+	if err := p.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	// The kernel turns the killed child into a zombie asynchronously; wait
+	// for that state before naming it in a lock.
+	stat := fmt.Sprintf("/proc/%d/stat", p.Pid)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		b, err := os.ReadFile(stat)
+		if err != nil {
+			t.Fatalf("reading %s: %v", stat, err)
+		}
+		if i := bytes.LastIndexByte(b, ')'); i >= 0 && bytes.HasPrefix(b[i+1:], []byte(" Z")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("killed child never became a zombie: %s", b)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
+	host, _ := os.Hostname()
+	writeLockFile(t, lockPath(ck), lockInfo{PID: p.Pid, Host: host, Started: time.Now().UTC()})
+	lock, err := AcquireCheckpointLock(ck)
+	if err != nil {
+		t.Errorf("lock held by a zombie was not broken: %v", err)
+	} else if err := lock.Release(); err != nil {
+		t.Error(err)
+	}
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

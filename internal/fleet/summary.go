@@ -95,7 +95,9 @@ func groupLabel(name, policy, policyName string) string {
 }
 
 // OpSummary is one operator's headline numbers for one seed — the compact
-// projection of the EXPERIMENTS.md per-figure medians.
+// projection of the EXPERIMENTS.md per-figure medians. Its fields are
+// analysis.OpHeadline's, in the same order, so summarize converts one into
+// the other directly.
 type OpSummary struct {
 	DriveDLMedMbps  float64 `json:"drive_dl_med_mbps"`
 	DriveULMedMbps  float64 `json:"drive_ul_med_mbps"`
@@ -240,21 +242,7 @@ func summarize(acc *analysis.Accumulator, sha string, scenario string) SeedSumma
 		sum.Roads[geo.RoadClass(i).String()] = rs
 	}
 	for _, op := range radio.Operators() {
-		h := acc.Headline(op)
-		sum.Ops[op.Short()] = OpSummary{
-			DriveDLMedMbps:  h.DriveDLMedMbps,
-			DriveULMedMbps:  h.DriveULMedMbps,
-			StaticDLMedMbps: h.StaticDLMedMbps,
-			DriveRTTMedMs:   h.DriveRTTMedMs,
-			FiveGMileShare:  h.FiveGMileShare,
-			HighSpeedShare:  h.HighSpeedShare,
-			HOsPerMileMed:   h.HOsPerMileMed,
-			HODurMedMs:      h.HODurMedMs,
-			VideoQoEMed:     h.VideoQoEMed,
-			GamingMbpsMed:   h.GamingMbpsMed,
-			VideoRuns:       h.VideoRuns,
-			GamingRuns:      h.GamingRuns,
-		}
+		sum.Ops[op.Short()] = OpSummary(acc.Headline(op))
 	}
 	return sum
 }

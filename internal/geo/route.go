@@ -359,14 +359,8 @@ func (r *Route) RoadClassAt(km float64) RoadClass {
 	return r.roadClassOf(leg, off)
 }
 
-// CityAt returns the city whose urban area contains route distance km, if
-// any. Only leg endpoints count: intermediate towns are not major cities.
-func (r *Route) CityAt(km float64) (City, bool) {
-	return r.CityAreaAt(km)
-}
-
 // CityAreaAt returns the city whose urban area contains route distance km,
-// if any.
+// if any. Only leg endpoints count: intermediate towns are not major cities.
 func (r *Route) CityAreaAt(km float64) (City, bool) {
 	leg, off := r.legAt(km)
 	return r.cityAreaOf(leg, off)

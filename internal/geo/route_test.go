@@ -118,16 +118,16 @@ func TestRoadClassStructure(t *testing.T) {
 
 func TestCityAt(t *testing.T) {
 	r := NewRoute()
-	c, ok := r.CityAt(0)
+	c, ok := r.CityAreaAt(0)
 	if !ok || c.Name != "Los Angeles" {
-		t.Errorf("CityAt(0) = %v, %v; want Los Angeles", c.Name, ok)
+		t.Errorf("CityAreaAt(0) = %v, %v; want Los Angeles", c.Name, ok)
 	}
-	if _, ok := r.CityAt(200); ok {
-		t.Error("CityAt(200 km) reported a city on open highway")
+	if _, ok := r.CityAreaAt(200); ok {
+		t.Error("CityAreaAt(200 km) reported a city on open highway")
 	}
-	c, ok = r.CityAt(r.LengthKm() - 1)
+	c, ok = r.CityAreaAt(r.LengthKm() - 1)
 	if !ok || c.Name != "Boston" {
-		t.Errorf("CityAt(end) = %v, %v; want Boston", c.Name, ok)
+		t.Errorf("CityAreaAt(end) = %v, %v; want Boston", c.Name, ok)
 	}
 }
 
@@ -203,13 +203,5 @@ func TestCityAreaAt(t *testing.T) {
 	// Mid-leg positions are not in any city.
 	if _, ok := r.CityAreaAt(boundary / 2); ok {
 		t.Errorf("CityAreaAt(%v) reported a city in the middle of leg 1", boundary/2)
-	}
-	// CityAt must agree with CityAreaAt.
-	for _, km := range []float64{0, 3, boundary - 2, boundary / 2, r.LengthKm() - 1} {
-		c1, ok1 := r.CityAt(km)
-		c2, ok2 := r.CityAreaAt(km)
-		if ok1 != ok2 || c1.Name != c2.Name {
-			t.Errorf("CityAt(%v) = %v/%v disagrees with CityAreaAt %v/%v", km, c1.Name, ok1, c2.Name, ok2)
-		}
 	}
 }

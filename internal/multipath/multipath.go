@@ -1,9 +1,7 @@
 // Package multipath implements the paper's first recommendation for
 // improving driving performance (§5.4, §8): multi-connectivity that
 // aggregates links from multiple operators, in the style of Multipath TCP.
-// It bonds one CUBIC subflow per carrier over independently varying paths
-// and offers two schedulers for latency-critical traffic: lowest-RTT path
-// selection and fully redundant duplication.
+// It bonds one CUBIC subflow per carrier over independently varying paths.
 //
 // The paper motivates this with Fig. 6: performance at a given location is
 // highly diverse across operators, and the operator using a high-throughput
@@ -84,72 +82,4 @@ func (a *Aggregator) RunBulk(durSec float64) BondedResult {
 		res.PerPath[i].DurSec = durSec
 	}
 	return res
-}
-
-// Scheduler picks which path carries a latency-critical message.
-type Scheduler int
-
-const (
-	// MinRTT sends on the path with the lowest current RTT (MPTCP's
-	// default scheduler).
-	MinRTT Scheduler = iota
-	// Redundant duplicates the message on every live path and takes the
-	// first response — RAVEN-style redundancy for interactive traffic.
-	Redundant
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	if s == Redundant {
-		return "redundant"
-	}
-	return "min-rtt"
-}
-
-// ProbeResult is the outcome of a scheduled latency probe.
-type ProbeResult struct {
-	RTTms float64
-	Path  int  // index of the path used (MinRTT) or that answered first
-	Lost  bool // all chosen paths were in outage
-}
-
-// Schedule picks the delivery latency for one message given the current
-// state of every path. states must be non-empty.
-func Schedule(s Scheduler, states []transport.PathState) ProbeResult {
-	best := ProbeResult{RTTms: -1, Lost: true}
-	for i, st := range states {
-		if st.Outage {
-			continue
-		}
-		if s == MinRTT || s == Redundant {
-			if best.Lost || st.BaseRTTms < best.RTTms {
-				best = ProbeResult{RTTms: st.BaseRTTms, Path: i}
-			}
-		}
-	}
-	// MinRTT without knowledge of outages would sometimes pick a dead
-	// path; model the scheduler's staleness by charging a retransmission
-	// penalty when only some paths are alive and MinRTT picked among them
-	// without perfect information. Redundant never pays this: a duplicate
-	// is already in flight on every live path.
-	return best
-}
-
-// RunProbes runs one latency probe every intervalSec for durSec over the
-// bonded paths and returns the per-probe RTTs under the given scheduler.
-func (a *Aggregator) RunProbes(s Scheduler, durSec, intervalSec float64) []ProbeResult {
-	const dt = 0.02
-	var out []ProbeResult
-	nextProbe := 0.0
-	states := make([]transport.PathState, len(a.paths))
-	for t := 0.0; t < durSec; t += dt {
-		for i, p := range a.paths {
-			states[i] = p.Step(dt)
-		}
-		if t >= nextProbe {
-			nextProbe += intervalSec
-			out = append(out, Schedule(s, states))
-		}
-	}
-	return out
 }

@@ -67,62 +67,3 @@ func TestNewAggregatorRequiresPaths(t *testing.T) {
 		t.Error("NewAggregator() with no paths succeeded")
 	}
 }
-
-func TestScheduleMinRTT(t *testing.T) {
-	states := []transport.PathState{
-		{BaseRTTms: 80},
-		{BaseRTTms: 30},
-		{BaseRTTms: 55},
-	}
-	r := Schedule(MinRTT, states)
-	if r.Lost || r.Path != 1 || r.RTTms != 30 {
-		t.Errorf("MinRTT picked path %d rtt %.0f lost=%v", r.Path, r.RTTms, r.Lost)
-	}
-}
-
-func TestScheduleSkipsOutages(t *testing.T) {
-	states := []transport.PathState{
-		{BaseRTTms: 20, Outage: true},
-		{BaseRTTms: 90},
-	}
-	r := Schedule(Redundant, states)
-	if r.Lost || r.Path != 1 {
-		t.Errorf("scheduler used a dead path: %+v", r)
-	}
-	all := []transport.PathState{{Outage: true}, {Outage: true}}
-	if r := Schedule(MinRTT, all); !r.Lost {
-		t.Error("all-outage schedule not reported lost")
-	}
-}
-
-func TestRunProbesRedundancyMasksOutages(t *testing.T) {
-	mk := func() []transport.Path {
-		return []transport.Path{
-			&pathtest.Outage{Const: pathtest.Const{Cap: 10e6, RTT: 40}, Start: 3, End: 9},
-			&pathtest.Outage{Const: pathtest.Const{Cap: 10e6, RTT: 70}, Start: 12, End: 18},
-		}
-	}
-	a, _ := NewAggregator(mk()...)
-	probes := a.RunProbes(Redundant, 20, 0.2)
-	lost := 0
-	for _, p := range probes {
-		if p.Lost {
-			lost++
-		}
-	}
-	if lost != 0 {
-		t.Errorf("%d probes lost despite disjoint outages and redundancy", lost)
-	}
-	// Single path for comparison: probes during its outage are lost.
-	b, _ := NewAggregator(mk()[0])
-	probes = b.RunProbes(MinRTT, 20, 0.2)
-	lost = 0
-	for _, p := range probes {
-		if p.Lost {
-			lost++
-		}
-	}
-	if lost == 0 {
-		t.Error("single-path probes saw no losses across a 6 s outage")
-	}
-}

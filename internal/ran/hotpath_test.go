@@ -40,8 +40,8 @@ func BenchmarkUEStep(b *testing.B) {
 
 // TestUEStepSteadyStateAllocationFree pins the no-handover tick at zero
 // heap allocations: once the UE is attached, stepping it in place must not
-// touch the allocator. Handover ticks may allocate (they append events and
-// signaling messages); steady-state ticks are the 98%+ case and must not.
+// touch the allocator. Steady-state ticks are the 98%+ case; handover ticks
+// are pinned separately by TestUEStepHandoverTicksAllocationFree.
 func TestUEStepSteadyStateAllocationFree(t *testing.T) {
 	_, _, ue := setupFor(radio.TMobile)
 	const (
@@ -50,7 +50,7 @@ func TestUEStepSteadyStateAllocationFree(t *testing.T) {
 	)
 	road := geo.RoadCity
 	zone := geo.Pacific
-	// Attach (allocates: cell map entry, RRC setup message) before measuring.
+	// Attach before measuring.
 	tm := 0.0
 	ue.Step(tm, dt, km, 0, road, zone, Idle)
 	if _, ok := ue.ServingTech(); !ok {
@@ -65,5 +65,46 @@ func TestUEStepSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("UE.Step steady-state tick = %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestUEStepHandoverTicksAllocationFree pins handover ticks at zero heap
+// allocations too. Once a warm-up drive has grown the event buffer, a
+// handover only appends to it, and a caller that drains TakeHandovers every
+// tick, as the campaign does, keeps the whole drive off the allocator.
+func TestUEStepHandoverTicksAllocationFree(t *testing.T) {
+	route, _, ue := setupFor(radio.TMobile)
+	const (
+		dt      = 0.5
+		warmKm  = 50.0
+		segKm   = 100.0
+		minHOs  = 5
+		mph     = 60.0
+		kmPerDt = mph * geo.KmPerMile / 3600 * dt
+	)
+	cur := route.Cursor()
+	tm, km := 0.0, 0.0
+	for ; km < warmKm; km += kmPerDt {
+		ue.Step(tm, dt, km, mph, cur.RoadClassAt(km), cur.TimezoneAt(km), BacklogDL)
+		tm += dt
+	}
+	ue.TakeHandovers()
+	var snap Snapshot
+	hos := 0
+	// AllocsPerRun calls the function once unmeasured before the measured
+	// run, so each call drives the next segment.
+	allocs := testing.AllocsPerRun(1, func() {
+		hos = 0
+		for end := km + segKm; km < end; km += kmPerDt {
+			ue.StepInto(&snap, tm, dt, km, mph, cur.RoadClassAt(km), cur.TimezoneAt(km), BacklogDL)
+			tm += dt
+			hos += len(ue.TakeHandovers())
+		}
+	})
+	if hos < minHOs {
+		t.Fatalf("measured segment had %d handovers, want at least %d", hos, minHOs)
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f km of driving with %d handovers = %.0f allocs, want 0", segKm, hos, allocs)
 	}
 }

@@ -102,9 +102,6 @@ type UE struct {
 	hoUntil  float64
 	nextEval float64
 	events   []HandoverEvent
-	msgs     []SignalingMsg
-	cells    map[deploy.CellKey]bool // unique cells camped on
-	wasOut   bool                    // last step ended in an outage
 }
 
 // NewUE returns a UE for the operator over the given deployment, running
@@ -125,11 +122,10 @@ func NewUEWithConfig(rng *sim.RNG, dep *deploy.Deployment, cfg *HandoverConfig) 
 		cfg = DefaultPolicy(dep.Op)
 	}
 	u := &UE{
-		Op:    dep.Op,
-		Dep:   dep,
-		cfg:   cfg,
-		rng:   rng.Stream("ue", dep.Op.String()),
-		cells: map[deploy.CellKey]bool{},
+		Op:  dep.Op,
+		Dep: dep,
+		cfg: cfg,
+		rng: rng.Stream("ue", dep.Op.String()),
 	}
 	for _, t := range radio.Techs() {
 		radio.InitLink(&u.links[t], u.rng.Stream("link", t.String()), dep.Op, t)
@@ -146,9 +142,6 @@ func (u *UE) TakeHandovers() []HandoverEvent {
 	u.events = u.events[:0]
 	return ev
 }
-
-// UniqueCells returns the number of distinct cells camped on so far.
-func (u *UE) UniqueCells() int { return len(u.cells) }
 
 // ServingTech returns the current serving technology and whether the UE is
 // attached at all.
@@ -181,25 +174,15 @@ func (u *UE) chooseTech(avail deploy.TechMask, tr Traffic, zone geo.Timezone) ra
 	}
 }
 
-// handover moves the UE to the target cell, records the event and its RRC
-// message sequence, and starts the interruption timer. The new cell's
-// channel state is independent. forced marks handovers triggered by losing
-// the serving technology's coverage, which skip the measurement report (the
-// network reacts to a radio-link problem, not to a UE measurement).
-func (u *UE) handover(t float64, to deploy.Cell, tr Traffic, forced bool) {
+// handover moves the UE to the target cell, records the event, and starts
+// the interruption timer. The new cell's channel state is independent.
+func (u *UE) handover(t float64, to deploy.Cell, tr Traffic) {
 	dur := u.rng.LogNormalMedian(u.cfg.HOMedianMs(tr.Direction()), u.cfg.HOSigma) / 1000
 	u.events = append(u.events, HandoverEvent{T: t, DurSec: dur, From: u.cell, To: to, Traffic: tr})
-	key := to.Key()
-	if !forced {
-		u.emit(t, MsgMeasurementReport, key, "neighbor above threshold")
-	}
-	u.emitFrom(t, MsgRRCReconfiguration, key, u.cell.Key(), "handover command")
-	u.emit(t+dur, MsgRRCReconfigurationComplete, key, "")
 	u.cell = to
 	u.tech = to.Tech
 	u.hoUntil = t + dur
 	u.links[to.Tech].Reset()
-	u.cells[key] = true
 }
 
 // attach camps the UE on the best policy choice without a handover event
@@ -211,14 +194,7 @@ func (u *UE) attach(t float64, km float64, avail deploy.TechMask, tr Traffic, zo
 	u.tech = tech
 	u.attached = true
 	u.links[tech].Reset()
-	key := cell.Key()
-	u.cells[key] = true
 	u.nextEval = t + u.rng.Uniform(u.cfg.EvalMinSec, u.cfg.EvalMaxSec)
-	if u.wasOut {
-		u.emit(t, MsgRRCReestablishment, key, "service recovered")
-	} else {
-		u.emit(t, MsgRRCSetup, key, "initial attach")
-	}
 }
 
 // Step advances the UE by dt seconds at the given route position and
@@ -239,27 +215,25 @@ func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass
 	if avail == 0 {
 		// Dead zone: out of service entirely.
 		u.attached = false
-		u.wasOut = true
 		*snap = Snapshot{T: t, Outage: true, Tech: u.tech, Cell: u.cell,
 			Link: radio.LinkState{Tech: u.tech, RSRPdBm: -140, SINRdB: -10}}
 		return
 	}
 	if !u.attached {
 		u.attach(t, km, avail, tr, zone)
-		u.wasOut = false
 	}
 
 	// Serving technology lost coverage: immediate forced vertical handover.
 	if !avail.Has(u.tech) {
 		tech := u.chooseTech(avail, tr, zone)
 		cell, _ := u.Dep.CellAt(km, tech)
-		u.handover(t, cell, tr, true)
+		u.handover(t, cell, tr)
 	} else if t >= u.nextEval {
 		// Periodic policy evaluation: the operator reconsiders elevation.
 		u.nextEval = t + u.rng.Uniform(u.cfg.EvalMinSec, u.cfg.EvalMaxSec)
 		if tech := u.chooseTech(avail, tr, zone); tech != u.tech {
 			cell, _ := u.Dep.CellAt(km, tech)
-			u.handover(t, cell, tr, false)
+			u.handover(t, cell, tr)
 		}
 	}
 
@@ -273,7 +247,7 @@ func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass
 	if nearest.Index != u.cell.Index {
 		servDist = math.Hypot(km-u.cell.CenterKm, u.cell.LateralKm)
 		if nd < servDist-u.cfg.HysteresisFrac*u.Dep.SpacingKm(u.tech) {
-			u.handover(t, nearest, tr, false)
+			u.handover(t, nearest, tr)
 			servDist = nd
 		}
 	}

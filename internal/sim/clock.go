@@ -8,43 +8,3 @@ import "time"
 // instant, so logs carry realistic absolute times and the timestamp-zoo
 // handled by package xcal (UTC vs local vs EDT) is exercised for real.
 var TripStart = time.Date(2022, time.August, 8, 8, 0, 0, 0, time.FixedZone("PDT", -7*3600))
-
-// Clock converts between simulation time (seconds since TripStart) and
-// wall-clock time.Time values.
-type Clock struct {
-	start time.Time
-	now   float64 // seconds since start
-}
-
-// NewClock returns a clock anchored at TripStart.
-func NewClock() *Clock { return &Clock{start: TripStart.UTC()} }
-
-// NewClockAt returns a clock anchored at the given instant.
-func NewClockAt(start time.Time) *Clock { return &Clock{start: start.UTC()} }
-
-// Now returns the current simulation time in seconds since the anchor.
-func (c *Clock) Now() float64 { return c.now }
-
-// WallTime returns the current simulation instant as a UTC time.Time.
-func (c *Clock) WallTime() time.Time { return c.At(c.now) }
-
-// At converts a simulation time in seconds to a UTC time.Time.
-func (c *Clock) At(sec float64) time.Time {
-	return c.start.Add(time.Duration(sec * float64(time.Second)))
-}
-
-// Advance moves the clock forward by dt seconds. Negative dt is ignored:
-// simulation time never runs backward.
-func (c *Clock) Advance(dt float64) {
-	if dt > 0 {
-		c.now += dt
-	}
-}
-
-// Set jumps the clock to the given simulation time if it is ahead of the
-// current time; the clock never moves backward.
-func (c *Clock) Set(sec float64) {
-	if sec > c.now {
-		c.now = sec
-	}
-}

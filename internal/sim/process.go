@@ -84,13 +84,12 @@ func (g *GaussMarkov) Reset() {
 }
 
 // MarkovChain is a discrete-state Markov chain stepped in continuous time via
-// per-state exponential holding times. It models spatially persistent fields
-// such as which technologies are deployed along a stretch of road: the state
-// persists for a random run length and then jumps according to the
-// transition matrix.
+// per-state exponential holding times. It models persistent on/off episodes
+// such as a link's blockage and cell congestion: the state persists for a
+// random holding time and then jumps according to the transition matrix.
 type MarkovChain struct {
 	// HoldMean[i] is the mean holding length (in whatever unit Step is
-	// called with, typically meters of route) of state i.
+	// called with, seconds for the link chains) of state i.
 	HoldMean []float64
 	// Trans[i][j] is the probability of jumping to state j when leaving
 	// state i. Rows must sum to 1 (enforced by Choice's normalization).
@@ -102,19 +101,11 @@ type MarkovChain struct {
 	started   bool
 }
 
-// NewMarkovChain returns a chain starting in the given state.
-func NewMarkovChain(rng *RNG, start int, holdMean []float64, trans [][]float64) *MarkovChain {
-	m := MakeMarkovChain(rng, start, holdMean, trans)
-	return &m
-}
-
-// MakeMarkovChain is the by-value form of NewMarkovChain, for embedding.
+// MakeMarkovChain returns a chain starting in the given state, by value for
+// embedding.
 func MakeMarkovChain(rng *RNG, start int, holdMean []float64, trans [][]float64) MarkovChain {
 	return MarkovChain{HoldMean: holdMean, Trans: trans, rng: rng, state: start}
 }
-
-// State returns the current state.
-func (m *MarkovChain) State() int { return m.state }
 
 // Step advances the chain by d units and returns the state occupied at the
 // end of the step. Holding times are exponential with the per-state means.

@@ -73,7 +73,7 @@ func TestGaussMarkovResetChangesState(t *testing.T) {
 func TestMarkovChainOccupancy(t *testing.T) {
 	// Two states with equal hold lengths and symmetric transitions: long-run
 	// occupancy should be 50/50.
-	m := NewMarkovChain(NewRNG(7).Stream("mc"), 0,
+	m := MakeMarkovChain(NewRNG(7).Stream("mc"), 0,
 		[]float64{100, 100},
 		[][]float64{{0, 1}, {1, 0}})
 	in0 := 0
@@ -92,7 +92,7 @@ func TestMarkovChainOccupancy(t *testing.T) {
 func TestMarkovChainHoldLength(t *testing.T) {
 	// Unequal hold lengths: occupancy proportional to hold means because the
 	// jump chain is symmetric.
-	m := NewMarkovChain(NewRNG(8).Stream("mc2"), 0,
+	m := MakeMarkovChain(NewRNG(8).Stream("mc2"), 0,
 		[]float64{300, 100},
 		[][]float64{{0, 1}, {1, 0}})
 	in0 := 0
@@ -109,7 +109,7 @@ func TestMarkovChainHoldLength(t *testing.T) {
 }
 
 func TestMarkovChainLargeStepCrossesRuns(t *testing.T) {
-	m := NewMarkovChain(NewRNG(9).Stream("mc3"), 0,
+	m := MakeMarkovChain(NewRNG(9).Stream("mc3"), 0,
 		[]float64{1, 1},
 		[][]float64{{0, 1}, {1, 0}})
 	// A step far longer than the hold mean must be able to land in either

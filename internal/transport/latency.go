@@ -1,10 +1,9 @@
 // Package transport models the end-to-end data path the paper measures:
 // TCP CUBIC bulk transfers (nuttcp with a single connection, §5) over the
-// simulated time-varying radio link, and the ICMP RTT prober (one ping
-// every 200 ms for 20 s). It also owns the latency composition: radio
-// access latency per technology, wire latency to the server, and the
-// driving-induced inflation that turns static tens-of-ms RTTs into the
-// multi-second spikes of Fig. 3b.
+// simulated time-varying radio link. It also owns the latency composition
+// that the campaign's ping tests sample: radio access latency per
+// technology, wire latency to the server, and the driving-induced inflation
+// that turns static tens-of-ms RTTs into the multi-second spikes of Fig. 3b.
 package transport
 
 import (

@@ -158,43 +158,3 @@ func RunFluid(p Path, durSec float64) BulkResult {
 	}
 	return res
 }
-
-// RTTResult is the outcome of one ping test.
-type RTTResult struct {
-	SamplesMs []float64 // successful echo RTTs
-	Sent      int
-	Lost      int
-}
-
-// Mean returns the mean of the successful samples (0 if none).
-func (r RTTResult) Mean() float64 {
-	if len(r.SamplesMs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range r.SamplesMs {
-		sum += v
-	}
-	return sum / float64(len(r.SamplesMs))
-}
-
-// RunRTT runs the paper's ping test: one ICMP echo every intervalSec for
-// durSec seconds. Pings sent during an outage are lost.
-func RunRTT(p Path, durSec, intervalSec float64) RTTResult {
-	var res RTTResult
-	// The next ping fires at Sent*intervalSec — counting sends instead of
-	// accumulating nextPing += intervalSec keeps both sides of the
-	// comparison drift-free for any interval.
-	for i := 0; float64(i)*TickSec < durSec; i++ {
-		st := p.Step(TickSec)
-		if float64(i)*TickSec >= float64(res.Sent)*intervalSec {
-			res.Sent++
-			if st.Outage {
-				res.Lost++
-				continue
-			}
-			res.SamplesMs = append(res.SamplesMs, st.BaseRTTms)
-		}
-	}
-	return res
-}

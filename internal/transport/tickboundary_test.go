@@ -59,44 +59,3 @@ func TestBulkSampleCountExact(t *testing.T) {
 		}
 	}
 }
-
-// recordPath records the tick index of every step on which the runner saw
-// nonzero send activity — for RunRTT, the exact ticks pings fire on.
-type tickRecorder struct {
-	i     int
-	fired []int
-}
-
-func (p *tickRecorder) Step(dt float64) PathState {
-	p.i++
-	return PathState{CapBps: 1e6, BaseRTTms: float64(p.i)}
-}
-
-// TestRTTPingTicksExact pins the ping cadence at both probe intervals the
-// campaign uses (0.5 s and 1 s): ping k must fire on exactly tick
-// k*interval/TickSec for the whole test. The BaseRTTms returned by the
-// path encodes the tick index, so the recorded samples reveal the exact
-// firing ticks. Under the replaced accumulated-time loop, late pings
-// shifted one tick — test-phase edges then saw one ping too few or too
-// many, and every shifted ping sampled the wrong tick's path state.
-func TestRTTPingTicksExact(t *testing.T) {
-	for _, intervalSec := range []float64{0.5, 1.0} {
-		const durSec = 3600.0
-		res := RunRTT(&tickRecorder{}, durSec, intervalSec)
-		ticksPerPing := int(intervalSec / TickSec)
-		wantSent := int(durSec / intervalSec)
-		if res.Sent != wantSent {
-			t.Fatalf("interval=%v: sent %d pings, want %d", intervalSec, res.Sent, wantSent)
-		}
-		if res.Lost != 0 {
-			t.Fatalf("interval=%v: lost %d pings on an outage-free path", intervalSec, res.Lost)
-		}
-		for k, ms := range res.SamplesMs {
-			// BaseRTTms == 1-based tick index; ping k fires on tick k*ticksPerPing.
-			if want := float64(k*ticksPerPing + 1); ms != want {
-				t.Fatalf("interval=%v: ping %d fired on tick %v, want %v (cadence drifted)",
-					intervalSec, k, ms, want)
-			}
-		}
-	}
-}

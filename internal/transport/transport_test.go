@@ -117,28 +117,6 @@ func TestBulkMeanMatchesSamples(t *testing.T) {
 	}
 }
 
-func TestRunRTTCadenceAndLoss(t *testing.T) {
-	p := &outagePath{constPath: constPath{cap: 10e6, rtt: 60}, start: 5, end: 10}
-	res := RunRTT(p, 20, 0.2)
-	if res.Sent != 100 {
-		t.Errorf("sent %d pings in 20 s at 200 ms, want 100", res.Sent)
-	}
-	if res.Lost < 20 || res.Lost > 30 {
-		t.Errorf("lost %d pings during a 5 s outage, want about 25", res.Lost)
-	}
-	if len(res.SamplesMs)+res.Lost != res.Sent {
-		t.Error("samples + lost != sent")
-	}
-	for _, v := range res.SamplesMs {
-		if v != 60 {
-			t.Fatalf("RTT sample %v, want the path's 60", v)
-		}
-	}
-	if res.Mean() != 60 {
-		t.Errorf("mean RTT = %v, want 60", res.Mean())
-	}
-}
-
 func TestAccessRTTOrdering(t *testing.T) {
 	// Fig. 4: mmWave < mid < LTE-A < 5G-low ≈< LTE on access latency.
 	if !(AccessRTTms(radio.NRmmW) < AccessRTTms(radio.NRMid) &&
