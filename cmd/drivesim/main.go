@@ -23,8 +23,9 @@
 // -stream-out DIR streams records to gzip CSVs as they are produced instead
 // of materializing the dataset, holding only the running summary in memory
 // (see README "Streaming the dataset"); it replaces -out/-gzip. Both gzip
-// outputs are chunked multi-member gzip compressed on all cores,
-// byte-deterministic regardless of the core count.
+// outputs are multi-member gzip, each member compressed as its rows
+// arrive, on up to all cores, byte-deterministic regardless of the core
+// count.
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -113,6 +114,7 @@ func main() {
 	rt := tb.Route
 	var ds *dataset.Dataset
 	var acc *analysis.Accumulator
+	var endKm float64 // where the drive stopped; bounds Table 1
 	if *stream != "" {
 		w, err := dataset.NewParallelCSVWriter(*stream, 0, 0)
 		if err != nil {
@@ -130,7 +132,9 @@ func main() {
 	} else {
 		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
 			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed)
-		ds = campaign.NewWithTestbed(cfg, tb).Run()
+		c := campaign.NewWithTestbed(cfg, tb)
+		ds = c.Run()
+		endKm = c.EndKm()
 	}
 
 	if *cpuProf != "" {
@@ -172,7 +176,8 @@ func main() {
 	if err := save(*out); err != nil {
 		log.Fatalf("saving dataset: %v", err)
 	}
-	fmt.Println(analysis.ComputeTable1(ds, rt.LengthKm(), rt.States(), len(rt.Cities)).Render())
+	states, cities := rt.Reached(endKm)
+	fmt.Println(analysis.ComputeTable1(ds, endKm, states, cities).Render())
 	fmt.Printf("dataset written to %s\n", *out)
 }
 

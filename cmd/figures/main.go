@@ -41,24 +41,31 @@ func main() {
 	)
 	flag.Parse()
 
+	// endKm is where the drive behind the dataset stopped, which bounds
+	// Table 1's distance, states and cities.
 	var ds *dataset.Dataset
-	var err error
+	var endKm float64
 	if *data != "" {
+		var err error
 		ds, err = dataset.Load(*data)
 		if err != nil {
 			log.Fatalf("loading dataset: %v", err)
 		}
+		endKm = ds.EndKm()
 	} else {
 		cfg := campaign.DefaultConfig(*seed)
 		cfg.KmLimit = *km
 		fmt.Fprintf(os.Stderr, "simulating campaign (seed %d, %.0f km)...\n", *seed, *km)
-		ds = campaign.New(cfg).Run()
+		c := campaign.New(cfg)
+		ds = c.Run()
+		endKm = c.EndKm()
 	}
 
 	route := geo.NewRoute()
 	render := map[string]func() string{
 		"table1": func() string {
-			return analysis.ComputeTable1(ds, route.LengthKm(), route.States(), len(route.Cities)).Render()
+			states, cities := route.Reached(endKm)
+			return analysis.ComputeTable1(ds, endKm, states, cities).Render()
 		},
 		"fig1":   func() string { return analysis.ComputeFig1(ds, route.LengthKm()/2).Render() },
 		"fig2a":  func() string { return analysis.ComputeFig2a(ds).Render() },
@@ -162,7 +169,7 @@ func main() {
 	}
 
 	if *htmlOut != "" {
-		page, err := report.Build(ds, route)
+		page, err := report.Build(ds, route, endKm)
 		if err != nil {
 			log.Fatalf("building report: %v", err)
 		}

@@ -58,7 +58,7 @@
 // the signature of a checkpoint written by different code.
 //
 // -dump-dir DIR additionally streams each freshly-run seed's full dataset
-// to DIR/<scenario>/seed-N/ as gzip CSVs (parallel chunked compression),
+// to DIR/<scenario>/seed-N/ as gzip CSVs (compressed while the seed runs),
 // or DIR/<scenario>@<policy>/seed-N/ for a non-default grid policy; resumed
 // seeds are not re-run, so they leave no dump.
 //

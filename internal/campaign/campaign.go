@@ -235,8 +235,9 @@ func (c *Campaign) whereAt(idx int, t float64) geo.Sample {
 	return s
 }
 
-// endKm returns the route distance at which the campaign stops.
-func (c *Campaign) endKm() float64 {
+// EndKm returns the route distance at which the campaign stops: the route's
+// length, or Cfg.KmLimit when that is shorter.
+func (c *Campaign) EndKm() float64 {
 	end := c.Route.LengthKm()
 	if c.Cfg.KmLimit > 0 && c.Cfg.KmLimit < end {
 		end = c.Cfg.KmLimit

@@ -97,7 +97,7 @@ func (c *Campaign) plan(sd *schedule) {
 		sd.stops = append(sd.stops, st)
 	}
 
-	end := c.endKm()
+	end := c.EndKm()
 	last := c.Trace.Samples[len(c.Trace.Samples)-1].T
 	t := c.Trace.Samples[0].T
 	// t and s.Km only move forward here, so every cursor lookup after the

@@ -278,7 +278,7 @@ func (c *Campaign) runStaticBattery(sink dataset.Sink, id int, ph *phone, t floa
 // traffic for the whole trip, riding in the same car and so seeing the
 // same deployment — along the trace, logging every PassiveSampleSec.
 func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
-	end := c.endKm()
+	end := c.EndKm()
 	ue := ran.NewUEWithConfig(c.rng.Stream("ho-logger"), ph.dep, c.hoCfg[ph.op])
 	step := c.Cfg.PassiveSampleSec
 	if step <= 0 {

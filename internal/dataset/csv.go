@@ -204,9 +204,9 @@ func (d *Dataset) Save(dir string) error {
 	return w.Flush()
 }
 
-// plainWriter is Save's Sink: the six plain <table>.csv files, each chunk
+// plainWriter is Save's Sink: the six plain <table>.csv files, each piece
 // written straight to its file. The first write error is latched; later
-// chunks are dropped and Flush reports it.
+// pieces are dropped and Flush reports it.
 type plainWriter struct {
 	tableEnc
 	files [numTables]*os.File
@@ -219,21 +219,21 @@ func newPlainWriter(dir string) (*plainWriter, error) {
 		return nil, err
 	}
 	w := &plainWriter{files: files}
-	w.chunkRows, w.chunkBytes, w.hand = math.MaxInt, chunkBytes, w.write
+	w.chunkRows, w.hand = math.MaxInt, w.write
 	for i := range w.buf {
 		w.start(i, nil)
 	}
 	return w, nil
 }
 
-func (w *plainWriter) write(tab int, b []byte) []byte {
+func (w *plainWriter) write(tab int, b []byte, _ bool) []byte {
 	if w.err == nil {
 		_, w.err = w.files[tab].Write(b)
 	}
 	return b[:0]
 }
 
-// Flush writes every partial chunk and closes the files.
+// Flush writes every partial piece and closes the files.
 func (w *plainWriter) Flush() error {
 	w.flush()
 	for _, f := range w.files {

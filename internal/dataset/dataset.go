@@ -176,6 +176,22 @@ type Dataset struct {
 	Passive   []PassiveSample
 }
 
+// EndKm returns the furthest route distance of any throughput, RTT or
+// passive sample: how far the drive that produced the dataset got.
+func (d *Dataset) EndKm() float64 {
+	var end float64
+	for _, s := range d.Thr {
+		end = max(end, s.Km)
+	}
+	for _, s := range d.RTT {
+		end = max(end, s.Km)
+	}
+	for _, s := range d.Passive {
+		end = max(end, s.Km)
+	}
+	return end
+}
+
 // FilterThr returns the throughput samples matching the predicate.
 func (d *Dataset) FilterThr(keep func(ThroughputSample) bool) []ThroughputSample {
 	var out []ThroughputSample

@@ -1,16 +1,14 @@
 package dataset
 
 import (
-	"bytes"
 	"compress/gzip"
-	"math"
 	"os"
 	"runtime"
 	"sync"
 )
 
-// DefaultChunkRows is the chunk size ParallelCSVWriter uses when the caller
-// passes chunkRows <= 0. 8192 rows is ~1 MB of throughput-table CSV —
+// DefaultChunkRows is the member size ParallelCSVWriter uses when the
+// caller passes chunkRows <= 0. 8192 rows is ~1 MB of throughput-table CSV —
 // large enough that the per-member gzip overhead (~20 bytes + a reset
 // dictionary) is noise, small enough that all workers stay busy on a
 // single table.
@@ -18,66 +16,66 @@ const DefaultChunkRows = 8192
 
 // ParallelCSVWriter is the gzip CSV exporter: one <table>.csv.gz file per
 // record type, the same headers and row encoding as Save's plain files,
-// with the compression on a bounded worker pool. Rows are CSV-encoded in
-// emit order into chunks of chunkRows rows; each full chunk is compressed
-// as an independent gzip member and the members are concatenated in order.
-// Concatenated members are a valid gzip stream (RFC 1952 §2.2), so
-// gzip.Reader — and therefore Load — decodes the files
-// transparently.
+// with the compression running beside the emitting goroutine. Rows are
+// CSV-encoded in emit order and cut into gzip members of chunkRows rows;
+// the members are concatenated in order. Concatenated members are a valid
+// gzip stream (RFC 1952 §2.2), so gzip.Reader — and therefore Load —
+// decodes the files transparently.
 //
-// The output is byte-deterministic for a fixed chunk size: each member's
-// bytes depend only on its chunk's contents, so the worker count changes
-// wall-clock time, never the file.
+// A member is compressed while it fills: each ~64 KiB piece of its rows is
+// written to the member's gzip.Writer as soon as it is encoded, and the
+// member is closed when its last row arrives. Flush therefore compresses
+// only each table's last partial piece. Members compress concurrently, two
+// of the same table included, with at most workers deflate calls running at
+// once, and each table's members are written to its file in order.
+//
+// The output is byte-deterministic for a fixed chunkRows: without a flate
+// Flush, a member's deflate stream does not depend on how its input is
+// split across Write calls, so each member is the gzip of its rows in one
+// Write, and neither the worker count nor the timing changes the file.
 //
 // Like every Sink, it is single-producer: Emit methods must come from one
 // goroutine, with Flush called exactly once after the last emit. Emits
 // after Flush are dropped.
 type ParallelCSVWriter struct {
 	tableEnc
-	files   [numTables]*os.File
-	cur     [numTables]*chunk // chunk whose raw buffer tableEnc encodes into
-	pending [numTables]chan *chunk
-	jobs    chan *chunk
-	workers sync.WaitGroup
-	writers sync.WaitGroup
+	files [numTables]*os.File
+	open  [numTables]*member       // member receiving the table's pieces, nil between members
+	prev  [numTables]chan struct{} // written channel of the table's last started member
+	slots [numTables]chan struct{} // one token per member started and not yet written
+	sem   chan struct{}            // one token per running deflate call
+	wg    sync.WaitGroup           // one count per member goroutine
+	done  bool
 
 	mu   sync.Mutex
+	free [][]byte // recycled piece buffers, for rows and for compressed bytes
 	err  error
-	done bool
 }
 
-// chunk is one gzip member in flight: rows encoded by the emit goroutine,
-// deflated by a pool worker, written by its table's commit goroutine.
-type chunk struct {
-	raw  []byte
-	gz   bytes.Buffer
-	done chan struct{} // signalled once gz holds the member
-	last bool          // Flush's final, partial chunk of its table
+// member is one gzip member in flight: the emit goroutine queues its pieces
+// of rows and ends it; the member's own goroutine deflates the pieces in
+// order into out and writes out to the file once every earlier member of
+// the table is written.
+type member struct {
+	w       *ParallelCSVWriter
+	mu      sync.Mutex
+	more    sync.Cond // signalled when a piece is queued or the member ends
+	queue   [][]byte
+	end     bool
+	out     [][]byte      // the compressed member, in pieces
+	prev    chan struct{} // closed once the table's previous member is written
+	written chan struct{} // closed once this member is written
 }
 
-var (
-	// chunkPools has one pool per table, so a recycled chunk's buffers are
-	// already sized for the table it serves; through one shared pool every
-	// chunk would grow to the largest table's size. Only full chunks are
-	// recycled: a writer's last chunk of a table is a partial tail, and
-	// keeping those alive between writers costs more memory than
-	// reallocating them.
-	chunkPools [numTables]sync.Pool
-	gzwPool    = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
-)
+// gzwPool recycles gzip writers, whose deflate state is most of their cost,
+// across members and writers.
+var gzwPool = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
-func getChunk(tab int) *chunk {
-	if c, ok := chunkPools[tab].Get().(*chunk); ok {
-		return c
-	}
-	return &chunk{done: make(chan struct{}, 1)}
-}
-
-// NewParallelCSVWriter creates dir if needed, opens the six table streams,
-// and starts the compression pool. workers <= 0 means GOMAXPROCS;
-// chunkRows <= 0 means DefaultChunkRows. Changing chunkRows changes the
-// output bytes (but never the decompressed content); keep it fixed where
-// byte-level reproducibility of the .gz files matters.
+// NewParallelCSVWriter creates dir if needed and opens the six table
+// streams. workers <= 0 means GOMAXPROCS; chunkRows <= 0 means
+// DefaultChunkRows. Changing chunkRows changes the output bytes (but never
+// the decompressed content); keep it fixed where byte-level reproducibility
+// of the .gz files matters.
 func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWriter, error) {
 	files, err := createTables(dir, ".gz")
 	if err != nil {
@@ -89,58 +87,128 @@ func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWrite
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	w := &ParallelCSVWriter{files: files, jobs: make(chan *chunk)}
-	w.chunkRows, w.chunkBytes, w.hand = chunkRows, math.MaxInt, w.submit
-	for i := range w.cur {
-		w.cur[i] = getChunk(i)
-		w.start(i, w.cur[i].raw)
-		// 2×workers of slack keeps every worker busy while the writer
-		// commits, and bounds in-flight chunks (memory) per table.
-		w.pending[i] = make(chan *chunk, 2*workers)
-		w.writers.Add(1)
-		go w.commitLoop(i)
-	}
-	w.workers.Add(workers)
-	for n := 0; n < workers; n++ {
-		go w.compressLoop()
+	w := &ParallelCSVWriter{files: files, sem: make(chan struct{}, workers)}
+	w.chunkRows, w.hand = chunkRows, w.submit
+	first := make(chan struct{}) // the prev of each table's first member
+	close(first)
+	for i := range w.buf {
+		w.start(i, w.piece())
+		w.prev[i] = first
+		// 2×workers members per table keep every worker busy while the
+		// oldest waits to be written, and bound the rows held in memory.
+		w.slots[i] = make(chan struct{}, 2*workers)
 	}
 	return w, nil
 }
 
-// compressLoop turns chunk plaintext into independent gzip members.
-func (w *ParallelCSVWriter) compressLoop() {
-	defer w.workers.Done()
-	for c := range w.jobs {
-		c.gz.Reset()
-		zw := gzwPool.Get().(*gzip.Writer)
-		zw.Reset(&c.gz)
-		_, werr := zw.Write(c.raw)
-		cerr := zw.Close()
-		gzwPool.Put(zw)
-		if werr != nil || cerr != nil {
-			// Writes to a bytes.Buffer cannot fail in practice; latch
-			// defensively and emit an empty member so ordering survives.
-			w.latch(werr)
-			w.latch(cerr)
-			c.gz.Reset()
-		}
-		c.done <- struct{}{}
+// submit is the tableEnc hand-off: it queues piece b on the table's open
+// member, starting the member if b is its first piece and ending it if end
+// is set, and returns a buffer for the table's next piece. Caller is the
+// single emit goroutine.
+func (w *ParallelCSVWriter) submit(tab int, b []byte, end bool) []byte {
+	if w.done { // emits after Flush are dropped
+		return b[:0]
 	}
+	m := w.open[tab]
+	if m == nil {
+		w.slots[tab] <- struct{}{} // blocks when the table is 2×workers members ahead
+		m = &member{w: w, prev: w.prev[tab], written: make(chan struct{})}
+		m.more.L = &m.mu
+		w.open[tab], w.prev[tab] = m, m.written
+		w.wg.Add(1)
+		go w.compress(tab, m)
+	}
+	m.mu.Lock()
+	if len(b) > 0 {
+		m.queue = append(m.queue, b)
+		b = w.piece()
+	}
+	if end {
+		m.end = true
+		w.open[tab] = nil
+	}
+	m.mu.Unlock()
+	m.more.Signal()
+	return b[:0]
 }
 
-// commitLoop writes table tab's compressed members to its file in
-// submission order.
-func (w *ParallelCSVWriter) commitLoop(tab int) {
-	defer w.writers.Done()
-	for c := range w.pending[tab] {
-		<-c.done
-		if _, err := w.files[tab].Write(c.gz.Bytes()); err != nil {
+// compress runs one member: it deflates the member's pieces as they are
+// queued, then writes the member to the table's file after its predecessor.
+// Each batch of queued pieces is deflated under one semaphore token. The
+// gzip.Writer is taken at the first batch, not when the member starts, so a
+// member still waiting for a token holds no deflate state.
+func (w *ParallelCSVWriter) compress(tab int, m *member) {
+	defer w.wg.Done()
+	var zw *gzip.Writer
+	var batch [][]byte
+	for end := false; !end; {
+		m.mu.Lock()
+		for len(m.queue) == 0 && !m.end {
+			m.more.Wait()
+		}
+		batch, m.queue = m.queue, batch[:0]
+		end = m.end
+		m.mu.Unlock()
+		w.sem <- struct{}{}
+		if zw == nil {
+			zw = gzwPool.Get().(*gzip.Writer)
+			zw.Reset(m)
+		}
+		for i, p := range batch {
+			zw.Write(p) // member.Write never fails
+			w.recycle(p)
+			batch[i] = nil
+		}
+		if end {
+			zw.Close() // member.Write never fails
+		}
+		<-w.sem
+	}
+	gzwPool.Put(zw)
+	<-m.prev
+	for _, p := range m.out {
+		if _, err := w.files[tab].Write(p); err != nil {
 			w.latch(err)
 		}
-		if !c.last {
-			chunkPools[tab].Put(c)
-		}
+		w.recycle(p)
 	}
+	close(m.written)
+	<-w.slots[tab]
+}
+
+// Write appends compressed bytes to the member's out pieces. Only the
+// member's goroutine calls it, through the member's gzip.Writer.
+func (m *member) Write(b []byte) (int, error) {
+	n := len(b)
+	for len(b) > 0 {
+		last := len(m.out) - 1
+		if last < 0 || len(m.out[last]) == chunkBytes {
+			m.out = append(m.out, m.w.piece())
+			last++
+		}
+		k := min(len(b), chunkBytes-len(m.out[last]))
+		m.out[last] = append(m.out[last], b[:k]...)
+		b = b[k:]
+	}
+	return n, nil
+}
+
+// piece returns an empty piece buffer, recycled when one is free.
+func (w *ParallelCSVWriter) piece() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n := len(w.free); n > 0 {
+		b := w.free[n-1]
+		w.free = w.free[:n-1]
+		return b
+	}
+	return make([]byte, 0, chunkBytes+rowHeadroom)
+}
+
+func (w *ParallelCSVWriter) recycle(b []byte) {
+	w.mu.Lock()
+	w.free = append(w.free, b[:0])
+	w.mu.Unlock()
 }
 
 func (w *ParallelCSVWriter) latch(err error) {
@@ -154,42 +222,17 @@ func (w *ParallelCSVWriter) latch(err error) {
 	w.mu.Unlock()
 }
 
-// submit is the tableEnc hand-off: it ships the table's full chunk to the
-// pool and returns the raw buffer of a fresh one. Caller is the single emit
-// goroutine.
-func (w *ParallelCSVWriter) submit(tab int, b []byte) []byte {
-	c := w.cur[tab]
-	if c == nil { // emits after Flush are dropped
-		return b[:0]
-	}
-	c.raw, c.last = b, w.done
-	w.pending[tab] <- c // blocks when the table is 2×workers ahead
-	w.jobs <- c
-	w.cur[tab] = nil
-	if w.done { // Flush's final hand-off needs no next chunk
-		return nil
-	}
-	w.cur[tab] = getChunk(tab)
-	return w.cur[tab].raw[:0]
-}
-
-// Flush submits every partial chunk (the header-only chunk of an empty
-// table included, so every file is a valid gzip stream), drains the pool,
-// closes the files, and returns the first error from anywhere in the
-// writer's lifetime. Only the first call does work.
+// Flush closes every table's open member (the header-only member of an
+// empty table included, so every file is a valid gzip stream), waits for
+// every member to be written, closes the files, and returns the first error
+// from anywhere in the writer's lifetime. Only the first call does work.
 func (w *ParallelCSVWriter) Flush() error {
 	if w.done {
 		return w.flushErr()
 	}
-	w.done = true
 	w.flush()
-	w.cur = [numTables]*chunk{}
-	close(w.jobs)
-	w.workers.Wait()
-	for i := range w.pending {
-		close(w.pending[i])
-	}
-	w.writers.Wait()
+	w.done = true
+	w.wg.Wait()
 	for i := range w.files {
 		if err := w.files[i].Close(); err != nil {
 			w.latch(err)

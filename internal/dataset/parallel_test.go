@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,6 +92,7 @@ func writeSerial(t *testing.T, dir string, n int) {
 
 func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	w, err := NewParallelCSVWriter(dir, workers, chunkRows)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +101,7 @@ func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	waitGoroutines(t, before)
 	// Emits after Flush are dropped: they must neither panic nor reach the
 	// files the callers compare.
 	emitSynthetic(w, 1)
@@ -135,6 +138,84 @@ func TestParallelCSVWriterMatchesSerial(t *testing.T) {
 				t.Error("parallel dataset loads differently from serial")
 			}
 		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before: a fleet opens one writer per dumped seed, so a goroutine a writer
+// leaves behind after Flush leaks with every seed. A goroutine that has
+// signalled its exit is counted until it returns, so the count is polled
+// for a moment rather than read once.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Flush, %d before the writer was opened",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gzipMembers is the framing oracle for one table: the plain CSV cut into
+// members of chunkRows rows, the header riding in the first, each member
+// gzipped in one Write with gzip.NewWriter, and the members concatenated.
+// A table without rows is one header-only member; a table whose rows fill
+// its last member exactly ends there, with no empty member after it.
+func gzipMembers(t *testing.T, plain []byte, chunkRows int) []byte {
+	t.Helper()
+	lines := bytes.SplitAfter(plain, []byte("\n"))
+	lines = lines[:len(lines)-1] // SplitAfter's empty tail after the final newline
+	var out bytes.Buffer
+	member := func(b []byte) {
+		zw := gzip.NewWriter(&out)
+		if _, err := zw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := append([]byte(nil), lines[0]...)
+	for i, row := range lines[1:] {
+		cut = append(cut, row...)
+		if (i+1)%chunkRows == 0 {
+			member(cut)
+			cut = cut[:0]
+		}
+	}
+	if len(cut) > 0 {
+		member(cut)
+	}
+	return out.Bytes()
+}
+
+// TestParallelCSVWriterFraming pins the exact .gz bytes, not only their
+// decompressed content: each file must equal gzipMembers of the plain-CSV
+// oracle, whatever the worker count. The row counts cover members that span
+// several pieces, a Flush right after a member ends exactly (2 members), a
+// partial last member, and empty tables (rows=0).
+func TestParallelCSVWriterFraming(t *testing.T) {
+	const chunk = 2000
+	for _, n := range []int{0, 2 * chunk, 2*chunk + 7} {
+		serial := t.TempDir()
+		writeSerial(t, serial, n)
+		if thr := readFile(t, filepath.Join(serial, fileThr)); n > 0 && len(thr)/(n/chunk) < 2*chunkBytes {
+			t.Fatalf("a %d-row member is %d bytes, under two %d-byte pieces", chunk, len(thr)/(n/chunk), chunkBytes)
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("rows=%d/workers=%d", n, workers), func(t *testing.T) {
+				par := t.TempDir()
+				writeParallel(t, par, n, workers, chunk)
+				for _, name := range tableNames {
+					want := gzipMembers(t, readFile(t, filepath.Join(serial, name)), chunk)
+					if got := readFile(t, filepath.Join(par, name+".gz")); !bytes.Equal(got, want) {
+						t.Errorf("%s: %d bytes differ from the %d-byte member-by-member gzip", name, len(got), len(want))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -197,10 +278,12 @@ func FuzzParallelChunking(f *testing.F) {
 
 // TestParallelCSVWriterDiskFull points one table file at /dev/full, where
 // every write fails with ENOSPC: Flush must report the error instead of
-// leaving a silently truncated dataset behind. Save's plain-file writer
-// must do the same.
+// leaving a silently truncated dataset behind, and must still stop every
+// goroutine the writer started. Save's plain-file writer must do the same.
 func TestParallelCSVWriterDiskFull(t *testing.T) {
-	w, err := NewParallelCSVWriter(fullTableDir(t, ".gz"), 2, 4)
+	dir := fullTableDir(t, ".gz")
+	before := runtime.NumGoroutine()
+	w, err := NewParallelCSVWriter(dir, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +291,7 @@ func TestParallelCSVWriterDiskFull(t *testing.T) {
 	if err := w.Flush(); err == nil {
 		t.Fatal("Flush returned nil after writes to a full device")
 	}
+	waitGoroutines(t, before)
 	if err := sampleDataset().Save(fullTableDir(t, "")); err == nil {
 		t.Fatal("Save returned nil after writes to a full device")
 	}

@@ -213,45 +213,51 @@ func (t tee) Flush() error {
 
 // tableEnc is the one emit front end of the byte sinks (HashSink,
 // ParallelCSVWriter, and Save's plain-file writer): it CSV-encodes every
-// record through the rowEnc codecs into its table's chunk buffer, which
-// starts with the table's header row, and hands a chunk to its owner
-// through hand once the chunk holds chunkRows rows or chunkBytes bytes (an
-// owner sets the limit it does not use to math.MaxInt). hand consumes the
-// chunk and returns the buffer the table's next chunk is encoded into. Embedding a tableEnc gives the owner all twelve Sink emit
-// methods; the owner adds Flush, which calls flush.
+// record through the rowEnc codecs into its table's buffer, which starts
+// with the table's header row, and cuts the buffer into pieces of about
+// chunkBytes. Each piece goes to the owner through hand, which consumes it
+// and returns the buffer the table's next piece is encoded into. end tells
+// the owner that the piece closes a gzip member: the member has reached
+// chunkRows rows, or Flush is closing it. Only ParallelCSVWriter reads end
+// and sets chunkRows; the others set chunkRows to math.MaxInt. Embedding a
+// tableEnc gives the owner all twelve Sink emit methods; the owner adds
+// Flush, which calls flush.
 type tableEnc struct {
 	enc  rowEnc
 	buf  [numTables][]byte
-	rows [numTables]int // rows in buf, the header not counted
+	rows [numTables]int // rows of the table's open member, the header not counted
 
-	chunkRows, chunkBytes int
-	hand                  func(tab int, chunk []byte) []byte
+	chunkRows int
+	hand      func(tab int, piece []byte, end bool) []byte
 }
 
-// chunkBytes is the chunk size of the owners that cut by size: large enough
-// to amortize the per-chunk hash or write call over long contiguous
-// buffers, and it never changes their output.
+// chunkBytes is the piece size: large enough to amortize the per-piece
+// hash, write or deflate call over long contiguous buffers, and it never
+// changes any owner's output.
 const chunkBytes = 64 * 1024
 
-// start begins table tab's first chunk in b with the header row.
+// start begins table tab's first piece in b with the header row.
 func (e *tableEnc) start(tab int, b []byte) {
 	e.buf[tab] = csvAppendRow(b[:0], tableHeaders[tab])
 	e.rows[tab] = 0
 }
 
 // rowHeadroom is the free capacity add keeps ahead of the next row. A
-// chunk buffer that runs short is doubled here, not left to append, whose
-// ~1.25× steps at these sizes would allocate about five times a chunk's
+// piece buffer that runs short is doubled here, not left to append, whose
+// ~1.25× steps at these sizes would allocate about five times a piece's
 // final size on the way there instead of about two.
 const rowHeadroom = 1024
 
-// add counts the row just encoded into b and hands b off when the chunk is
-// full, returning the buffer to keep encoding into.
+// add counts the row just encoded into b and hands b off when it ends the
+// member or fills the piece, returning the buffer to keep encoding into.
 func (e *tableEnc) add(tab int, b []byte) []byte {
 	e.rows[tab]++
-	if e.rows[tab] >= e.chunkRows || len(b) >= e.chunkBytes {
+	if e.rows[tab] >= e.chunkRows {
 		e.rows[tab] = 0
-		return e.hand(tab, b)
+		return e.hand(tab, b, true)
+	}
+	if len(b) >= chunkBytes {
+		return e.hand(tab, b, false)
 	}
 	if cap(b)-len(b) < rowHeadroom {
 		b = slices.Grow(b, cap(b)+rowHeadroom)
@@ -259,13 +265,15 @@ func (e *tableEnc) add(tab int, b []byte) []byte {
 	return b
 }
 
-// flush hands off every table's partial chunk. A table that never saw a
-// row still hands off its header, so every output carries all six headers.
+// flush closes every table's open member: it hands off the partial piece,
+// which is empty when the member's last rows already went out in a full
+// piece. A table that never saw a row still hands off its header, so every
+// output carries all six headers.
 func (e *tableEnc) flush() {
 	for i := range e.buf {
-		if len(e.buf[i]) > 0 {
+		if len(e.buf[i]) > 0 || e.rows[i] > 0 {
 			e.rows[i] = 0
-			e.buf[i] = e.hand(i, e.buf[i])
+			e.buf[i] = e.hand(i, e.buf[i], true)
 		}
 	}
 }
@@ -289,7 +297,7 @@ func (e *tableEnc) EmitPassive(r PassiveSample) {
 	e.buf[tabPassive] = e.add(tabPassive, e.enc.csvAppendPassive(e.buf[tabPassive], r))
 }
 
-// Batch emits run the same per-row encode and chunk check, keeping the
+// Batch emits run the same per-row encode and piece check, keeping the
 // table's buffer in a local across the slice.
 func (e *tableEnc) EmitThrAll(recs []ThroughputSample) {
 	b := e.buf[tabThr]
@@ -346,13 +354,13 @@ type HashSink struct {
 }
 
 // NewHashSink returns a HashSink with the table headers already encoded.
-// Chunks are folded into the hashes every chunkBytes: SHA-256 consumes
-// input in 64-byte blocks, so the chunk size only amortizes call overhead
+// Pieces are folded into the hashes every chunkBytes: SHA-256 consumes
+// input in 64-byte blocks, so the piece size only amortizes call overhead
 // (the hash loop, SHA-NI on amd64, runs over long contiguous buffers) and
 // never changes the digest.
 func NewHashSink() *HashSink {
 	s := &HashSink{}
-	s.chunkRows, s.chunkBytes, s.hand = math.MaxInt, chunkBytes, s.fold
+	s.chunkRows, s.hand = math.MaxInt, s.fold
 	for i := range s.h {
 		s.h[i] = sha256.New()
 		s.start(i, make([]byte, 0, chunkBytes+rowHeadroom))
@@ -370,11 +378,11 @@ func (s *HashSink) Reset() {
 	}
 }
 
-// fold feeds one chunk of encoded rows into the table's hash, under the
+// fold feeds one piece of encoded rows into the table's hash, under the
 // "hash" pprof phase label when ProfilePhases is set. hash.Hash writes never
 // fail. Folds happen once per chunkBytes of rows, so the label region
 // overhead is amortized over ~64 KiB of hashing.
-func (s *HashSink) fold(tab int, b []byte) []byte {
+func (s *HashSink) fold(tab int, b []byte, _ bool) []byte {
 	if !ProfilePhases {
 		s.h[tab].Write(b)
 		return b[:0]
@@ -385,7 +393,7 @@ func (s *HashSink) fold(tab int, b []byte) []byte {
 	return b[:0]
 }
 
-// Flush folds every partial chunk into its hash.
+// Flush folds every partial piece into its hash.
 func (s *HashSink) Flush() error {
 	s.flush()
 	return nil

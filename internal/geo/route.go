@@ -266,15 +266,25 @@ func (r *Route) Counties() int {
 	return n + len(r.Cities)
 }
 
-// States returns the number of distinct states crossed.
-func (r *Route) States() int {
+// Reached returns how many distinct states and cities a drive that stops at
+// route distance km has entered. A leg's states split its road distance
+// evenly, in the order listed; a city counts once the drive enters its
+// city band (the first city from the start). At LengthKm it is every state
+// and every city.
+func (r *Route) Reached(km float64) (states, cities int) {
 	seen := map[string]bool{}
+	cities = 1
 	for _, l := range r.Legs {
-		for _, s := range l.States {
-			seen[s] = true
+		for i, s := range l.States {
+			if km >= l.startKm+l.RoadKm*float64(i)/float64(len(l.States)) {
+				seen[s] = true
+			}
+		}
+		if km >= l.startKm+l.RoadKm-r.Bands.CityKm {
+			cities++
 		}
 	}
-	return len(seen)
+	return len(seen), cities
 }
 
 // legAt returns the leg containing route distance km and the offset into it.

@@ -37,9 +37,38 @@ func TestRouteLengthMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestRouteReached: the states and cities a drive has entered grow with
+// how far it got, from the first state and city at the start to all 14
+// states and 10 cities of Table 1 at the end of the route.
+func TestRouteReached(t *testing.T) {
+	r := NewRoute()
+	vegas := r.Legs[0].RoadKm
+	for _, c := range []struct {
+		km             float64
+		states, cities int
+	}{
+		{0, 1, 1},
+		{25, 1, 1},
+		{vegas, 2, 2}, // CA, NV; Los Angeles, Las Vegas
+		{r.LengthKm(), 14, 10},
+	} {
+		if s, n := r.Reached(c.km); s != c.states || n != c.cities {
+			t.Errorf("Reached(%.0f) = %d states, %d cities, want %d, %d", c.km, s, n, c.states, c.cities)
+		}
+	}
+	ps, pc := 0, 0
+	for km := 0.0; km <= r.LengthKm(); km += 5 {
+		s, c := r.Reached(km)
+		if s < ps || c < pc {
+			t.Fatalf("Reached(%.0f) = %d, %d fell below %d, %d", km, s, c, ps, pc)
+		}
+		ps, pc = s, c
+	}
+}
+
 func TestRouteStatesAndDays(t *testing.T) {
 	r := NewRoute()
-	if got := r.States(); got != 14 {
+	if got, _ := r.Reached(r.LengthKm()); got != 14 {
 		t.Errorf("states = %d, want 14 (Table 1)", got)
 	}
 	if got := r.Days(); got != 8 {

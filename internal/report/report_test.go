@@ -42,8 +42,15 @@ func smallDS() *dataset.Dataset {
 	return ds
 }
 
+// buildSmall renders smallDS's report, with Table 1 bounded by how far its
+// samples got.
+func buildSmall() ([]byte, error) {
+	ds := smallDS()
+	return Build(ds, geo.NewRoute(), ds.EndKm())
+}
+
 func TestBuildReport(t *testing.T) {
-	out, err := Build(smallDS(), geo.NewRoute())
+	out, err := buildSmall()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +75,42 @@ func TestBuildReport(t *testing.T) {
 	}
 }
 
+// TestBuildReportTable1StopsWithTheDrive: Table 1 reports the distance,
+// states, cities and counties of the drive that produced the dataset, not
+// of the whole route.
+func TestBuildReportTable1StopsWithTheDrive(t *testing.T) {
+	route := geo.NewRoute()
+	for _, c := range []struct {
+		endKm float64
+		want  []string
+	}{
+		{25, []string{"Distance travelled       25 km", "States/cities/counties   1 / 1 / 1 "}},
+		{route.LengthKm(), []string{"Distance travelled       5714 km", "States/cities/counties   14 / 10 / 124 "}},
+	} {
+		out, err := Build(smallDS(), route, c.endKm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("endKm %.0f: report lacks %q", c.endKm, want)
+			}
+		}
+	}
+}
+
 func TestBuildReportRejectsEmptyDataset(t *testing.T) {
-	if _, err := Build(&dataset.Dataset{}, geo.NewRoute()); err == nil {
+	if _, err := Build(&dataset.Dataset{}, geo.NewRoute(), 0); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
 
 func TestBuildReportDeterministic(t *testing.T) {
-	a, err := Build(smallDS(), geo.NewRoute())
+	a, err := buildSmall()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(smallDS(), geo.NewRoute())
+	b, err := buildSmall()
 	if err != nil {
 		t.Fatal(err)
 	}
