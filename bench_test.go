@@ -475,7 +475,7 @@ func BenchmarkAblation_TransportModel(b *testing.B) {
 // constNet is a fixed path for the app-level ablations.
 type constNet struct{ dl, ul, rtt float64 }
 
-func (n constNet) Step(float64) apps.NetState {
+func (n constNet) Step(float64, radio.Need) apps.NetState {
 	return apps.NetState{CapDLbps: n.dl, CapULbps: n.ul, RTTms: n.rtt}
 }
 

@@ -30,8 +30,9 @@ type drivePath struct {
 	distKm float64
 }
 
-func (p *drivePath) Step(dt float64) apps.NetState {
-	st := p.link.Step(dt, p.distKm, 25, geo.RoadCity)
+func (p *drivePath) Step(dt float64, need radio.Need) apps.NetState {
+	var st radio.LinkState
+	p.link.StepInto(&st, dt, p.distKm, 25, geo.RoadCity, need)
 	return apps.NetState{
 		CapDLbps: st.CapDL,
 		CapULbps: st.CapUL,

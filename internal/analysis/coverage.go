@@ -226,11 +226,17 @@ type Fig1 struct {
 	Passive map[radio.Operator]TechShare
 	Active  map[radio.Operator]TechShare
 	// T-Mobile's split personality: the two views agree on the east half
-	// of the country but not the west (Figs. 1c vs 1f).
+	// of the country but not the west (Figs. 1c vs 1f). Each share comes
+	// with the number of samples behind it: a drive that never reached a
+	// half has no share there, only a zero count.
 	TMobilePassiveWest5G float64
 	TMobilePassiveEast5G float64
 	TMobileActiveWest5G  float64
 	TMobileActiveEast5G  float64
+	TMobilePassiveWestN  int
+	TMobilePassiveEastN  int
+	TMobileActiveWestN   int
+	TMobileActiveEastN   int
 }
 
 // ComputeFig1 reduces the dataset to Fig. 1. midKm is the route distance
@@ -244,7 +250,7 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 	for _, op := range radio.Operators() {
 		acc[op] = TechShare{}
 	}
-	var pw5, pw, pe5, pe float64
+	var pw5, pe5 float64
 	for _, s := range ds.Passive {
 		if s.NoSvc {
 			continue
@@ -252,12 +258,12 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 		acc[s.Op][s.Tech]++
 		if s.Op == radio.TMobile {
 			if s.Km < midKm {
-				pw++
+				out.TMobilePassiveWestN++
 				if s.Tech.Is5G() {
 					pw5++
 				}
 			} else {
-				pe++
+				out.TMobilePassiveEastN++
 				if s.Tech.Is5G() {
 					pe5++
 				}
@@ -267,11 +273,11 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 	for op, w := range acc {
 		out.Passive[op] = normalize(w)
 	}
-	if pw > 0 {
-		out.TMobilePassiveWest5G = pw5 / pw
+	if n := out.TMobilePassiveWestN; n > 0 {
+		out.TMobilePassiveWest5G = pw5 / float64(n)
 	}
-	if pe > 0 {
-		out.TMobilePassiveEast5G = pe5 / pe
+	if n := out.TMobilePassiveEastN; n > 0 {
+		out.TMobilePassiveEast5G = pe5 / float64(n)
 	}
 	var aw5, aw, ae5, ae float64
 	for _, s := range ds.Thr {
@@ -281,11 +287,13 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 		m := sampleMiles(s.MPH)
 		if s.Km < midKm {
 			aw += m
+			out.TMobileActiveWestN++
 			if s.Tech.Is5G() {
 				aw5 += m
 			}
 		} else {
 			ae += m
+			out.TMobileActiveEastN++
 			if s.Tech.Is5G() {
 				ae5 += m
 			}
@@ -310,9 +318,18 @@ func (f Fig1) Render() string {
 		fmt.Fprintf(&b, "  %-9s passive 5G=%5.1f%%  active 5G=%5.1f%%\n",
 			op, 100*f.Passive[op].FiveG(), 100*f.Active[op].FiveG())
 	}
-	fmt.Fprintf(&b, "  T-Mobile west half: passive 5G=%5.1f%% active 5G=%5.1f%%\n",
-		100*f.TMobilePassiveWest5G, 100*f.TMobileActiveWest5G)
-	fmt.Fprintf(&b, "  T-Mobile east half: passive 5G=%5.1f%% active 5G=%5.1f%%\n",
-		100*f.TMobilePassiveEast5G, 100*f.TMobileActiveEast5G)
+	fmt.Fprintf(&b, "  T-Mobile west half: passive 5G=%s active 5G=%s\n",
+		halfShare(f.TMobilePassiveWest5G, f.TMobilePassiveWestN), halfShare(f.TMobileActiveWest5G, f.TMobileActiveWestN))
+	fmt.Fprintf(&b, "  T-Mobile east half: passive 5G=%s active 5G=%s\n",
+		halfShare(f.TMobilePassiveEast5G, f.TMobilePassiveEastN), halfShare(f.TMobileActiveEast5G, f.TMobileActiveEastN))
 	return b.String()
+}
+
+// halfShare renders one half's 5G share, or "no samples" when the drive
+// logged none there — a share of nothing is not a measured 0%.
+func halfShare(share float64, n int) string {
+	if n == 0 {
+		return "no samples"
+	}
+	return fmt.Sprintf("%5.1f%%", 100*share)
 }

@@ -72,6 +72,39 @@ func TestFig2bDirectionSplit(t *testing.T) {
 	}
 }
 
+// TestFig1EmptyHalfRendersNoSamples covers a drive that ended before the
+// route's midpoint: its west half carries a measured share and counts, and
+// its east half, with no sample at all, renders "no samples" rather than a
+// 0.0% share.
+func TestFig1EmptyHalfRendersNoSamples(t *testing.T) {
+	const midKm = 100
+	ds := &dataset.Dataset{
+		Passive: []dataset.PassiveSample{
+			{Op: radio.TMobile, Tech: radio.NRMid, Km: 10},
+			{Op: radio.TMobile, Tech: radio.LTE, Km: 20},
+			{Op: radio.TMobile, NoSvc: true, Tech: radio.LTE, Km: 30}, // no service: not counted
+		},
+		Thr: []dataset.ThroughputSample{
+			{Op: radio.TMobile, Tech: radio.NRMid, MPH: 60, Km: 15},
+			{Op: radio.TMobile, Tech: radio.NRMid, MPH: 60, Km: 25},
+		},
+	}
+	f := ComputeFig1(ds, midKm)
+	if f.TMobilePassiveWestN != 2 || f.TMobileActiveWestN != 2 {
+		t.Errorf("west counts = %d passive, %d active; want 2, 2", f.TMobilePassiveWestN, f.TMobileActiveWestN)
+	}
+	if f.TMobilePassiveEastN != 0 || f.TMobileActiveEastN != 0 {
+		t.Errorf("east counts = %d passive, %d active; want 0, 0", f.TMobilePassiveEastN, f.TMobileActiveEastN)
+	}
+	out := f.Render()
+	if want := "T-Mobile west half: passive 5G= 50.0% active 5G=100.0%"; !strings.Contains(out, want) {
+		t.Errorf("render lacks %q:\n%s", want, out)
+	}
+	if want := "T-Mobile east half: passive 5G=no samples active 5G=no samples"; !strings.Contains(out, want) {
+		t.Errorf("render lacks %q:\n%s", want, out)
+	}
+}
+
 func TestFig3SplitsStaticAndDriving(t *testing.T) {
 	ds := &dataset.Dataset{
 		Thr: []dataset.ThroughputSample{

@@ -8,6 +8,7 @@ package gaming
 
 import (
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 // Platform parameters (§E.1).
@@ -50,7 +51,7 @@ func Run(net apps.Net, durSec float64) Result {
 		sampleAcc   float64
 	)
 	for t := 0.0; t < durSec; t += dt {
-		ns := net.Step(dt)
+		ns := net.Step(dt, radio.NeedDL)
 		capMbps := ns.CapDLbps / 1e6
 		if ns.Outage {
 			capMbps = 0

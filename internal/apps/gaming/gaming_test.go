@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 type constNet struct{ dl, rtt float64 }
 
-func (n constNet) Step(float64) apps.NetState {
+func (n constNet) Step(float64, radio.Need) apps.NetState {
 	return apps.NetState{CapDLbps: n.dl, CapULbps: n.dl / 10, RTTms: n.rtt}
 }
 
@@ -16,7 +17,7 @@ type squareNet struct{ t float64 }
 
 // squareNet alternates 3 s of 80 Mbps with 5 s of 3 Mbps — a link spending
 // most of its time under-provisioned.
-func (n *squareNet) Step(dt float64) apps.NetState {
+func (n *squareNet) Step(dt float64, need radio.Need) apps.NetState {
 	n.t += dt
 	cap := 3e6
 	if n.t-float64(int(n.t/8))*8 < 3 {

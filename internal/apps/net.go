@@ -5,7 +5,11 @@
 // subpackages.
 package apps
 
-import "sort"
+import (
+	"sort"
+
+	"wheels/internal/radio"
+)
 
 // NetState is the instantaneous end-to-end path condition an application
 // experiences: capacity in both directions and the current RTT.
@@ -18,8 +22,13 @@ type NetState struct {
 
 // Net produces the evolving path; the campaign adapts a UE + server
 // selection into this interface, and tests use synthetic implementations.
+//
+// Step advances the path by dt seconds. need names the capacities the app
+// reads from the returned state this tick (radio.NeedDL, radio.NeedUL);
+// a capacity outside it may hold any value, so a Net is free to skip
+// computing it. RTTms and Outage are always valid.
 type Net interface {
-	Step(dt float64) NetState
+	Step(dt float64, need radio.Need) NetState
 }
 
 // TickSec is the application simulation tick.

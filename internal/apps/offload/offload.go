@@ -9,6 +9,7 @@ package offload
 
 import (
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 // Config captures Table 4's application parameters.
@@ -98,7 +99,18 @@ func run(net apps.Net, cfg Config, compressed, localTracking, pipelined bool) Re
 		res         Result
 	)
 	for t := 0.0; t < cfg.DurSec; t += dt {
-		ns := net.Step(dt)
+		// A transfer stage reads its direction's capacity once the
+		// one-way delay has elapsed; every other tick reads none.
+		var need radio.Need
+		if stageLeftMs <= 0 {
+			switch st {
+			case uploading:
+				need = radio.NeedUL
+			case downloading:
+				need = radio.NeedDL
+			}
+		}
+		ns := net.Step(dt, need)
 		if t >= lastFrameT+frameInterval {
 			lastFrameT += frameInterval * float64(int((t-lastFrameT)/frameInterval))
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 // constNet is a fixed network path for unit tests.
@@ -12,7 +13,7 @@ type constNet struct {
 	dl, ul, rtt float64
 }
 
-func (n constNet) Step(float64) apps.NetState {
+func (n constNet) Step(float64, radio.Need) apps.NetState {
 	return apps.NetState{CapDLbps: n.dl, CapULbps: n.ul, RTTms: n.rtt}
 }
 
@@ -23,8 +24,8 @@ type outageNet struct {
 	start, end float64
 }
 
-func (n *outageNet) Step(dt float64) apps.NetState {
-	st := n.constNet.Step(dt)
+func (n *outageNet) Step(dt float64, need radio.Need) apps.NetState {
+	st := n.constNet.Step(dt, need)
 	if n.t >= n.start && n.t < n.end {
 		st.Outage = true
 		st.CapDLbps, st.CapULbps = 0, 0

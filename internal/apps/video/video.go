@@ -7,6 +7,7 @@ package video
 
 import (
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 // Bitrate ladder in Mbps (§D.1) and chunk length in seconds.
@@ -75,7 +76,12 @@ func Run(net apps.Net, durSec float64) Result {
 		rttLeftMs  float64
 	)
 	for t := 0.0; t < durSec; t += dt {
-		ns := net.Step(dt)
+		// Only a chunk past its request round trip reads the capacity.
+		var need radio.Need
+		if inFlight && rttLeftMs <= 0 {
+			need = radio.NeedDL
+		}
+		ns := net.Step(dt, need)
 
 		// Playback consumes buffer; stalls when it runs dry.
 		if playing {

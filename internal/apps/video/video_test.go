@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"wheels/internal/apps"
+	"wheels/internal/radio"
 )
 
 type constNet struct{ dl, rtt float64 }
 
-func (n constNet) Step(float64) apps.NetState {
+func (n constNet) Step(float64, radio.Need) apps.NetState {
 	return apps.NetState{CapDLbps: n.dl, CapULbps: n.dl / 10, RTTms: n.rtt}
 }
 
@@ -18,7 +19,7 @@ type varNet struct {
 }
 
 // varNet alternates 5 s of 60 Mbps with 5 s of 1 Mbps.
-func (n *varNet) Step(dt float64) apps.NetState {
+func (n *varNet) Step(dt float64, need radio.Need) apps.NetState {
 	n.t += dt
 	cap := 1e6
 	if int(n.t/5)%2 == 0 {

@@ -7,9 +7,11 @@
 //
 // Both campaign engines run every phone through exactly this code: the
 // production per-phone timeline engine and the scalar fan-out oracle differ
-// only in how they schedule phones onto goroutines, never in what a tick
-// computes. Per-phone RNG streams are label-derived and disjoint, so that
-// scheduling cannot move a single draw, and the campaign's differential
+// in how they schedule phones onto goroutines and in which radio outputs a
+// tick computes — the oracle demands every output on every tick, the
+// production engine only those the test reads — never in a draw.
+// Per-phone RNG streams are label-derived and disjoint, so scheduling
+// cannot move a single draw either, and the campaign's differential
 // harness asserts byte-identical output between the two.
 package batch
 
@@ -134,9 +136,12 @@ func (ln *Lane) Recycle() Lane {
 // (which must be the trace position for time ln.T+dt) and returns the
 // current path condition in both directions. The radio snapshot lands
 // directly in ln.Last — no per-tick state is copied up the call chain.
-func (ln *Lane) Advance(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64, outage bool) {
+// need names the radio outputs the caller reads this tick (see
+// radio.Need): a capacity outside it is returned stale, and the KPI row
+// fields are meaningful only for ticks that demand radio.NeedKPI.
+func (ln *Lane) Advance(dt float64, s *geo.Sample, need radio.Need) (capDL, capUL, rttMs float64, outage bool) {
 	ln.T += dt
-	ln.UE.StepInto(&ln.Last, ln.T, dt, s.Km, s.MPH, s.Road, s.Zone, ln.Profile)
+	ln.UE.StepInto(&ln.Last, ln.T, dt, s.Km, s.MPH, s.Road, s.Zone, ln.Profile, need)
 	ln.drainHandovers()
 	return ln.finish(dt, s)
 }
@@ -160,10 +165,10 @@ const staticDistKm = 0.04
 
 // AdvanceStatic is Advance for a static test: the lane is pinned to a
 // fixed position and a forced-technology link instead of a moving UE.
-func (ln *Lane) AdvanceStatic(dt float64, link *radio.Link, tech radio.Tech, km float64, pos geo.LatLon, zone geo.Timezone) (capDL, capUL, rttMs float64, outage bool) {
+func (ln *Lane) AdvanceStatic(dt float64, link *radio.Link, tech radio.Tech, km float64, pos geo.LatLon, zone geo.Timezone, need radio.Need) (capDL, capUL, rttMs float64, outage bool) {
 	ln.T += dt
 	ln.Last = ran.Snapshot{T: ln.T, Tech: tech}
-	link.StepInto(&ln.Last.Link, dt, staticDistKm, 0, geo.RoadCity)
+	link.StepInto(&ln.Last.Link, dt, staticDistKm, 0, geo.RoadCity, need)
 	ln.Last.CapDL, ln.Last.CapUL = ln.Last.Link.CapDL, ln.Last.Link.CapUL
 	s := geo.Sample{T: ln.T, Km: km, Pos: pos, MPH: 0, Road: geo.RoadCity, Zone: zone}
 	return ln.finish(dt, &s)

@@ -62,7 +62,7 @@ func (r *testRig) runBulk(durSec float64) {
 		ln.Bulk.Reset(durSec)
 		for i := 0; float64(i)*transport.TickSec < durSec; i++ {
 			s := r.where(ln.T + transport.TickSec)
-			dl, ul, rtt, outage := ln.Advance(transport.TickSec, &s)
+			dl, ul, rtt, outage := ln.Advance(transport.TickSec, &s, radio.NeedKPI|radio.NeedCap(ln.Dir))
 			capBps := dl
 			if ln.Dir == radio.Uplink {
 				capBps = ul
@@ -83,7 +83,7 @@ func (r *testRig) runRTT(durSec, intervalSec float64) {
 		ln := &r.lanes[j]
 		for tt := 0.0; tt < durSec; tt += intervalSec {
 			s := r.where(ln.T + intervalSec)
-			if _, _, rtt, outage := ln.Advance(intervalSec, &s); !outage {
+			if _, _, rtt, outage := ln.Advance(intervalSec, &s, 0); !outage {
 				ln.Pings = append(ln.Pings, Ping{T: ln.T, Ms: rtt, Tech: ln.Last.Tech})
 			}
 		}

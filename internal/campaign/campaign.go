@@ -159,6 +159,17 @@ func (cfg Config) engineBatch() bool {
 	}
 }
 
+// floorNeed is the radio need every step of the campaign makes at least.
+// The production engine computes only what each tick reads; the scalar
+// oracle evaluates every output on every tick, so the differential harness
+// compares demand-driven stepping against full evaluation.
+func (c *Campaign) floorNeed() radio.Need {
+	if c.Cfg.engineBatch() {
+		return 0
+	}
+	return radio.NeedAll
+}
+
 // traceTrailSec is how much trace time a KmLimit-bounded campaign keeps
 // past the sample where the limit is reached. The cycle loop stops at the
 // first sample at or beyond the limit, and no test or logger looks further

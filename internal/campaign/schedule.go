@@ -163,8 +163,9 @@ func (c *Campaign) plan(sd *schedule) {
 }
 
 // runPhase runs phone i's part of one scheduled test phase into sink. Both
-// engines execute every phase through here; they differ only in which
-// goroutine runs which phone when.
+// engines execute every phase through here; they differ in which
+// goroutine runs which phone when, and in the oracle's demanding every
+// radio output on every tick (Campaign.floorNeed).
 func (c *Campaign) runPhase(sink dataset.Sink, i int, ph *phone, sd *schedule, p *phase) {
 	id := p.id + i
 	switch p.kind {

@@ -38,7 +38,9 @@ func bulkProfile(dir radio.Direction) (ran.Traffic, dataset.TestKind) {
 // samples, KPI-joined rows, handovers, and the per-test summary.
 func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir radio.Direction, static bool, st *staticState) {
 	profile, _ := bulkProfile(dir)
-	a := c.newAdapter(id, ph, t, profile, dir, st)
+	// A bulk test reads its direction's capacity and, for its throughput
+	// rows, the KPIs on every tick.
+	a := c.newAdapter(id, ph, t, profile, dir, radio.NeedKPI|radio.NeedCap(dir), st)
 	res := transport.RunBulkWith(&a.Bulk, pathAdapter{a}, c.Cfg.BulkSec)
 	c.emitBulk(sink, &a.Lane, t, dir, static, res)
 }
@@ -101,10 +103,10 @@ const rttIntervalSec = 0.2
 
 // runRTT runs one ping test on the phone and records each sample.
 func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, static bool, st *staticState) {
-	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, st)
+	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, 0, st)
 	nextPing := 0.0
 	for tt := 0.0; tt < c.Cfg.RTTSec; tt += rttIntervalSec {
-		_, _, rtt, outage := a.advance(rttIntervalSec)
+		_, _, rtt, outage := a.advance(rttIntervalSec, 0)
 		if tt >= nextPing {
 			nextPing += rttIntervalSec
 			if outage {
@@ -203,7 +205,7 @@ const speedTestSec = 15.0
 // downlink test to the nearest server, on the same radio state the nuttcp
 // tests use. The reported "peak" lands in MeanBps of a TestSpeed summary.
 func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64) {
-	a := c.newAdapter(id, ph, t, ran.BacklogDL, radio.Downlink, nil)
+	a := c.newAdapter(id, ph, t, ran.BacklogDL, radio.Downlink, radio.NeedDL, nil)
 	res := transport.RunSpeedTest(pathAdapter{a}, speedTestSec, transport.SpeedTestConns)
 	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitTest(dataset.TestSummary{
@@ -217,7 +219,7 @@ func (c *Campaign) runSpeedTest(sink dataset.Sink, id int, ph *phone, t float64)
 }
 
 func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, appCfg offload.Config, kind dataset.TestKind, compressed bool) {
-	a := c.newAdapter(id, ph, t, ran.AppUL, radio.Uplink, nil)
+	a := c.newAdapter(id, ph, t, ran.AppUL, radio.Uplink, 0, nil)
 	res := offload.Run(netAdapter{a}, appCfg, compressed, true)
 	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
@@ -229,7 +231,7 @@ func (c *Campaign) runOffload(sink dataset.Sink, id int, ph *phone, t float64, a
 }
 
 func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
-	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, nil)
+	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, 0, nil)
 	res := video.Run(netAdapter{a}, c.Cfg.VideoSec)
 	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
@@ -240,7 +242,7 @@ func (c *Campaign) runVideo(sink dataset.Sink, id int, ph *phone, t float64) {
 }
 
 func (c *Campaign) runGaming(sink dataset.Sink, id int, ph *phone, t float64) {
-	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, nil)
+	a := c.newAdapter(id, ph, t, ran.AppDL, radio.Downlink, 0, nil)
 	res := gaming.Run(netAdapter{a}, c.Cfg.GamingSec)
 	sink.EmitHandoverAll(a.HORecs)
 	sink.EmitApp(dataset.AppRun{
@@ -291,13 +293,20 @@ func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
 	var lastKey deploy.CellKey
 	var lastID string
 	haveID := false
-	var out []dataset.PassiveSample
-	for i := 0; i < len(c.Trace.Samples); i += int(step) {
+	// The logger reads the serving technology and cell, never a radio
+	// output.
+	need := c.floorNeed()
+	var snap ran.Snapshot
+	// The loop logs every int(step)-th sample below end, and trace Km never
+	// decreases, so the output's length is known before the walk.
+	stride := max(int(step), 1)
+	out := make([]dataset.PassiveSample, 0, (c.Trace.AtKm(end)+stride-1)/stride)
+	for i := 0; i < len(c.Trace.Samples); i += stride {
 		s := c.Trace.Samples[i]
 		if s.Km >= end {
 			break
 		}
-		snap := ue.Step(s.T, step, s.Km, s.MPH, s.Road, s.Zone, ran.Idle)
+		ue.StepInto(&snap, s.T, step, s.Km, s.MPH, s.Road, s.Zone, ran.Idle, need)
 		rec := dataset.PassiveSample{
 			Op: ph.op, TimeUTC: utc(s.T), Km: s.Km, Zone: s.Zone,
 		}

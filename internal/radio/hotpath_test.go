@@ -24,6 +24,26 @@ func BenchmarkLinkStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLinkStepNoDemand is BenchmarkLinkStep for a caller that reads
+// no radio output (an RTT probe, the passive logger, an app between
+// transfers): every draw is made, the SINR chain and both capacities are
+// skipped.
+func BenchmarkLinkStepNoDemand(b *testing.B) {
+	l := NewLink(sim.NewRNG(23).Stream("bench"), TMobile, NRMid)
+	const dt = 0.02
+	dist := 0.1
+	var st LinkState
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.StepInto(&st, dt, dist, 60, geo.RoadHighway, 0)
+		dist += 0.0005
+		if dist > 1.5 {
+			dist = 0.1
+		}
+	}
+}
+
 // TestLinkStepAllocationFree pins the per-tick link update at zero heap
 // allocations: shadowing, blockage, MCS selection, and capacity must all
 // run on cached per-band state.
@@ -36,6 +56,13 @@ func TestLinkStepAllocationFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: Link.Step = %.1f allocs/op, want 0", tech, allocs)
+		}
+		var st LinkState
+		allocs = testing.AllocsPerRun(100, func() {
+			l.StepInto(&st, 0.02, 0.3, 60, geo.RoadHighway, 0)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Link.StepInto with no need = %.1f allocs/op, want 0", tech, allocs)
 		}
 	}
 }

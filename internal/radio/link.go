@@ -23,6 +23,30 @@ type LinkState struct {
 	CapUL   float64
 }
 
+// Need says which outputs of a link step its caller reads. A step always
+// writes Tech, RSRPdBm, Blocked, CCDown and CCUp, and always makes every
+// random draw in the same order, so a link's channel state evolves
+// identically whatever its callers demand; Need only decides which of the
+// derived outputs are computed. Fields outside the mask keep whatever value
+// they held before the step.
+type Need uint8
+
+const (
+	NeedDL  Need = 1 << iota // LinkState.CapDL
+	NeedUL                   // LinkState.CapUL
+	NeedKPI                  // LinkState.SINRdB, MCS and BLER
+
+	NeedAll = NeedDL | NeedUL | NeedKPI
+)
+
+// NeedCap returns the need bit of the capacity in direction dir.
+func NeedCap(dir Direction) Need {
+	if dir == Uplink {
+		return NeedUL
+	}
+	return NeedDL
+}
+
 // Link models the radio link between a UE and one serving cell of a given
 // technology: deterministic path loss plus correlated shadowing,
 // interference, cell load, and (for mmWave) LOS/NLOS blockage. A Link is
@@ -270,18 +294,24 @@ func (l *Link) Reset() {
 }
 
 // Step advances the link by dt seconds with the UE at distKm from the cell,
-// moving at mph over the given road class, and returns the PHY snapshot.
+// moving at mph over the given road class, and returns the full PHY
+// snapshot: it is StepInto with NeedAll.
 func (l *Link) Step(dt, distKm, mph float64, road geo.RoadClass) LinkState {
 	var st LinkState
-	l.StepInto(&st, dt, distKm, mph, road)
+	l.StepInto(&st, dt, distKm, mph, road, NeedAll)
 	return st
 }
 
-// StepInto is Step writing the snapshot into caller-owned memory — the
-// per-tick loops build the state in place (typically directly inside the
-// UE snapshot) instead of copying a LinkState up the call chain. Every
-// LinkState field is assigned below, so no prior zeroing is needed.
-func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadClass) {
+// StepInto advances the link like Step, writing the snapshot into
+// caller-owned memory — the per-tick loops build the state in place
+// (typically directly inside the UE snapshot) instead of copying a
+// LinkState up the call chain — and computing only the outputs in need.
+// With need == NeedAll every LinkState field is assigned, so no prior
+// zeroing is needed. With no need the step skips the SINR chain (the
+// interference penalty's Log/Exp, MCSForSINR and BLER); an undemanded
+// capacity still makes its secondary-carrier draws but skips the spectral
+// efficiency sum.
+func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadClass, need Need) {
 	st.Tech = l.Tech
 
 	// Blockage is speed-dependent: a stationary UE facing its base station
@@ -308,19 +338,24 @@ func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadCla
 	}
 	st.RSRPdBm = rsrp
 
-	sinr := clampedSINR(rsrp-noiseFloorDBm-math.Abs(l.interf.Step(dt)), distKm/l.Band.RangeKm)
-	st.SINRdB = sinr
+	// The interference draw is made whatever the need; the SINR chain it
+	// feeds is computed only when a capacity or the KPIs are read.
+	s0 := rsrp - noiseFloorDBm - math.Abs(l.interf.Step(dt))
+	if need != 0 {
+		sinr := clampedSINR(s0, distKm/l.Band.RangeKm)
+		st.SINRdB = sinr
 
-	// A railed SINR maps through MCSForSINR and the BLER logistic at
-	// exactly sinrMin/sinrMax, so both read memos computed once by the
-	// same functions (the high rail alone is ~31% of app ticks).
-	switch sinr {
-	case sinrMinDB:
-		st.MCS, st.BLER = mcsRailLo, blerFromExp(blerExpLo, mph)
-	case sinrMaxDB:
-		st.MCS, st.BLER = mcsRailHi, blerFromExp(blerExpHi, mph)
-	default:
-		st.MCS, st.BLER = MCSForSINR(sinr), BLER(sinr, mph)
+		// A railed SINR maps through MCSForSINR and the BLER logistic at
+		// exactly sinrMin/sinrMax, so both read memos computed once by the
+		// same functions (the high rail alone is ~31% of app ticks).
+		switch sinr {
+		case sinrMinDB:
+			st.MCS, st.BLER = mcsRailLo, blerFromExp(blerExpLo, mph)
+		case sinrMaxDB:
+			st.MCS, st.BLER = mcsRailHi, blerFromExp(blerExpHi, mph)
+		default:
+			st.MCS, st.BLER = MCSForSINR(sinr), BLER(sinr, mph)
+		}
 	}
 
 	st.CCDown, st.CCUp = l.carriersWithJit(rsrp, l.caJit.Step(dt))
@@ -330,8 +365,16 @@ func (l *Link) StepInto(st *LinkState, dt, distKm, mph float64, road geo.RoadCla
 	l.load.Mean = loadMean(road, mph)
 	l.stepShare(dt, mph, l.load.Step(dt))
 
-	st.CapDL = l.capacity(st, Downlink)
-	st.CapUL = l.capacity(st, Uplink)
+	if need&NeedDL != 0 {
+		st.CapDL = l.capacity(st, Downlink)
+	} else {
+		l.skipCapacity(st.CCDown)
+	}
+	if need&NeedUL != 0 {
+		st.CapUL = l.capacity(st, Uplink)
+	} else {
+		l.skipCapacity(st.CCUp)
+	}
 }
 
 // stepShare folds the cell-load draw and the congestion chain into the UE's
@@ -464,4 +507,13 @@ func (l *Link) capacity(st *LinkState, dir Direction) float64 {
 		out *= 0.04 // beam recovery scraps on a blocked mmWave link
 	}
 	return out
+}
+
+// skipCapacity makes the draws capacity would make over cc carriers — one
+// MCS-dispersion draw per secondary carrier — without computing the rate,
+// so an undemanded direction leaves the link's stream where capacity would.
+func (l *Link) skipCapacity(cc int) {
+	for i := 1; i < cc; i++ {
+		l.rng.Normal(0, 4)
+	}
 }

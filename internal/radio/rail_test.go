@@ -84,7 +84,7 @@ func TestLinkStepIntoMatchesUnmemoized(t *testing.T) {
 				dist = meta.Uniform(0.05, 6)
 			}
 			var got, want LinkState
-			fast[i].StepInto(&got, dt, dist, mph, road)
+			fast[i].StepInto(&got, dt, dist, mph, road, NeedAll)
 			s0 := stepUnmemoized(ref[i], &want, dt, dist, mph, road)
 			if math.Float64bits(got.SINRdB) != math.Float64bits(want.SINRdB) ||
 				math.Float64bits(got.BLER) != math.Float64bits(want.BLER) ||
@@ -103,6 +103,64 @@ func TestLinkStepIntoMatchesUnmemoized(t *testing.T) {
 	}
 	if lowSkips == 0 || highSkips == 0 {
 		t.Fatalf("shortcuts not exercised: %d low-rail and %d high-rail skips", lowSkips, highSkips)
+	}
+}
+
+// TestLinkStepIntoNeedMask steps, for every need mask, twin links through
+// StepInto with that mask and with NeedAll over the same envelope, and
+// requires every field the mask demands — and every field a step always
+// writes — to be bit-identical to the all-bits step on every tick. Each
+// masked run then ends with ticks on which both twins demand everything
+// and must agree on every field: a mask that skipped or added a draw
+// would leave its twin's streams elsewhere and show there.
+func TestLinkStepIntoNeedMask(t *testing.T) {
+	const lanes, ticks, tail = 9, 400, 40
+	const dt = 0.5
+	roads := []geo.RoadClass{geo.RoadCity, geo.RoadSuburban, geo.RoadHighway}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for need := Need(0); need <= NeedAll; need++ {
+		masked := twinLinks(42, lanes)
+		full := twinLinks(42, lanes)
+		meta := sim.NewRNG(1234).Stream("geometry")
+		var ccDL, ccUL int // ticks with secondary carriers in each direction
+		for tick := 0; tick < ticks+tail; tick++ {
+			road := roads[meta.Intn(len(roads))]
+			mph := meta.Uniform(0, 85)
+			m := need
+			if tick >= ticks {
+				m = NeedAll
+			}
+			for i := 0; i < lanes; i++ {
+				dist := meta.Uniform(0.05, 6)
+				var got, want LinkState
+				masked[i].StepInto(&got, dt, dist, mph, road, m)
+				full[i].StepInto(&want, dt, dist, mph, road, NeedAll)
+				ok := got.Tech == want.Tech && same(got.RSRPdBm, want.RSRPdBm) &&
+					got.Blocked == want.Blocked && got.CCDown == want.CCDown && got.CCUp == want.CCUp
+				if m&NeedKPI != 0 {
+					ok = ok && same(got.SINRdB, want.SINRdB) && got.MCS == want.MCS && same(got.BLER, want.BLER)
+				}
+				if m&NeedDL != 0 {
+					ok = ok && same(got.CapDL, want.CapDL)
+				}
+				if m&NeedUL != 0 {
+					ok = ok && same(got.CapUL, want.CapUL)
+				}
+				if !ok {
+					t.Fatalf("need %03b tick %d lane %d (step need %03b):\n masked %+v\n full   %+v",
+						need, tick, i, m, got, want)
+				}
+				if want.CCDown > 1 {
+					ccDL++
+				}
+				if want.CCUp > 1 {
+					ccUL++
+				}
+			}
+		}
+		if ccDL == 0 || ccUL == 0 {
+			t.Fatalf("need %03b: secondary-carrier draws not exercised (%d DL, %d UL ticks)", need, ccDL, ccUL)
+		}
 	}
 }
 

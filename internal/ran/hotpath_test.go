@@ -96,7 +96,7 @@ func TestUEStepHandoverTicksAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		hos = 0
 		for end := km + segKm; km < end; km += kmPerDt {
-			ue.StepInto(&snap, tm, dt, km, mph, cur.RoadClassAt(km), cur.TimezoneAt(km), BacklogDL)
+			ue.StepInto(&snap, tm, dt, km, mph, cur.RoadClassAt(km), cur.TimezoneAt(km), BacklogDL, radio.NeedAll)
 			tm += dt
 			hos += len(ue.TakeHandovers())
 		}

@@ -198,19 +198,22 @@ func (u *UE) attach(t float64, km float64, avail deploy.TechMask, tr Traffic, zo
 }
 
 // Step advances the UE by dt seconds at the given route position and
-// returns the radio snapshot. The traffic profile drives the elevation
-// policy.
+// returns the full radio snapshot: it is StepInto with radio.NeedAll. The
+// traffic profile drives the elevation policy.
 func (u *UE) Step(t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) Snapshot {
 	var snap Snapshot
-	u.StepInto(&snap, t, dt, km, mph, road, zone, tr)
+	u.StepInto(&snap, t, dt, km, mph, road, zone, tr, radio.NeedAll)
 	return snap
 }
 
-// StepInto is Step writing the snapshot into caller-owned memory, so the
-// per-tick loops (the campaign's test lanes in particular) land the radio
-// state directly in its long-lived slot instead of copying a Snapshot up
-// the call chain.
-func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) {
+// StepInto advances the UE like Step, writing the snapshot into
+// caller-owned memory, so the per-tick loops (the campaign's test lanes in
+// particular) land the radio state directly in its long-lived slot instead
+// of copying a Snapshot up the call chain. need selects the serving link's
+// outputs as radio.Link.StepInto does; a capacity outside it is not
+// computed and holds no meaningful value. The policy, the handovers and
+// every draw are the same whatever the need.
+func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic, need radio.Need) {
 	avail := u.Dep.AvailMask(km)
 	if avail == 0 {
 		// Dead zone: out of service entirely.
@@ -259,7 +262,7 @@ func (u *UE) StepInto(snap *Snapshot, t, dt, km, mph float64, road geo.RoadClass
 	snap.Tech = u.tech
 	snap.Cell = u.cell
 	snap.Outage = false
-	u.links[u.tech].StepInto(&snap.Link, dt, servDist, mph, road)
+	u.links[u.tech].StepInto(&snap.Link, dt, servDist, mph, road, need)
 
 	// During a handover interruption the snapshot carries the radio KPIs
 	// but no usable capacity.

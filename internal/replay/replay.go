@@ -145,7 +145,7 @@ type net struct {
 	t     float64
 }
 
-func (n *net) Step(dt float64) apps.NetState {
+func (n *net) Step(dt float64, _ radio.Need) apps.NetState {
 	idx := int(n.t/stepSec) % len(n.steps)
 	n.t += dt
 	s := n.steps[idx]

@@ -102,9 +102,9 @@ func TestNoOutagesIsStateful(t *testing.T) {
 func TestNetLoopsTrace(t *testing.T) {
 	tr := Trace{Steps: []Step{{CapBps: 1e6, RTTms: 10}, {CapBps: 2e6, RTTms: 20}}}
 	n := tr.Net()
-	first := n.Step(0.5)
-	second := n.Step(0.5)
-	third := n.Step(0.5) // wraps back to step 0
+	first := n.Step(0.5, radio.NeedAll)
+	second := n.Step(0.5, radio.NeedAll)
+	third := n.Step(0.5, radio.NeedAll) // wraps back to step 0
 	if first.CapDLbps != 1e6 || second.CapDLbps != 2e6 || third.CapDLbps != 1e6 {
 		t.Errorf("loop sequence: %v %v %v", first.CapDLbps, second.CapDLbps, third.CapDLbps)
 	}

@@ -39,6 +39,9 @@ func RunSpeedTest(p Path, durSec float64, conns int) SpeedTestResult {
 		flows[i] = NewCubicFlow()
 	}
 	res := SpeedTestResult{DurSec: durSec, Conns: conns}
+	// hungry lists the flows wanting more than their fair share this
+	// tick; its backing array is reused from tick to tick.
+	hungry := make([]*CubicFlow, 0, conns)
 	var window float64
 	nextSample := SampleIntervalSec
 	for i := 0; float64(i)*TickSec < durSec; i++ {
@@ -53,7 +56,7 @@ func RunSpeedTest(p Path, durSec float64, conns int) SpeedTestResult {
 		share := cap / float64(conns)
 		var leftover float64
 		var delivered float64
-		hungry := make([]*CubicFlow, 0, conns)
+		hungry = hungry[:0]
 		for _, f := range flows {
 			want := f.cwnd * mssBytes * 8 / max(f.srttSec, 1e-3)
 			if want < share {

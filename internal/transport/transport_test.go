@@ -233,6 +233,18 @@ func TestSpeedTestUtilization(t *testing.T) {
 	}
 }
 
+// TestSpeedTestAllocsIndependentOfDuration pins RunSpeedTest's allocations
+// per test, not per tick: doubling the duration doubles the ticks but may
+// add only the sample slice's extra growth steps.
+func TestSpeedTestAllocsIndependentOfDuration(t *testing.T) {
+	p := constPath{cap: 200e6, rtt: 50}
+	short := testing.AllocsPerRun(5, func() { RunSpeedTest(p, 15, SpeedTestConns) })
+	long := testing.AllocsPerRun(5, func() { RunSpeedTest(p, 30, SpeedTestConns) })
+	if long-short > 2 {
+		t.Errorf("15 s test = %.0f allocs, 30 s test = %.0f: allocations grow with the tick count", short, long)
+	}
+}
+
 func TestSpeedTestDegenerateInputs(t *testing.T) {
 	st := RunSpeedTest(constPath{cap: 10e6, rtt: 50}, 0.1, 0)
 	if st.Conns != 1 {
