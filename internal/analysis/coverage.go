@@ -225,6 +225,11 @@ func (f Fig2d) Render() string {
 type Fig1 struct {
 	Passive map[radio.Operator]TechShare
 	Active  map[radio.Operator]TechShare
+	// PassiveN and ActiveN count the samples behind each operator's
+	// shares: a dataset logged without the passive loggers has passive
+	// shares of nothing, not of 0%.
+	PassiveN map[radio.Operator]int
+	ActiveN  map[radio.Operator]int
 	// T-Mobile's split personality: the two views agree on the east half
 	// of the country but not the west (Figs. 1c vs 1f). Each share comes
 	// with the number of samples behind it: a drive that never reached a
@@ -243,8 +248,10 @@ type Fig1 struct {
 // splitting the "west" and "east" halves (typically half the route length).
 func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 	out := Fig1{
-		Passive: map[radio.Operator]TechShare{},
-		Active:  ComputeFig2a(ds).Share,
+		Passive:  map[radio.Operator]TechShare{},
+		Active:   ComputeFig2a(ds).Share,
+		PassiveN: map[radio.Operator]int{},
+		ActiveN:  map[radio.Operator]int{},
 	}
 	acc := map[radio.Operator]TechShare{}
 	for _, op := range radio.Operators() {
@@ -256,6 +263,7 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 			continue
 		}
 		acc[s.Op][s.Tech]++
+		out.PassiveN[s.Op]++
 		if s.Op == radio.TMobile {
 			if s.Km < midKm {
 				out.TMobilePassiveWestN++
@@ -281,7 +289,11 @@ func ComputeFig1(ds *dataset.Dataset, midKm float64) Fig1 {
 	}
 	var aw5, aw, ae5, ae float64
 	for _, s := range ds.Thr {
-		if s.Static || s.Op != radio.TMobile {
+		if s.Static {
+			continue
+		}
+		out.ActiveN[s.Op]++
+		if s.Op != radio.TMobile {
 			continue
 		}
 		m := sampleMiles(s.MPH)
@@ -315,19 +327,19 @@ func (f Fig1) Render() string {
 	ops := radio.Operators()
 	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 	for _, op := range ops {
-		fmt.Fprintf(&b, "  %-9s passive 5G=%5.1f%%  active 5G=%5.1f%%\n",
-			op, 100*f.Passive[op].FiveG(), 100*f.Active[op].FiveG())
+		fmt.Fprintf(&b, "  %-9s passive 5G=%s  active 5G=%s\n",
+			op, sharePct(f.Passive[op].FiveG(), f.PassiveN[op]), sharePct(f.Active[op].FiveG(), f.ActiveN[op]))
 	}
 	fmt.Fprintf(&b, "  T-Mobile west half: passive 5G=%s active 5G=%s\n",
-		halfShare(f.TMobilePassiveWest5G, f.TMobilePassiveWestN), halfShare(f.TMobileActiveWest5G, f.TMobileActiveWestN))
+		sharePct(f.TMobilePassiveWest5G, f.TMobilePassiveWestN), sharePct(f.TMobileActiveWest5G, f.TMobileActiveWestN))
 	fmt.Fprintf(&b, "  T-Mobile east half: passive 5G=%s active 5G=%s\n",
-		halfShare(f.TMobilePassiveEast5G, f.TMobilePassiveEastN), halfShare(f.TMobileActiveEast5G, f.TMobileActiveEastN))
+		sharePct(f.TMobilePassiveEast5G, f.TMobilePassiveEastN), sharePct(f.TMobileActiveEast5G, f.TMobileActiveEastN))
 	return b.String()
 }
 
-// halfShare renders one half's 5G share, or "no samples" when the drive
-// logged none there — a share of nothing is not a measured 0%.
-func halfShare(share float64, n int) string {
+// sharePct renders a 5G share taken over n samples, or "no samples" when
+// there were none — a share of nothing is not a measured 0%.
+func sharePct(share float64, n int) string {
 	if n == 0 {
 		return "no samples"
 	}

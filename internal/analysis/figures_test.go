@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -102,6 +103,30 @@ func TestFig1EmptyHalfRendersNoSamples(t *testing.T) {
 	}
 	if want := "T-Mobile east half: passive 5G=no samples active 5G=no samples"; !strings.Contains(out, want) {
 		t.Errorf("render lacks %q:\n%s", want, out)
+	}
+}
+
+// TestFig1NoPassiveRendersNoSamples covers a dataset logged with the
+// passive loggers off, as drivesim -quick writes it: every operator's
+// passive share renders "no samples", and its active share, which has
+// samples, still renders as a percentage.
+func TestFig1NoPassiveRendersNoSamples(t *testing.T) {
+	ds := &dataset.Dataset{}
+	for _, op := range radio.Operators() {
+		ds.Thr = append(ds.Thr, thrSample(op, radio.Downlink, radio.NRMid, 100, 60, 0))
+	}
+	f := ComputeFig1(ds, 100)
+	out := f.Render()
+	for _, op := range radio.Operators() {
+		if f.PassiveN[op] != 0 || f.ActiveN[op] != 1 {
+			t.Errorf("%v: counts = %d passive, %d active; want 0, 1", op, f.PassiveN[op], f.ActiveN[op])
+		}
+		if want := fmt.Sprintf("%-9s passive 5G=no samples  active 5G=100.0%%", op); !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "passive 5G=  0.0%") {
+		t.Errorf("render reports a passive share of no samples as 0.0%%:\n%s", out)
 	}
 }
 

@@ -74,7 +74,8 @@ type Lane struct {
 	Last  ran.Snapshot
 	LastS geo.Sample
 
-	// Buffered phase outputs.
+	// Buffered phase outputs. Rows holds the KPI rows of ticks that demand
+	// radio.NeedKPI, which only bulk tests read.
 	Rows   []Row
 	HORecs []dataset.HandoverRecord
 	Pings  []Ping
@@ -90,6 +91,11 @@ type Lane struct {
 	accSINR float64
 	accBLER float64
 	accHOs  int
+
+	// intervals counts the phase's closed 500 ms intervals and highSpeed
+	// those that ended on 5G mid/mmWave in service. Every lane counts them,
+	// whether or not it records KPI rows: they are HighSpeedFrac's inputs.
+	intervals, highSpeed int
 
 	// Wire-RTT memo: the propagation delay to the test server depends only
 	// on the vehicle coordinate, which changes once per trace sample (the
@@ -116,6 +122,7 @@ func (ln *Lane) StartPhase(id int, t float64, profile ran.Traffic, dir radio.Dir
 	ln.Last, ln.LastS = ran.Snapshot{}, geo.Sample{}
 	ln.Rows, ln.HORecs, ln.Pings = ln.Rows[:0], ln.HORecs[:0], ln.Pings[:0]
 	ln.accDur, ln.accRSRP, ln.accSINR, ln.accBLER, ln.accHOs = 0, 0, 0, 0, 0
+	ln.intervals, ln.highSpeed = 0, 0
 	ln.wireInit = false
 }
 
@@ -137,13 +144,13 @@ func (ln *Lane) Recycle() Lane {
 // current path condition in both directions. The radio snapshot lands
 // directly in ln.Last — no per-tick state is copied up the call chain.
 // need names the radio outputs the caller reads this tick (see
-// radio.Need): a capacity outside it is returned stale, and the KPI row
-// fields are meaningful only for ticks that demand radio.NeedKPI.
+// radio.Need): a capacity outside it is returned stale, and only ticks
+// that demand radio.NeedKPI accumulate and record KPI rows.
 func (ln *Lane) Advance(dt float64, s *geo.Sample, need radio.Need) (capDL, capUL, rttMs float64, outage bool) {
 	ln.T += dt
 	ln.UE.StepInto(&ln.Last, ln.T, dt, s.Km, s.MPH, s.Road, s.Zone, ln.Profile, need)
 	ln.drainHandovers()
-	return ln.finish(dt, s)
+	return ln.finish(dt, s, need)
 }
 
 // drainHandovers consumes the UE's pending handover events into the lane's
@@ -171,32 +178,43 @@ func (ln *Lane) AdvanceStatic(dt float64, link *radio.Link, tech radio.Tech, km 
 	link.StepInto(&ln.Last.Link, dt, staticDistKm, 0, geo.RoadCity, need)
 	ln.Last.CapDL, ln.Last.CapUL = ln.Last.Link.CapDL, ln.Last.Link.CapUL
 	s := geo.Sample{T: ln.T, Km: km, Pos: pos, MPH: 0, Road: geo.RoadCity, Zone: zone}
-	return ln.finish(dt, &s)
+	return ln.finish(dt, &s, need)
 }
 
-// finish accumulates the 500 ms KPI row and composes the end-to-end path
-// state for the step, reading the radio snapshot already landed in ln.Last.
-func (ln *Lane) finish(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64, outage bool) {
+// finish closes the 500 ms interval when it is due, counting it for
+// HighSpeedFrac, accumulates and records the interval's KPI row when the
+// tick demands radio.NeedKPI, and composes the end-to-end path state for
+// the step, reading the radio snapshot already landed in ln.Last.
+func (ln *Lane) finish(dt float64, s *geo.Sample, need radio.Need) (capDL, capUL, rttMs float64, outage bool) {
 	snap := &ln.Last
 	ln.LastS = *s
 
+	kpi := need&radio.NeedKPI != 0
 	ln.accDur += dt
-	ln.accRSRP += snap.Link.RSRPdBm * dt
-	ln.accSINR += snap.Link.SINRdB * dt
-	ln.accBLER += snap.Link.BLER * dt
+	if kpi {
+		ln.accRSRP += snap.Link.RSRPdBm * dt
+		ln.accSINR += snap.Link.SINRdB * dt
+		ln.accBLER += snap.Link.BLER * dt
+	}
 	if ln.accDur >= transport.SampleIntervalSec-1e-9 {
-		ln.Rows = append(ln.Rows, Row{
-			T:    ln.T,
-			Tech: snap.Tech,
-			RSRP: ln.accRSRP / ln.accDur,
-			SINR: ln.accSINR / ln.accDur,
-			BLER: ln.accBLER / ln.accDur,
-			MCS:  snap.Link.MCS,
-			CCDL: snap.Link.CCDown, CCUL: snap.Link.CCUp,
-			MPH: s.MPH, Km: s.Km,
-			HOs:    ln.accHOs,
-			Outage: snap.Outage,
-		})
+		ln.intervals++
+		if snap.Tech.IsHighSpeed() && !snap.Outage {
+			ln.highSpeed++
+		}
+		if kpi {
+			ln.Rows = append(ln.Rows, Row{
+				T:    ln.T,
+				Tech: snap.Tech,
+				RSRP: ln.accRSRP / ln.accDur,
+				SINR: ln.accSINR / ln.accDur,
+				BLER: ln.accBLER / ln.accDur,
+				MCS:  snap.Link.MCS,
+				CCDL: snap.Link.CCDown, CCUL: snap.Link.CCUp,
+				MPH: s.MPH, Km: s.Km,
+				HOs:    ln.accHOs,
+				Outage: snap.Outage,
+			})
+		}
 		ln.accDur, ln.accRSRP, ln.accSINR, ln.accBLER, ln.accHOs = 0, 0, 0, 0, 0
 	}
 
@@ -209,18 +227,13 @@ func (ln *Lane) finish(dt float64, s *geo.Sample) (capDL, capUL, rttMs float64, 
 	return snap.CapDL, snap.CapUL, rttMs, snap.Outage
 }
 
-// HighSpeedFrac returns the fraction of recorded rows on 5G mid/mmWave.
+// HighSpeedFrac returns the fraction of the phase's 500 ms intervals that
+// ended on 5G mid/mmWave in service.
 func (ln *Lane) HighSpeedFrac() float64 {
-	if len(ln.Rows) == 0 {
+	if ln.intervals == 0 {
 		return 0
 	}
-	n := 0
-	for _, r := range ln.Rows {
-		if r.Tech.IsHighSpeed() && !r.Outage {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ln.Rows))
+	return float64(ln.highSpeed) / float64(ln.intervals)
 }
 
 // HOCount returns the number of handovers recorded during the phase.

@@ -125,6 +125,9 @@ func TestStartPhaseClearsLane(t *testing.T) {
 			t.Errorf("lane %d: KPI accumulators not zeroed: dur=%v rsrp=%v sinr=%v bler=%v hos=%d",
 				i, ln.accDur, ln.accRSRP, ln.accSINR, ln.accBLER, ln.accHOs)
 		}
+		if ln.intervals != 0 || ln.highSpeed != 0 {
+			t.Errorf("lane %d: interval counts not zeroed: %d intervals, %d high-speed", i, ln.intervals, ln.highSpeed)
+		}
 		if ln.wireInit {
 			t.Errorf("lane %d: wire-RTT memo not invalidated", i)
 		}
@@ -190,5 +193,48 @@ func TestLaneSteadyStateAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(5, runOnce); avg != 0 {
 		t.Errorf("steady-state phase allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestNonKPILaneCountsWithoutRows: a lane whose ticks do not demand
+// radio.NeedKPI (RTT, speed-test and app tests) records no KPI row, yet
+// counts the same 500 ms intervals, and so reports the same HighSpeedFrac,
+// as the same phase stepped with every output demanded, the way the scalar
+// oracle steps it.
+func TestNonKPILaneCountsWithoutRows(t *testing.T) {
+	const dt, durSec = 0.2, 120.0
+	drive := func(need radio.Need) []Lane {
+		r := newRig(t, 23)
+		r.startPhase(1, 600, ran.RTTProbe, radio.Downlink)
+		for j := range r.lanes {
+			ln := &r.lanes[j]
+			for tt := 0.0; tt < durSec; tt += dt {
+				s := r.where(ln.T + dt)
+				ln.Advance(dt, &s, need)
+			}
+		}
+		return r.lanes
+	}
+	lean, full := drive(0), drive(radio.NeedAll)
+	mixed := false
+	for i := range lean {
+		l, f := &lean[i], &full[i]
+		if len(l.Rows) != 0 {
+			t.Errorf("lane %d: %d KPI rows without NeedKPI, want 0", i, len(l.Rows))
+		}
+		if f.intervals == 0 || len(f.Rows) != f.intervals {
+			t.Fatalf("lane %d: NeedAll recorded %d rows over %d intervals; test setup is wrong", i, len(f.Rows), f.intervals)
+		}
+		if l.intervals != f.intervals || l.highSpeed != f.highSpeed {
+			t.Errorf("lane %d: %d/%d high-speed intervals without NeedKPI, %d/%d with it",
+				i, l.highSpeed, l.intervals, f.highSpeed, f.intervals)
+		}
+		if got, want := l.HighSpeedFrac(), f.HighSpeedFrac(); got != want {
+			t.Errorf("lane %d: HighSpeedFrac = %v without NeedKPI, %v with it", i, got, want)
+		}
+		mixed = mixed || (f.highSpeed > 0 && f.highSpeed < f.intervals)
+	}
+	if !mixed {
+		t.Error("no lane mixed high-speed and other intervals; pick a drive window that does")
 	}
 }

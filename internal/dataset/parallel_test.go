@@ -33,9 +33,14 @@ func synthThr(i int) ThroughputSample {
 
 // emitSynthetic streams n throughput rows plus one record into each other
 // table (so all six files carry content) into sink.
-func emitSynthetic(sink Sink, n int) {
+func emitSynthetic(sink Sink, n int) { emitSyntheticEach(sink, n, func() {}) }
+
+// emitSyntheticEach is emitSynthetic with after called following every
+// emit.
+func emitSyntheticEach(sink Sink, n int, after func()) {
 	for i := 0; i < n; i++ {
 		sink.EmitThr(synthThr(i))
+		after()
 	}
 	if n == 0 {
 		return
@@ -43,18 +48,23 @@ func emitSynthetic(sink Sink, n int) {
 	d := sampleDataset()
 	for _, r := range d.RTT {
 		sink.EmitRTT(r)
+		after()
 	}
 	for _, r := range d.Handovers {
 		sink.EmitHandover(r)
+		after()
 	}
 	for _, r := range d.Tests {
 		sink.EmitTest(r)
+		after()
 	}
 	for _, r := range d.Apps {
 		sink.EmitApp(r)
+		after()
 	}
 	for _, r := range d.Passive {
 		sink.EmitPassive(r)
+		after()
 	}
 }
 
@@ -90,7 +100,10 @@ func writeSerial(t *testing.T, dir string, n int) {
 	writeOracle(t, dir, col.Dataset())
 }
 
-func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
+// writeParallel writes the same rows as emitSynthetic through a
+// ParallelCSVWriter, checks that the writer leaves no goroutine behind, and
+// returns the flushed writer.
+func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) *ParallelCSVWriter {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	w, err := NewParallelCSVWriter(dir, workers, chunkRows)
@@ -103,8 +116,9 @@ func writeParallel(t *testing.T, dir string, n, workers, chunkRows int) {
 	}
 	waitGoroutines(t, before)
 	// Emits after Flush are dropped: they must neither panic nor reach the
-	// files the callers compare.
+	// files (or the digest) the callers compare.
 	emitSynthetic(w, 1)
+	return w
 }
 
 // TestParallelCSVWriterMatchesSerial: for row counts straddling every chunk
@@ -160,7 +174,8 @@ func waitGoroutines(t *testing.T, before int) {
 
 // gzipMembers is the framing oracle for one table: the plain CSV cut into
 // members of chunkRows rows, the header riding in the first, each member
-// gzipped in one Write with gzip.NewWriter, and the members concatenated.
+// gzipped in one Write at the writer's gzipLevel, and the members
+// concatenated.
 // A table without rows is one header-only member; a table whose rows fill
 // its last member exactly ends there, with no empty member after it.
 func gzipMembers(t *testing.T, plain []byte, chunkRows int) []byte {
@@ -169,7 +184,10 @@ func gzipMembers(t *testing.T, plain []byte, chunkRows int) []byte {
 	lines = lines[:len(lines)-1] // SplitAfter's empty tail after the final newline
 	var out bytes.Buffer
 	member := func(b []byte) {
-		zw := gzip.NewWriter(&out)
+		zw, err := gzip.NewWriterLevel(&out, gzipLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := zw.Write(b); err != nil {
 			t.Fatal(err)
 		}
@@ -215,6 +233,70 @@ func TestParallelCSVWriterFraming(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestParallelCSVWriterSumMatchesHashSink: the digest the writer takes of
+// the pieces it compresses is HashSink's digest of the same records, for
+// empty tables, for many small members and for members spanning several
+// pieces, at 1 and 4 workers.
+func TestParallelCSVWriterSumMatchesHashSink(t *testing.T) {
+	for _, tc := range []struct{ n, chunk int }{{0, 4}, {1, 4}, {3*4 + 2, 4}, {4000, 2000}, {4000, 0}} {
+		h := NewHashSink()
+		emitSynthetic(h, tc.n)
+		want := h.Sum()
+		for _, workers := range []int{1, 4} {
+			w := writeParallel(t, t.TempDir(), tc.n, workers, tc.chunk)
+			if got := w.Sum(); got != want {
+				t.Errorf("rows=%d chunk=%d workers=%d: Sum = %s, HashSink.Sum = %s", tc.n, tc.chunk, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestParallelCSVWriterBoundsRawRows: with one worker and 4-row members,
+// every piece is a member of its own and the emitter outruns deflate, so
+// submit must wait at the bound, one member's rows per worker: after every
+// emit the rows queued and not yet deflated are within it, none are left
+// after Flush, the output still equals the member-by-member oracle, and no
+// goroutine outlives the writer.
+func TestParallelCSVWriterBoundsRawRows(t *testing.T) {
+	const n, chunk = 4000, 4
+	serial, par := t.TempDir(), t.TempDir()
+	writeSerial(t, serial, n)
+	before := runtime.NumGoroutine()
+	w, err := NewParallelCSVWriter(par, 1, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.rawCap != chunk {
+		t.Fatalf("one worker's bound = %d rows, want one %d-row member", w.rawCap, chunk)
+	}
+	seen := 0 // the most queued rows any check saw
+	emitSyntheticEach(w, n, func() {
+		w.mu.Lock()
+		raw := w.raw
+		w.mu.Unlock()
+		if raw > w.rawCap {
+			t.Fatalf("%d rows queued for deflate, bound %d", raw, w.rawCap)
+		}
+		seen = max(seen, raw)
+	})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+	if seen == 0 {
+		t.Error("no check saw a queued row; the bound was not exercised")
+	}
+	if w.raw != 0 {
+		t.Errorf("%d rows still counted as queued after Flush", w.raw)
+	}
+	for _, name := range tableNames {
+		want := gzipMembers(t, readFile(t, filepath.Join(serial, name)), chunk)
+		if got := readFile(t, filepath.Join(par, name+".gz")); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the %d-byte member-by-member gzip", name, len(got), len(want))
 		}
 	}
 }

@@ -225,7 +225,7 @@ func (t tee) Flush() error {
 type tableEnc struct {
 	enc  rowEnc
 	buf  [numTables][]byte
-	rows [numTables]int // rows of the table's open member, the header not counted
+	rows [numTables]int // rows of the table's open member, the header not counted; hand sees them before a member's end resets them
 
 	chunkRows int
 	hand      func(tab int, piece []byte, end bool) []byte
@@ -253,8 +253,9 @@ const rowHeadroom = 1024
 func (e *tableEnc) add(tab int, b []byte) []byte {
 	e.rows[tab]++
 	if e.rows[tab] >= e.chunkRows {
+		b = e.hand(tab, b, true)
 		e.rows[tab] = 0
-		return e.hand(tab, b, true)
+		return b
 	}
 	if len(b) >= chunkBytes {
 		return e.hand(tab, b, false)
@@ -272,8 +273,8 @@ func (e *tableEnc) add(tab int, b []byte) []byte {
 func (e *tableEnc) flush() {
 	for i := range e.buf {
 		if len(e.buf[i]) > 0 || e.rows[i] > 0 {
-			e.rows[i] = 0
 			e.buf[i] = e.hand(i, e.buf[i], true)
+			e.rows[i] = 0
 		}
 	}
 }
@@ -403,11 +404,17 @@ func (s *HashSink) Flush() error {
 // valid with or without a prior Flush call.
 func (s *HashSink) Sum() string {
 	s.Flush()
+	return sumTables(&s.h)
+}
+
+// sumTables combines per-table digests, each bound to its table's file
+// name, into one hex string.
+func sumTables(h *[numTables]hash.Hash) string {
 	all := sha256.New()
-	for i := range s.h {
+	for i := range h {
 		io.WriteString(all, tableNames[i])
 		all.Write([]byte{0})
-		all.Write(s.h[i].Sum(nil))
+		all.Write(h[i].Sum(nil))
 	}
 	return hex.EncodeToString(all.Sum(nil))
 }

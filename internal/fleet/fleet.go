@@ -70,8 +70,10 @@ type Config struct {
 	// bare scenario name under the default policy, name@policy otherwise,
 	// so every (scenario, policy, seed) gets a distinct sink. It is called
 	// from worker goroutines; the sink it returns is owned and flushed by
-	// the fleet, and a construction or flush error fails the run. Resumed
-	// seeds are not re-streamed, so they produce no dump.
+	// the fleet, and a construction or flush error fails the run. A sink
+	// with a HashSink-compatible Sum() string method (ParallelCSVWriter)
+	// also supplies the seed's DatasetSHA256, in place of the fleet's own
+	// hash sink. Resumed seeds are not re-streamed, so they produce no dump.
 	SeedSink func(scenario string, seed int64) (dataset.Sink, error)
 
 	// Progress, when non-nil, observes every completed or skipped seed.

@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"wheels/internal/analysis"
 	"wheels/internal/campaign"
+	"wheels/internal/dataset"
 )
 
 // TestStreamingSummaryMatchesReduce: the streaming per-seed reduction
@@ -98,5 +101,64 @@ func TestVerifyResumeFlagsDrift(t *testing.T) {
 	// what the report shows.
 	if !strings.Contains(rep.RenderText(), "sha=beef") {
 		t.Error("report did not render from the checkpointed summaries")
+	}
+}
+
+// TestSeedSinkDigest: a fleet whose SeedSink is the dump writer, which
+// digests the bytes it compresses, checkpoints the same DatasetSHA256 for
+// every seed as a fleet without a SeedSink; a SeedSink that does not digest
+// (a Collector) leaves the digest to the hash sink, with the same result.
+func TestSeedSinkDigest(t *testing.T) {
+	tmp := t.TempDir()
+	digests := func(name string, seedSink func(string, int64) (dataset.Sink, error)) map[SeedKey]string {
+		t.Helper()
+		cfg := testConfig(filepath.Join(tmp, name+".jsonl"))
+		cfg.SeedSink = seedSink
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rows, _, err := LoadCheckpoint(cfg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[SeedKey]string{}
+		for key, sum := range rows {
+			if sum.DatasetSHA256 == "" {
+				t.Errorf("%s: seed %d checkpointed no digest", name, key.Seed)
+			}
+			out[key] = sum.DatasetSHA256
+		}
+		return out
+	}
+	want := digests("plain", nil)
+	if len(want) != 3 {
+		t.Fatalf("plain fleet checkpointed %d seeds, want 3", len(want))
+	}
+
+	var _ digester = (*dataset.ParallelCSVWriter)(nil) // so the dump run takes the writer's digest
+	dumped := digests("dump", func(scn string, seed int64) (dataset.Sink, error) {
+		return dataset.NewParallelCSVWriter(filepath.Join(tmp, "dump", scn, fmt.Sprintf("seed-%d", seed)), 1, 0)
+	})
+	var mu sync.Mutex
+	var cols []*dataset.Collector
+	collected := digests("collect", func(string, int64) (dataset.Sink, error) {
+		c := dataset.NewCollector(0)
+		mu.Lock()
+		cols = append(cols, c)
+		mu.Unlock()
+		return c, nil
+	})
+	if _, ok := any(cols[0]).(digester); ok {
+		t.Fatal("Collector digests; the hash-sink path is not exercised")
+	}
+	for _, c := range cols {
+		if len(c.D.Thr) == 0 {
+			t.Error("a Collector SeedSink received no throughput records")
+		}
+	}
+	for name, got := range map[string]map[SeedKey]string{"dump writer": dumped, "Collector": collected} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s SeedSink checkpointed digests %v, want %v", name, got, want)
+		}
 	}
 }

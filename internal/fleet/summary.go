@@ -152,10 +152,12 @@ type SeedSummary struct {
 
 	// DatasetSHA256 fingerprints the seed's canonical CSV encoding
 	// (dataset.HashSink), computed from the record stream without
-	// materializing it. Resume uses it to detect code drift: a checkpointed
-	// hash that disagrees with a recomputed one means the summary was
-	// produced by a different engine than the one now running (see
-	// Config.VerifyResume). Empty in checkpoints from older builds.
+	// materializing it; a dumped seed takes it from the dump writer, which
+	// digests the same bytes as it compresses them. Resume uses it to
+	// detect code drift: a checkpointed hash that disagrees with a
+	// recomputed one means the summary was produced by a different engine
+	// than the one now running (see Config.VerifyResume). Empty in
+	// checkpoints from older builds.
 	DatasetSHA256 string `json:"dataset_sha256,omitempty"`
 }
 
@@ -177,6 +179,11 @@ func Reduce(ds *dataset.Dataset) SeedSummary {
 	return summarize(acc, h.Sum(), "paper")
 }
 
+// digester is a sink that reports the dataset.HashSink digest of the
+// records it consumed: HashSink itself, or the dump writer
+// (dataset.ParallelCSVWriter), which digests the bytes it compresses.
+type digester interface{ Sum() string }
+
 // seedScratch is one fleet worker's reusable per-seed reduction state: the
 // accumulator and hash sink are allocated once per worker and reset between
 // seeds, so a long fleet's steady-state allocation is the records' transient
@@ -196,18 +203,26 @@ func newSeedScratch() *seedScratch {
 // metric slices, not the dataset. The scenario supplies the shared testbed
 // substrate and the shape thresholds to score against (sn must be
 // normalized — see Config.scenarios); extra, when non-nil, is teed into the
-// record stream (the CLI's per-seed CSV dump).
+// record stream (the CLI's per-seed CSV dump). An extra sink that is a
+// digester (the dump writer) supplies the digest itself and replaces the
+// hash sink, so the stream is CSV-encoded once, not twice.
 func runSeed(c campaign.Config, sn Scenario, sc *seedScratch, extra dataset.Sink) (SeedSummary, error) {
 	sc.acc.Reset(c.Seed)
 	sc.acc.SetShapeParams(sn.Shapes)
-	sc.h.Reset()
-	var sink dataset.Sink = dataset.Tee(sc.acc, sc.h)
-	if extra != nil {
-		sink = dataset.Tee(sc.acc, sc.h, extra)
+	sinks := []dataset.Sink{sc.acc}
+	digest, ok := extra.(digester)
+	if !ok {
+		sc.h.Reset()
+		digest = sc.h
+		sinks = append(sinks, sc.h)
 	}
+	if extra != nil {
+		sinks = append(sinks, extra)
+	}
+	sink := dataset.Tee(sinks...)
 	campaign.NewWithTestbed(c, sn.Testbed).RunTo(sink)
 	err := sink.Flush()
-	sum := summarize(sc.acc, sc.h.Sum(), sn.Name)
+	sum := summarize(sc.acc, digest.Sum(), sn.Name)
 	sum.Policy = sn.Policy
 	sum.PolicyName = sn.PolicyName
 	return sum, err
