@@ -209,8 +209,13 @@ func BenchmarkFig8_RTTVsSpeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f = analysis.ComputeFig8(ds)
 	}
-	b.ReportMetric(f.MedianRTTForBin(ds, radio.Verizon, geo.SpeedLow), "rttLow-V-ms")
-	b.ReportMetric(f.MedianRTTForBin(ds, radio.Verizon, geo.SpeedHigh), "rttHigh-V-ms")
+	cells := f.Cells[radio.Verizon]
+	if c, ok := cells[geo.SpeedLow][radio.LTE]; ok {
+		b.ReportMetric(c.Median, "rttLow-V-LTE-ms")
+	}
+	if c, ok := cells[geo.SpeedHigh][radio.LTE]; ok {
+		b.ReportMetric(c.Median, "rttHigh-V-LTE-ms")
+	}
 }
 
 func BenchmarkTable2_KPICorrelations(b *testing.B) {
@@ -221,7 +226,6 @@ func BenchmarkTable2_KPICorrelations(b *testing.B) {
 		t2 = analysis.ComputeTable2(ds)
 	}
 	// Paper: no strong correlations; HO ~ -0.02..-0.05.
-	b.ReportMetric(t2.MaxAbs(), "max|r|")
 	b.ReportMetric(t2.R[radio.Verizon][radio.Downlink]["HO"], "r-HO-V-DL")
 	b.ReportMetric(t2.R[radio.TMobile][radio.Uplink]["MCS"], "r-MCS-T-UL")
 }
@@ -611,29 +615,6 @@ func BenchmarkExtension_CubicVsBBR(b *testing.B) {
 	b.ReportMetric(cubic/1e6, "cubic-Mbps")
 	b.ReportMetric(bbr/1e6, "bbr-Mbps")
 	b.ReportMetric(bbr/cubic, "bbr-gain")
-}
-
-// BenchmarkAblation_RRCKeepalive quantifies why the paper's handover-logger
-// pings every 200 ms (§3): sparse probing pays an RRC promotion delay on
-// nearly every probe.
-func BenchmarkAblation_RRCKeepalive(b *testing.B) {
-	run := func(intervalSec float64) (promotions int, delayMs float64) {
-		m := ran.NewRRCMachine(sim.NewRNG(23))
-		for tt := 0.0; tt < 600; tt += intervalSec {
-			delayMs += m.OnTraffic(tt)
-		}
-		return m.Promotions, delayMs
-	}
-	var kaProm, spProm int
-	var kaDelay, spDelay float64
-	for i := 0; i < b.N; i++ {
-		kaProm, kaDelay = run(0.2)
-		spProm, spDelay = run(15)
-	}
-	b.ReportMetric(float64(kaProm), "promotions-200ms")
-	b.ReportMetric(kaDelay, "delay-200ms-ms")
-	b.ReportMetric(float64(spProm), "promotions-15s")
-	b.ReportMetric(spDelay, "delay-15s-ms")
 }
 
 // BenchmarkAblation_OffloadPipelining measures the extension app-level

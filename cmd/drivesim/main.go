@@ -22,10 +22,9 @@
 // on its own goroutine, so one campaign keeps at most three cores busy.
 // -stream-out DIR streams records to gzip CSVs as they are produced instead
 // of materializing the dataset, holding only the running summary in memory
-// (see README "Streaming the dataset"); it replaces -out/-gzip. Both gzip
-// outputs are multi-member gzip, each member compressed as its rows
-// arrive, on up to all cores, byte-deterministic regardless of the core
-// count.
+// (see README "Streaming the dataset"); it replaces -out. Its output is
+// multi-member gzip, each member compressed as its rows arrive, on up to
+// all cores, byte-deterministic regardless of the core count.
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -52,14 +51,12 @@ func main() {
 		seed     = flag.Int64("seed", 23, "campaign random seed")
 		km       = flag.Float64("km", 0, "truncate the campaign to the first N km (0 = full trip)")
 		out      = flag.String("out", "dataset", "output directory for the CSV dataset")
-		stream   = flag.String("stream-out", "", "stream gzip CSVs to this directory without materializing the dataset (replaces -out/-gzip)")
+		stream   = flag.String("stream-out", "", "stream gzip CSVs to this directory without materializing the dataset (replaces -out)")
 		quick    = flag.Bool("quick", false, "network tests only, first 200 km")
 		video    = flag.Float64("video", 180, "video session length in seconds")
 		gaming   = flag.Float64("gaming", 60, "gaming session length in seconds")
-		gz       = flag.Bool("gzip", false, "write the dataset gzip-compressed (.csv.gz)")
 		rawDir   = flag.String("rawlogs", "", "also write raw XCAL + app log files per bulk test into this directory")
 		progress = flag.Bool("progress", false, "print a per-day km ticker on stderr")
-		verbose  = flag.Bool("v", false, "alias for -progress")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the campaign run to this file")
 		memProf  = flag.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -90,7 +87,7 @@ func main() {
 	cfg = sc.ApplySchedule(cfg)
 	// campaign.Config.Progress drives the ticker; the fleet CLI prints the
 	// same style of per-unit lines, one per completed seed.
-	if *progress || *verbose {
+	if *progress {
 		cfg.Progress = func(day int, km, totalKm float64) {
 			fmt.Fprintf(os.Stderr, "  day %d: %.0f/%.0f km\n", day, km, totalKm)
 		}
@@ -169,11 +166,7 @@ func main() {
 		return
 	}
 
-	save := ds.Save
-	if *gz {
-		save = ds.SaveCompressed
-	}
-	if err := save(*out); err != nil {
+	if err := ds.Save(*out); err != nil {
 		log.Fatalf("saving dataset: %v", err)
 	}
 	states, cities := rt.Reached(endKm)

@@ -48,8 +48,7 @@ type Counts struct {
 	Thr, RTT, Tests, Handovers, Apps, Passive int
 }
 
-// OpHeadline is one operator's headline metrics — the streaming equivalent
-// of the per-operator block fleet.Reduce computes from a full dataset.
+// OpHeadline is one operator's headline metrics.
 type OpHeadline struct {
 	DriveDLMedMbps  float64
 	DriveULMedMbps  float64
@@ -244,8 +243,7 @@ func (a *Accumulator) Headline(op radio.Operator) OpHeadline {
 }
 
 // ShapeResults evaluates every shape invariant against the accumulated
-// records, in ShapeChecks order. CheckShapes is this over a replayed
-// dataset.
+// records, in ShapeChecks order.
 func (a *Accumulator) ShapeResults() []ShapeResult {
 	st := shapeStats{
 		driveDLMed: map[radio.Operator]float64{},

@@ -13,6 +13,25 @@ import (
 	"wheels/internal/servers"
 )
 
+// MaxAbs returns the largest |r| in the table (the paper's headline: no KPI
+// correlates strongly with throughput).
+func (t Table2) MaxAbs() float64 {
+	m := 0.0
+	for _, byDir := range t.R {
+		for _, byKPI := range byDir {
+			for _, r := range byKPI {
+				if r < 0 {
+					r = -r
+				}
+				if r > m {
+					m = r
+				}
+			}
+		}
+	}
+	return m
+}
+
 var base = time.Date(2022, 8, 8, 15, 0, 0, 0, time.UTC)
 
 // thrSample builds a driving throughput sample with sensible defaults.
@@ -327,6 +346,15 @@ func TestTable1Counts(t *testing.T) {
 	}
 	if !strings.Contains(t1.Render(), "5711") {
 		t.Error("Render missing distance")
+	}
+}
+
+func TestCountiesEstimate(t *testing.T) {
+	r := geo.NewRoute()
+	states, cities := r.Reached(r.LengthKm())
+	// Table 1: "100+" counties over the 5711 km trip.
+	if got := ComputeTable1(&dataset.Dataset{}, r.LengthKm(), states, cities).Counties; got < 100 || got > 150 {
+		t.Errorf("counties = %d, want 100-150", got)
 	}
 }
 

@@ -57,25 +57,6 @@ func ComputeTable2(ds *dataset.Dataset) Table2 {
 	return out
 }
 
-// MaxAbs returns the largest |r| in the table (the paper's headline: no KPI
-// correlates strongly with throughput).
-func (t Table2) MaxAbs() float64 {
-	m := 0.0
-	for _, byDir := range t.R {
-		for _, byKPI := range byDir {
-			for _, r := range byKPI {
-				if r < 0 {
-					r = -r
-				}
-				if r > m {
-					m = r
-				}
-			}
-		}
-	}
-	return m
-}
-
 // Render prints the table in the paper's layout.
 func (t Table2) Render() string {
 	var b strings.Builder

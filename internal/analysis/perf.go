@@ -350,17 +350,6 @@ func ComputeFig8(ds *dataset.Dataset) Fig8 {
 	return out
 }
 
-// MedianRTTForBin returns the all-tech median RTT in a speed bin.
-func (f Fig8) MedianRTTForBin(ds *dataset.Dataset, op radio.Operator, bin geo.SpeedBin) float64 {
-	var vals []float64
-	for _, s := range ds.RTT {
-		if !s.Static && s.Op == op && geo.BinForSpeed(s.MPH) == bin {
-			vals = append(vals, s.Ms)
-		}
-	}
-	return NewCDF(vals).Median()
-}
-
 // Render prints the figure.
 func (f Fig8) Render() string {
 	var b strings.Builder

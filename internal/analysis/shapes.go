@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wheels/internal/dataset"
 	"wheels/internal/radio"
 )
 
@@ -69,7 +68,7 @@ type ShapeResult struct {
 
 // ShapeChecks lists every shape invariant in evaluation order, described
 // with the default paper-route thresholds. The order and names are stable
-// across runs: CheckShapes returns results in exactly this order.
+// across runs: ShapeResults returns results in exactly this order.
 func ShapeChecks() []ShapeCheck {
 	return ShapeChecksWith(DefaultShapeParams())
 }
@@ -112,7 +111,7 @@ func ShapeChecksWith(p ShapeParams) []ShapeCheck {
 }
 
 // shapeStats is the reduced view every check reads. The Accumulator builds
-// it incrementally; CheckShapes builds it by replaying a dataset.
+// it incrementally.
 type shapeStats struct {
 	driveDLMed map[radio.Operator]float64
 	driveULMed map[radio.Operator]float64
@@ -121,18 +120,6 @@ type shapeStats struct {
 	hpmMed     map[radio.Operator]float64 // handovers per driven mile, median per test
 	driveN     map[radio.Operator]int     // driving DL sample count
 	hpmN       map[radio.Operator]int
-}
-
-// CheckShapes evaluates every shape invariant against the dataset and
-// returns the results in ShapeChecks order, by replaying the dataset
-// through an Accumulator — the materialized and streaming paths share one
-// definition of every check. A dataset with no samples for a check fails
-// that check (an empty campaign replicates nothing); it never panics, so
-// reducers may feed it partial or empty per-seed data.
-func CheckShapes(ds *dataset.Dataset) []ShapeResult {
-	acc := NewAccumulator(ds.Seed)
-	ds.EmitTo(acc)
-	return acc.ShapeResults()
 }
 
 // evalShapes turns the reduced stats into verdicts under the thresholds in

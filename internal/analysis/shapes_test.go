@@ -7,6 +7,16 @@ import (
 	"wheels/internal/radio"
 )
 
+// CheckShapes evaluates every shape invariant against a materialized
+// dataset by replaying it through an Accumulator, the streaming path the
+// fleet scores seeds with. A dataset with no samples for a check fails that
+// check; it never panics.
+func CheckShapes(ds *dataset.Dataset) []ShapeResult {
+	acc := NewAccumulator(ds.Seed)
+	ds.EmitTo(acc)
+	return acc.ShapeResults()
+}
+
 // synthShapeDataset builds a tiny dataset that satisfies every shape
 // invariant by construction: static DL ≫ driving DL > driving UL, HOs/mile
 // in band, T-Mobile far ahead on 5G with Verizon and AT&T together.

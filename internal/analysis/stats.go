@@ -90,20 +90,6 @@ func Mean(v []float64) float64 {
 	return sum / float64(len(v))
 }
 
-// Std returns the population standard deviation (NaN if empty).
-func Std(v []float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	m := Mean(v)
-	var ss float64
-	for _, x := range v {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(v)))
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // It returns NaN when the inputs differ in length, are shorter than 2, or
 // either is constant.

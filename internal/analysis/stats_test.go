@@ -112,10 +112,56 @@ func TestMeanStd(t *testing.T) {
 	if m := Mean(v); m != 5 {
 		t.Errorf("mean = %v, want 5", m)
 	}
-	if s := Std(v); math.Abs(s-2) > 1e-12 {
-		t.Errorf("std = %v, want 2", s)
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty mean not NaN")
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Std(nil)) {
-		t.Error("empty mean/std not NaN")
+}
+
+func TestMeanProperties(t *testing.T) {
+	if err := quick.Check(func(a, b int8) bool {
+		m := Mean([]float64{float64(a), float64(b)})
+		lo, hi := float64(a), float64(b)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		return m >= lo && m <= hi
+	}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCDFSeries checks the chart polyline of a CDF: x ascends from the
+// minimum to the maximum while y climbs strictly to 1.
+func TestCDFSeries(t *testing.T) {
+	s := cdfSeries("x", NewCDF([]float64{3, 1, 2}), false)
+	if s.X[0] != 1 || s.X[len(s.X)-1] != 3 {
+		t.Errorf("x does not span [1, 3]: %v", s.X)
+	}
+	if s.Y[len(s.Y)-1] != 1 {
+		t.Errorf("CDF does not end at 1: %v", s.Y)
+	}
+	for i := 1; i < len(s.Y); i++ {
+		if s.Y[i] <= s.Y[i-1] || s.X[i] < s.X[i-1] {
+			t.Fatalf("CDF not increasing at %d: x %v y %v", i, s.X, s.Y)
+		}
+	}
+}
+
+// TestCDFSeriesDecimation checks that a large CDF draws as a bounded
+// polyline that keeps its maximum, and an empty one as no points.
+func TestCDFSeriesDecimation(t *testing.T) {
+	big := make([]float64, 10000)
+	for i := range big {
+		big[i] = float64(i)
+	}
+	s := cdfSeries("big", NewCDF(big), false)
+	if len(s.X) > cdfPoints+1 {
+		t.Errorf("series has %d points, want at most %d", len(s.X), cdfPoints+1)
+	}
+	if s.X[len(s.X)-1] != 9999 || s.Y[len(s.Y)-1] != 1 {
+		t.Error("the series dropped the maximum")
+	}
+	if cdfSeries("empty", NewCDF(nil), false).X != nil {
+		t.Error("empty input produced points")
 	}
 }

@@ -33,7 +33,7 @@ func ComputeTable1(ds *dataset.Dataset, distanceKm float64, states, cities int) 
 		DistanceKm:  distanceKm,
 		States:      states,
 		Cities:      cities,
-		Counties:    int(distanceKm/50) + cities, // mirrors geo.Route.Counties
+		Counties:    int(distanceKm/50) + cities, // ~50 km of road per county, plus one per city core
 		Timezones:   4,
 		UniqueCells: map[radio.Operator]int{},
 		Handovers:   map[radio.Operator]int{},

@@ -16,7 +16,6 @@ const (
 	MaxBitrateMbps = 100.0 // bitrate adapter ceiling
 	FullFPS        = 60.0
 	MinFPS         = 15.0
-	SessionSec     = 60.0
 	// Latency thresholds for frame-rate adaptation: above highLatencyMs the
 	// platform sheds frame rate; below lowLatencyMs it restores it.
 	highLatencyMs = 80.0

@@ -7,6 +7,9 @@ import (
 	"wheels/internal/radio"
 )
 
+// sessionSec is the paper's gaming session length.
+const sessionSec = 60.0
+
 type constNet struct{ dl, rtt float64 }
 
 func (n constNet) Step(float64, radio.Need) apps.NetState {
@@ -29,7 +32,7 @@ func (n *squareNet) Step(dt float64, need radio.Need) apps.NetState {
 func TestBestStaticGaming(t *testing.T) {
 	// §7.3: best static run reaches ~98.5 Mbps send bitrate, ~17 ms
 	// latency, 0.5% frame drops.
-	res := Run(constNet{dl: 1200e6, rtt: 17}, SessionSec)
+	res := Run(constNet{dl: 1200e6, rtt: 17}, sessionSec)
 	if res.SendBitrate < 85 || res.SendBitrate > 100 {
 		t.Errorf("best-static bitrate = %.1f Mbps, want near the 100 cap", res.SendBitrate)
 	}
@@ -45,7 +48,7 @@ func TestBestStaticGaming(t *testing.T) {
 }
 
 func TestConstrainedLinkAdaptsDown(t *testing.T) {
-	res := Run(constNet{dl: 20e6, rtt: 60}, SessionSec)
+	res := Run(constNet{dl: 20e6, rtt: 60}, sessionSec)
 	if res.SendBitrate > 25 {
 		t.Errorf("bitrate on a 20 Mbps link = %.1f, want adapted below capacity", res.SendBitrate)
 	}
@@ -57,7 +60,7 @@ func TestConstrainedLinkAdaptsDown(t *testing.T) {
 func TestFrameRateSacrificedForLatency(t *testing.T) {
 	// The platform keeps the drop rate low by shedding frame rate when
 	// latency is high (observation 2 of §7.3).
-	res := Run(constNet{dl: 8e6, rtt: 150}, SessionSec)
+	res := Run(constNet{dl: 8e6, rtt: 150}, sessionSec)
 	if res.MedianFPS >= FullFPS {
 		t.Errorf("FPS on a high-latency link = %.0f, want reduced", res.MedianFPS)
 	}
@@ -67,8 +70,8 @@ func TestFrameRateSacrificedForLatency(t *testing.T) {
 }
 
 func TestFluctuatingLinkDropsFrames(t *testing.T) {
-	fluct := Run(&squareNet{}, SessionSec)
-	stable := Run(constNet{dl: 40e6, rtt: 55}, SessionSec)
+	fluct := Run(&squareNet{}, sessionSec)
+	stable := Run(constNet{dl: 40e6, rtt: 55}, sessionSec)
 	if fluct.FrameDrop <= stable.FrameDrop {
 		t.Errorf("fluctuating link drop %.3f not above stable %.3f", fluct.FrameDrop, stable.FrameDrop)
 	}
@@ -78,7 +81,7 @@ func TestFluctuatingLinkDropsFrames(t *testing.T) {
 }
 
 func TestBitrateNeverExceedsCap(t *testing.T) {
-	res := Run(constNet{dl: 5000e6, rtt: 10}, SessionSec)
+	res := Run(constNet{dl: 5000e6, rtt: 10}, sessionSec)
 	if res.SendBitrate > MaxBitrateMbps {
 		t.Errorf("send bitrate %.1f exceeded the %v Mbps adapter cap", res.SendBitrate, MaxBitrateMbps)
 	}

@@ -47,15 +47,3 @@ func Median(v []float64) float64 {
 	n := len(c)
 	return (c[n/2-1] + c[n/2]) / 2
 }
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
-}

@@ -15,8 +15,6 @@ var Ladder = []float64{5, 10, 50, 100}
 
 const (
 	ChunkSec = 2.0
-	// Session length (§D.1: each playback session runs 3 minutes).
-	SessionSec = 180.0
 	// QoE weights (§D.1, following Yin et al.).
 	LambdaQoE = 1.0
 	MuQoE     = 100.0

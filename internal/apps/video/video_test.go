@@ -7,6 +7,9 @@ import (
 	"wheels/internal/radio"
 )
 
+// sessionSec is the paper's playback session length (§D.1: 3 minutes).
+const sessionSec = 180.0
+
 type constNet struct{ dl, rtt float64 }
 
 func (n constNet) Step(float64, radio.Need) apps.NetState {
@@ -30,7 +33,7 @@ func (n *varNet) Step(dt float64, need radio.Need) apps.NetState {
 
 func TestBestStaticQoE(t *testing.T) {
 	// §7.2: the best static run scores 96.29 with a theoretical max of 100.
-	res := Run(constNet{dl: 1500e6, rtt: 15}, SessionSec)
+	res := Run(constNet{dl: 1500e6, rtt: 15}, sessionSec)
 	if res.QoE < 90 || res.QoE > 100 {
 		t.Errorf("best-static QoE = %.2f, want about 96", res.QoE)
 	}
@@ -45,7 +48,7 @@ func TestBestStaticQoE(t *testing.T) {
 func TestStarvedLinkRebuffers(t *testing.T) {
 	// Capacity below the lowest rung: the session is mostly rebuffering
 	// and QoE goes deeply negative (Fig. 15a shows rebuffering up to 87%).
-	res := Run(constNet{dl: 2e6, rtt: 80}, SessionSec)
+	res := Run(constNet{dl: 2e6, rtt: 80}, sessionSec)
 	if res.RebufFrac < 0.4 {
 		t.Errorf("rebuffer fraction on a 2 Mbps link = %.2f, want > 0.4", res.RebufFrac)
 	}
@@ -55,7 +58,7 @@ func TestStarvedLinkRebuffers(t *testing.T) {
 }
 
 func TestModerateLinkPicksMiddleRungs(t *testing.T) {
-	res := Run(constNet{dl: 30e6, rtt: 50}, SessionSec)
+	res := Run(constNet{dl: 30e6, rtt: 50}, sessionSec)
 	if res.AvgBitrate < 5 || res.AvgBitrate > 50 {
 		t.Errorf("avg bitrate on a 30 Mbps link = %.1f, want between rungs", res.AvgBitrate)
 	}
@@ -65,11 +68,11 @@ func TestModerateLinkPicksMiddleRungs(t *testing.T) {
 }
 
 func TestFluctuatingLinkSwitches(t *testing.T) {
-	res := Run(&varNet{}, SessionSec)
+	res := Run(&varNet{}, sessionSec)
 	if res.Switches == 0 {
 		t.Error("no bitrate switches on a strongly fluctuating link")
 	}
-	better := Run(constNet{dl: 60e6, rtt: 60}, SessionSec)
+	better := Run(constNet{dl: 60e6, rtt: 60}, sessionSec)
 	if res.QoE >= better.QoE {
 		t.Errorf("fluctuating-link QoE %.1f not below stable-link %.1f", res.QoE, better.QoE)
 	}

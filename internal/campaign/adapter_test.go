@@ -17,7 +17,7 @@ import (
 // and the trace end, each once with a fresh memo and once all in one
 // continuous run, and the test requires every whereAt branch to occur.
 func TestPositionMemoMatchesWhereAt(t *testing.T) {
-	tr := geo.Drive(geo.NewRoute(), sim.NewRNG(23).Stream("drive"))
+	tr := geo.DriveLimited(geo.NewRoute(), sim.NewRNG(23).Stream("drive"), 0, 0)
 	c := &Campaign{Trace: tr}
 	samples := tr.Samples
 

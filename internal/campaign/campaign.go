@@ -67,7 +67,7 @@ type Config struct {
 
 	// RawLogDir, when set, makes every bulk test also write its raw
 	// measurement files (XCAL .drm + app log) there, exactly as the real
-	// testbed did. xcal.Rebuild reconstructs the dataset from them.
+	// testbed did.
 	RawLogDir string
 
 	// Progress, when non-nil, is called at the start of each trip day with
@@ -209,21 +209,12 @@ func New(cfg Config) *Campaign {
 	return NewWithTestbed(cfg, NewTestbed())
 }
 
-// maxExtrapolateSec caps how far past a trace sample where may extrapolate
+// maxExtrapolateSec caps how far past a trace sample whereAt may extrapolate
 // the vehicle position. Samples are 1 s apart within a day, so anything
 // beyond this cap is an inter-day (overnight) gap.
 const maxExtrapolateSec = 2.0
 
-// where interpolates the drive trace at simulation time t. Within a day the
-// position extrapolates from the last sample at its recorded speed; inside
-// an overnight gap it clamps to the next day's first sample (the parked car
-// resumes from where it stopped) rather than silently returning a stale
-// mid-drive sample. Past the end of the trace the final sample is returned.
-func (c *Campaign) where(t float64) geo.Sample {
-	return c.whereAt(c.Trace.At(t), t)
-}
-
-// whereCur is where over a trace cursor. Simulation time advances
+// whereCur is whereAt over a trace cursor. Simulation time advances
 // monotonically within the schedule loop and within each test, so the
 // cursor turns the per-tick binary search into an O(1) index bump. Cursors
 // are not goroutine-safe: the schedule loop and each adapter own their own.
@@ -231,6 +222,12 @@ func (c *Campaign) whereCur(cur *geo.TraceCursor, t float64) geo.Sample {
 	return c.whereAt(cur.At(t), t)
 }
 
+// whereAt interpolates the drive trace at simulation time t, given the index
+// of the last sample at or before t. Within a day the position extrapolates
+// from the last sample at its recorded speed; inside an overnight gap it
+// clamps to the next day's first sample (the parked car resumes from where
+// it stopped) rather than silently returning a stale mid-drive sample. Past
+// the end of the trace the final sample is returned.
 func (c *Campaign) whereAt(idx int, t float64) geo.Sample {
 	if idx < 0 {
 		return c.Trace.Samples[0]

@@ -9,6 +9,12 @@ import (
 	"wheels/internal/radio"
 )
 
+// where is whereAt over a binary search of the trace: the position oracle
+// for tests that jump around in time.
+func (c *Campaign) where(t float64) geo.Sample {
+	return c.whereAt(c.Trace.At(t), t)
+}
+
 // quickDS runs a reduced campaign (first 200 km, network tests only) once
 // per test binary invocation.
 var quickCache *dataset.Dataset

@@ -70,7 +70,7 @@ func TestTestIDsUniqueAndReferenced(t *testing.T) {
 
 // TestLongCampaignShapes checks the EXPERIMENTS.md qualitative invariants
 // on a 500 km continuous drive. The invariants themselves live in
-// analysis.CheckShapes — the same definition the replication fleet scores
+// analysis.Accumulator — the same definition the replication fleet scores
 // seeds against — so this test and the fleet verdicts cannot drift apart.
 func TestLongCampaignShapes(t *testing.T) {
 	if testing.Short() {
@@ -81,7 +81,9 @@ func TestLongCampaignShapes(t *testing.T) {
 	cfg.EnableSpeedTest = false
 	cfg.EnablePassive = false
 	cfg.KmLimit = 500
-	for _, r := range analysis.CheckShapes(New(cfg).Run()) {
+	acc := analysis.NewAccumulator(cfg.Seed)
+	New(cfg).RunTo(acc)
+	for _, r := range acc.ShapeResults() {
 		if !r.Pass {
 			t.Errorf("shape %s failed: %s", r.Name, r.Detail)
 		}

@@ -264,9 +264,9 @@ func createTables(dir, suffix string) ([numTables]*os.File, error) {
 	return files, nil
 }
 
-// Load reads a dataset previously written with Save or SaveCompressed, or
-// streamed by ParallelCSVWriter. Each table is read from <table>.csv when
-// that file exists and from <table>.csv.gz otherwise.
+// Load reads a dataset written by Save or streamed by ParallelCSVWriter.
+// Each table is read from <table>.csv when that file exists and from
+// <table>.csv.gz otherwise.
 func Load(dir string) (*Dataset, error) {
 	table := func(name string, wantCols int, row func(line int, rec []string) error) error {
 		path := filepath.Join(dir, name)
@@ -371,16 +371,4 @@ func Load(dir string) (*Dataset, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// SaveCompressed writes the dataset CSVs gzip-compressed (one .csv.gz per
-// table, multi-member gzip from ParallelCSVWriter) — the full-campaign
-// dataset is ~80 MB as plain CSV.
-func (d *Dataset) SaveCompressed(dir string) error {
-	w, err := NewParallelCSVWriter(dir, 0, 0)
-	if err != nil {
-		return err
-	}
-	d.EmitTo(w)
-	return w.Flush()
 }

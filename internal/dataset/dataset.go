@@ -86,9 +86,6 @@ type HandoverRecord struct {
 	Dir      radio.Direction
 }
 
-// Vertical reports whether the handover crossed technologies.
-func (h HandoverRecord) Vertical() bool { return h.FromTech != h.ToTech }
-
 // Kind returns the Fig. 12 classification (4G->4G, 4G->5G, 5G->4G, 5G->5G).
 func (h HandoverRecord) Kind() string {
 	g := func(t radio.Tech) string {
@@ -190,36 +187,4 @@ func (d *Dataset) EndKm() float64 {
 		end = max(end, s.Km)
 	}
 	return end
-}
-
-// FilterThr returns the throughput samples matching the predicate.
-func (d *Dataset) FilterThr(keep func(ThroughputSample) bool) []ThroughputSample {
-	var out []ThroughputSample
-	for _, s := range d.Thr {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FilterRTT returns the RTT samples matching the predicate.
-func (d *Dataset) FilterRTT(keep func(RTTSample) bool) []RTTSample {
-	var out []RTTSample
-	for _, s := range d.RTT {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// TestByID returns the test summary with the given id.
-func (d *Dataset) TestByID(id int) (TestSummary, bool) {
-	for _, t := range d.Tests {
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return TestSummary{}, false
 }

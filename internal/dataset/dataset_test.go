@@ -120,24 +120,6 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	d := sampleDataset()
-	got := d.FilterThr(func(s ThroughputSample) bool { return s.Op == radio.Verizon })
-	if len(got) != 1 || got[0].TestID != 1 {
-		t.Errorf("FilterThr(Verizon) = %+v", got)
-	}
-	rtt := d.FilterRTT(func(s RTTSample) bool { return s.Ms > 100 })
-	if len(rtt) != 0 {
-		t.Errorf("FilterRTT(>100ms) = %+v, want empty", rtt)
-	}
-	if _, ok := d.TestByID(1); !ok {
-		t.Error("TestByID(1) not found")
-	}
-	if _, ok := d.TestByID(99); ok {
-		t.Error("TestByID(99) found a ghost")
-	}
-}
-
 // TestEndKm: the furthest sample of any located table, whichever table
 // holds it.
 func TestEndKm(t *testing.T) {
@@ -160,12 +142,12 @@ func TestEndKm(t *testing.T) {
 
 func TestHandoverKindAndVertical(t *testing.T) {
 	h := HandoverRecord{FromTech: radio.NRMid, ToTech: radio.LTE}
-	if h.Kind() != "5G->4G" || !h.Vertical() {
-		t.Errorf("Kind = %q Vertical = %v, want 5G->4G / true", h.Kind(), h.Vertical())
+	if h.Kind() != "5G->4G" {
+		t.Errorf("Kind = %q, want 5G->4G", h.Kind())
 	}
 	h2 := HandoverRecord{FromTech: radio.LTE, ToTech: radio.LTE}
-	if h2.Kind() != "4G->4G" || h2.Vertical() {
-		t.Errorf("Kind = %q Vertical = %v, want 4G->4G / false", h2.Kind(), h2.Vertical())
+	if h2.Kind() != "4G->4G" {
+		t.Errorf("Kind = %q, want 4G->4G", h2.Kind())
 	}
 }
 
@@ -176,12 +158,23 @@ func TestMbps(t *testing.T) {
 	}
 }
 
+// writeGzip writes d through a ParallelCSVWriter, the gzip dump path.
+func writeGzip(t *testing.T, d *Dataset, dir string) {
+	t.Helper()
+	w, err := NewParallelCSVWriter(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EmitTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCompressedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d := sampleDataset()
-	if err := d.SaveCompressed(dir); err != nil {
-		t.Fatalf("SaveCompressed: %v", err)
-	}
+	writeGzip(t, d, dir)
 	// Only .gz files should be visible (staging cleaned up).
 	entries, err := os.ReadDir(dir)
 	if err != nil {

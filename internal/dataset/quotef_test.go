@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// quoteF is the uncached float field encoding that rowEnc.quoteF memoizes:
+// the exact-half fast path, else AppendFloat('g', -1).
+func quoteF(dst []byte, v float64) []byte {
+	if out, ok := quoteHalf(dst, v); ok {
+		return out
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
 // TestQuoteFMatchesAppendFloat pins quoteF's exact-half fast path to
 // strconv.AppendFloat('g', -1, 64). The CSV byte stream (and through it
 // every golden dataset hash) depends on the two never diverging, so the

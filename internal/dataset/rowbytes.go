@@ -3,7 +3,6 @@ package dataset
 import (
 	"math"
 	"strconv"
-	"time"
 	"unicode"
 	"unicode/utf8"
 )
@@ -22,31 +21,18 @@ import (
 // equivalence against an encoding/csv reference for every table, including
 // fields that need quoting or escaping.
 
-// quoteF, quoteI, quoteB, quoteT append one field of the given type. The
-// formatted forms never contain a comma, quote, CR/LF, or leading space
-// ('g'-formatted floats, base-10 ints, "true"/"false", RFC3339Nano), so
-// they skip the quoting scan entirely.
-//
-// quoteF fast-paths exact halves below 10⁶: every row timestamp is a
-// multiple of the 0.5 s tick, so this branch skips ryu for one float per
-// row (and any other field that happens to land on an exact half). The
-// emitted bytes must match AppendFloat('g', -1) exactly — the golden
-// hashes ride on it: for v = I or I.5 with |v| < 10⁶ the shortest
+// quoteHalf is the float fields' fast path for exact halves below 10⁶:
+// every row timestamp is a multiple of the 0.5 s tick, so this branch skips
+// ryu for one float per row (and any other field that happens to land on an
+// exact half). The emitted bytes must match AppendFloat('g', -1) exactly —
+// the golden hashes ride on it: for v = I or I.5 with |v| < 10⁶ the shortest
 // round-trip representation is the plain decimal (the value is exactly
-// representable, and any shorter form parses to a different float), and
-// 'g' only switches to e-notation at a decimal exponent ≥ 6, which the
-// bound excludes. TestQuoteFMatchesAppendFloat sweeps every half in range
-// plus the boundaries to pin the equality.
-func quoteF(dst []byte, v float64) []byte {
-	if out, ok := quoteHalf(dst, v); ok {
-		return out
-	}
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
-}
-
-// quoteHalf is quoteF's exact-half fast path; ok=false means the value does
-// not qualify and the caller must fall back to AppendFloat (or a bit-exact
-// memo of it — see rowEnc.quoteF).
+// representable, and any shorter form parses to a different float), and 'g'
+// only switches to e-notation at a decimal exponent ≥ 6, which the bound
+// excludes. TestQuoteFMatchesAppendFloat sweeps every half in range plus the
+// boundaries to pin the equality. ok=false means the value does not qualify
+// and the caller must fall back to AppendFloat (or a bit-exact memo of it —
+// see rowEnc.quoteF).
 func quoteHalf(dst []byte, v float64) ([]byte, bool) {
 	if h := v * 2; h == math.Trunc(h) && h != 0 {
 		neg := false
@@ -67,11 +53,11 @@ func quoteHalf(dst []byte, v float64) ([]byte, bool) {
 	}
 	return dst, false
 }
+
+// quoteI and quoteB append one field. The formatted forms never contain a
+// comma, quote, CR/LF, or leading space, so they skip the quoting scan.
 func quoteI(dst []byte, v int) []byte  { return strconv.AppendInt(dst, int64(v), 10) }
 func quoteB(dst []byte, v bool) []byte { return strconv.AppendBool(dst, v) }
-func quoteT(dst []byte, t time.Time) []byte {
-	return t.AppendFormat(dst, timeLayout)
-}
 
 // fieldNeedsQuotes mirrors encoding/csv.Writer.fieldNeedsQuotes for
 // Comma=',': quote fields containing a comma, quote, or newline, fields

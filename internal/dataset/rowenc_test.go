@@ -18,6 +18,9 @@ import (
 // that thrash the caches (minute boundaries, zone flips, bit-pattern
 // collisions).
 
+// quoteT is the uncached timestamp encoding that rowEnc.quoteT replays.
+func quoteT(dst []byte, t time.Time) []byte { return t.AppendFormat(dst, timeLayout) }
+
 // tickZones are the zone shapes campaign timestamps can carry plus
 // adversarial ones: UTC, fixed negative/positive offsets, and a sub-minute
 // offset that must fail cache validation and fall back every call.

@@ -25,7 +25,7 @@ func TestCollectorRoundTrip(t *testing.T) {
 }
 
 // TestSaveMatchesCSVOracle: Save's plain files and the gunzipped files of
-// SaveCompressed both equal the encoding/csv oracle for the same dataset —
+// a ParallelCSVWriter both equal the encoding/csv oracle for the same dataset —
 // same headers, same row encoding, table by table.
 func TestSaveMatchesCSVOracle(t *testing.T) {
 	ds := fuzzSeedDataset()
@@ -34,16 +34,14 @@ func TestSaveMatchesCSVOracle(t *testing.T) {
 	if err := ds.Save(plainDir); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveCompressed(gzDir); err != nil {
-		t.Fatal(err)
-	}
+	writeGzip(t, ds, gzDir)
 	for _, name := range csvFiles {
 		want := readFile(t, filepath.Join(oracleDir, name))
 		if got := readFile(t, filepath.Join(plainDir, name)); !bytes.Equal(got, want) {
 			t.Errorf("%s: Save bytes differ from the encoding/csv oracle", name)
 		}
 		if got := gunzipFile(t, filepath.Join(gzDir, name+".gz")); !bytes.Equal(got, want) {
-			t.Errorf("%s: gunzipped SaveCompressed bytes differ from the encoding/csv oracle", name)
+			t.Errorf("%s: gunzipped ParallelCSVWriter bytes differ from the encoding/csv oracle", name)
 		}
 	}
 }

@@ -21,17 +21,6 @@ type TechMask uint8
 // Has reports whether the technology is in the mask.
 func (m TechMask) Has(t radio.Tech) bool { return m&(1<<uint(t)) != 0 }
 
-// Count returns the number of technologies in the mask.
-func (m TechMask) Count() int {
-	n := 0
-	for t := radio.Tech(0); t < radio.NumTechs; t++ {
-		if m.Has(t) {
-			n++
-		}
-	}
-	return n
-}
-
 // Best returns the most capable technology in the mask, or (LTE, false) for
 // an empty mask. Technologies are ordered by ascending capability.
 func (m TechMask) Best() (radio.Tech, bool) {
@@ -41,18 +30,6 @@ func (m TechMask) Best() (radio.Tech, bool) {
 		}
 	}
 	return radio.LTE, false
-}
-
-// Techs appends the mask's technologies to buf in ascending capability
-// order and returns the result. Pass a stack-backed buffer to avoid
-// allocation.
-func (m TechMask) Techs(buf []radio.Tech) []radio.Tech {
-	for _, t := range radio.Techs() {
-		if m.Has(t) {
-			buf = append(buf, t)
-		}
-	}
-	return buf
 }
 
 // Cell identifies one base station of one operator and technology. Cells of
@@ -239,17 +216,6 @@ func (d *Deployment) HasTech(km float64, t radio.Tech) bool {
 	return d.masks[d.bin(km)].Has(t)
 }
 
-// Available returns the technologies deployed at route distance km, in
-// ascending capability order. It is a compatibility wrapper over AvailMask
-// and allocates; per-tick callers should use AvailMask.
-func (d *Deployment) Available(km float64) []radio.Tech {
-	m := d.AvailMask(km)
-	if m == 0 {
-		return nil
-	}
-	return m.Techs(make([]radio.Tech, 0, m.Count()))
-}
-
 // SpacingKm returns the inter-site distance of the technology's cell grid,
 // precomputed at construction.
 func (d *Deployment) SpacingKm(t radio.Tech) float64 { return d.spacingKm[t] }
@@ -268,22 +234,4 @@ func (d *Deployment) CellAt(km float64, t radio.Tech) (Cell, float64) {
 	lat := d.lateralKm[t]
 	dist := math.Hypot(km-center, lat)
 	return Cell{Op: d.Op, Tech: t, Index: idx, CenterKm: center, LateralKm: lat}, dist
-}
-
-// CoverageFraction returns the fraction of route bins where the technology
-// is deployed — a diagnostic used by calibration tests, not by the policy.
-func (d *Deployment) CoverageFraction(t radio.Tech) float64 {
-	n := 0
-	for _, m := range d.masks {
-		if m.Has(t) {
-			n++
-		}
-	}
-	return float64(n) / float64(d.nbins)
-}
-
-// BestAvailable returns the most capable technology deployed at km, or
-// (LTE, false) when the UE has no service at all.
-func (d *Deployment) BestAvailable(km float64) (radio.Tech, bool) {
-	return d.AvailMask(km).Best()
 }

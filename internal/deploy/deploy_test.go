@@ -13,6 +13,18 @@ func testDeployment(t *testing.T, op radio.Operator) *Deployment {
 	return New(geo.NewRoute(), op, sim.NewRNG(23).Stream("deploy"))
 }
 
+// CoverageFraction returns the fraction of route bins where the technology
+// is deployed: the calibration tests' view of a deployment.
+func (d *Deployment) CoverageFraction(t radio.Tech) float64 {
+	n := 0
+	for _, m := range d.masks {
+		if m.Has(t) {
+			n++
+		}
+	}
+	return float64(n) / float64(d.nbins)
+}
+
 func TestDeterminism(t *testing.T) {
 	a := testDeployment(t, radio.Verizon)
 	b := testDeployment(t, radio.Verizon)
@@ -143,21 +155,15 @@ func TestCellGeometry(t *testing.T) {
 func TestAvailableSortedAndConsistent(t *testing.T) {
 	d := testDeployment(t, radio.Verizon)
 	for km := 0.0; km < d.Route.LengthKm(); km += 3.3 {
-		av := d.Available(km)
-		for i := 1; i < len(av); i++ {
-			if av[i] <= av[i-1] {
-				t.Fatalf("Available(%0.f) not ascending: %v", km, av)
-			}
+		m := d.AvailMask(km)
+		best, ok := m.Best()
+		if ok != (m != 0) {
+			t.Fatalf("Best(%0.f) ok = %v for mask %b", km, ok, m)
 		}
-		best, ok := d.BestAvailable(km)
-		if len(av) == 0 {
-			if ok {
-				t.Fatalf("BestAvailable reported service with empty set at km %.0f", km)
+		for tech := best + 1; ok && tech < radio.NumTechs; tech++ {
+			if m.Has(tech) {
+				t.Fatalf("Best(%0.f) = %v, but the mask also has %v", km, best, tech)
 			}
-			continue
-		}
-		if !ok || best != av[len(av)-1] {
-			t.Fatalf("BestAvailable(%0.f) = %v/%v, want %v", km, best, ok, av[len(av)-1])
 		}
 	}
 }

@@ -44,30 +44,17 @@ func TestAvailMaskAllocationFree(t *testing.T) {
 	}
 }
 
-// TestAvailMaskMatchesAvailable verifies the packed mask and the
-// compatibility slice API answer identically along the whole route.
+// TestAvailMaskMatchesAvailable verifies the packed mask and the per-tech
+// HasTech query answer identically along the whole route.
 func TestAvailMaskMatchesAvailable(t *testing.T) {
 	route := geo.NewRoute()
 	d := New(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"))
 	for km := 0.0; km < route.LengthKm(); km += 0.25 {
 		mask := d.AvailMask(km)
-		slice := d.Available(km)
-		if mask.Count() != len(slice) {
-			t.Fatalf("km %.2f: mask has %d techs, slice has %d", km, mask.Count(), len(slice))
-		}
-		for _, tech := range slice {
-			if !mask.Has(tech) {
-				t.Fatalf("km %.2f: slice reports %v but mask lacks it", km, tech)
-			}
+		for _, tech := range radio.Techs() {
 			if d.HasTech(km, tech) != mask.Has(tech) {
 				t.Fatalf("km %.2f: HasTech and mask disagree on %v", km, tech)
 			}
-		}
-		wantBest, wantOK := mask.Best()
-		gotBest, gotOK := d.BestAvailable(km)
-		if wantBest != gotBest || wantOK != gotOK {
-			t.Fatalf("km %.2f: BestAvailable (%v,%v) != mask.Best (%v,%v)",
-				km, gotBest, gotOK, wantBest, wantOK)
 		}
 	}
 }

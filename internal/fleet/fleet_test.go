@@ -207,10 +207,17 @@ func sweepScenarios(t *testing.T, names ...string) []Scenario {
 	t.Helper()
 	var out []Scenario
 	for _, name := range names {
-		sc := scenario.MustLoad(name)
+		sc, err := scenario.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := sc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
 		out = append(out, Scenario{
 			Name:      sc.Name(),
-			Testbed:   sc.MustCompile(),
+			Testbed:   tb,
 			Shapes:    sc.ShapeParams(),
 			Configure: sc.ApplySchedule,
 		})

@@ -14,6 +14,20 @@ import (
 	"wheels/internal/dataset"
 )
 
+// Reduce collapses a materialized campaign dataset to its SeedSummary by
+// replaying it through the streaming reduction (analysis.Accumulator +
+// dataset.HashSink), scored against the paper's shape thresholds and
+// labeled as the paper scenario: the oracle the streaming per-seed path is
+// compared against.
+func Reduce(ds *dataset.Dataset) SeedSummary {
+	acc := analysis.NewAccumulator(ds.Seed)
+	h := dataset.NewHashSink()
+	sink := dataset.Tee(acc, h)
+	ds.EmitTo(sink)
+	sink.Flush() // Accumulator and HashSink flushes cannot fail
+	return summarize(acc, h.Sum(), "paper")
+}
+
 // TestStreamingSummaryMatchesReduce: the streaming per-seed reduction
 // (runSeed — campaign records straight into Accumulator + HashSink) yields
 // exactly the summary the materialized path computes, hash included.

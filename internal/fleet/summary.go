@@ -7,7 +7,7 @@
 //
 // Memory model: each campaign streams its records straight into a compact
 // per-seed reduction — an analysis.Accumulator (headline medians, coverage
-// shares, handover statistics, app QoE, and the CheckShapes pass/fail
+// shares, handover statistics, app QoE, and the shape-invariant pass/fail
 // vector) teed with a dataset.HashSink fingerprint — so no dataset is ever
 // materialized and a fleet of any size holds at most `workers` accumulators
 // at once.
@@ -135,7 +135,7 @@ type SeedSummary struct {
 	Seed int64 `json:"seed"`
 
 	Ops    map[string]OpSummary `json:"ops"`    // keyed by radio.Operator.Short()
-	Shapes map[string]bool      `json:"shapes"` // analysis.CheckShapes verdicts
+	Shapes map[string]bool      `json:"shapes"` // Accumulator.ShapeResults verdicts
 
 	// Roads is the per-road-class reduction (handover rate, 5G dwell,
 	// throughput quantiles) the policy-sweep report compares configs on,
@@ -159,24 +159,6 @@ type SeedSummary struct {
 	// than the one now running (see Config.VerifyResume). Empty in
 	// checkpoints from older builds.
 	DatasetSHA256 string `json:"dataset_sha256,omitempty"`
-}
-
-// Reduce collapses a campaign dataset to its SeedSummary by replaying it
-// through the streaming reduction (analysis.Accumulator + dataset.HashSink)
-// — the materialized and streaming paths share one definition of every
-// metric. The dataset is scored against the paper's shape thresholds and
-// labeled as the paper scenario (a materialized dataset carries no scenario
-// of its own). It tolerates empty and partial datasets (a seed whose
-// campaign yields zero tests of some kind): empty slices reduce to
-// zero-valued medians, never NaN — the summary must survive a JSON
-// round-trip through the checkpoint file.
-func Reduce(ds *dataset.Dataset) SeedSummary {
-	acc := analysis.NewAccumulator(ds.Seed)
-	h := dataset.NewHashSink()
-	sink := dataset.Tee(acc, h)
-	ds.EmitTo(sink)
-	sink.Flush() // Accumulator and HashSink flushes cannot fail
-	return summarize(acc, h.Sum(), "paper")
 }
 
 // digester is a sink that reports the dataset.HashSink digest of the

@@ -39,7 +39,7 @@ func TestCursorMatchesRoute(t *testing.T) {
 // checks the cursor index against the binary-search Trace.At.
 func TestTraceCursorMatchesAt(t *testing.T) {
 	r := NewRoute()
-	tr := Drive(r, sim.NewRNG(23).Stream("drive"))
+	tr := DriveLimited(r, sim.NewRNG(23).Stream("drive"), 0, 0)
 	cur := tr.Cursor()
 	last := tr.Samples[len(tr.Samples)-1].T
 	times := []float64{-5, 0, 0.5, 100, 99.7, 5000, 4999, last, last + 10}
@@ -59,7 +59,7 @@ func TestTraceCursorMatchesAt(t *testing.T) {
 // exactly as the binary-search Trace.At does.
 func TestTraceCursorResetAtMatchesAt(t *testing.T) {
 	r := NewRoute()
-	tr := Drive(r, sim.NewRNG(23).Stream("drive"))
+	tr := DriveLimited(r, sim.NewRNG(23).Stream("drive"), 0, 0)
 	s := tr.Samples
 	first, last := s[0].T, s[len(s)-1].T
 	times := []float64{first - 100, first, last, last + 100}

@@ -15,9 +15,6 @@ type Sample struct {
 	Day  int // 1-based trip day
 }
 
-// Bin returns the paper's speed bin for this sample.
-func (s Sample) Bin() SpeedBin { return BinForSpeed(s.MPH) }
-
 // Trace is the 1 Hz drive trace for the whole trip. Samples are ordered by
 // time; there are gaps between trip days (overnight stops).
 type Trace struct {
@@ -33,21 +30,16 @@ func dayStartSec(day int, zone Timezone) float64 {
 	return float64(day-1)*86400 + (utcHour-15)*3600
 }
 
-// Drive simulates the 8-day drive at 1 Hz and returns the trace. All
+// DriveLimited simulates the 8-day drive at 1 Hz and returns the trace. All
 // randomness comes from the provided stream, so a given seed reproduces the
-// same drive exactly.
-func Drive(r *Route, rng *sim.RNG) *Trace {
-	return DriveLimited(r, rng, 0, 0)
-}
-
-// DriveLimited is Drive with an early stop: sample generation ends once the
-// drive has covered kmLimit km and trailSec seconds of trace time have
-// elapsed past the first sample at or beyond that distance. The returned
-// samples are exactly the prefix Drive followed by TruncateAfterKm(kmLimit,
-// trailSec) would keep — the generator draws the same random sequence in the
-// same order, it just stops drawing — so consumers bounded to the limit
-// observe an identical trace while a short campaign skips simulating the
-// days it will never look at. kmLimit <= 0 means no limit (full trip).
+// same drive exactly. Sample generation stops early once the drive has
+// covered kmLimit km and trailSec seconds of trace time have elapsed past
+// the first sample at or beyond that distance. The returned samples are
+// exactly a prefix of the full trip's trace — the generator draws the same
+// random sequence in the same order, it just stops drawing — so consumers
+// bounded to the limit observe an identical trace while a short campaign
+// skips simulating the days it will never look at. kmLimit <= 0 means no
+// limit (full trip).
 func DriveLimited(r *Route, rng *sim.RNG, kmLimit, trailSec float64) *Trace {
 	tr := &Trace{Route: r}
 	// One Gauss–Markov process per road class, each on its own labeled
@@ -72,9 +64,9 @@ func DriveLimited(r *Route, rng *sim.RNG, kmLimit, trailSec float64) *Trace {
 		t := dayStartSec(day, cur.TimezoneAt(startKm))
 		km := startKm
 		for km < endKm {
-			// Mirror TruncateAfterKm exactly: the first sample at or beyond
-			// the limit opens a trailSec window, and the first sample past
-			// that window is the first one dropped.
+			// The first sample at or beyond the limit opens a trailSec
+			// window, and the first sample past that window is the first
+			// one dropped.
 			if kmLimit > 0 && !limitHit && km >= kmLimit {
 				limitHit = true
 				cutT = t + trailSec
@@ -110,9 +102,6 @@ func DriveLimited(r *Route, rng *sim.RNG, kmLimit, trailSec float64) *Trace {
 	}
 	return tr
 }
-
-// DurationSec returns total driving time (excluding overnight gaps).
-func (tr *Trace) DurationSec() float64 { return float64(len(tr.Samples)) }
 
 // At returns the index of the last sample with T <= t, or -1 if t precedes
 // the trace. Samples are 1 s apart within a day, so this is a binary search.
@@ -185,29 +174,6 @@ func (tr *Trace) AtKm(km float64) int {
 		}
 	}
 	return lo
-}
-
-// TruncateAfterKm drops every sample more than trailSec seconds of trace
-// time past the first sample at or beyond km, copying the survivors so the
-// full backing array is released to the collector. A consumer that never
-// advances past km (plus lookahead shorter than trailSec) observes exactly
-// the samples it would have in the full trace; campaigns with a KmLimit use
-// this to shed the dominant allocation of short runs. No-op when km lies
-// beyond the trace.
-func (tr *Trace) TruncateAfterKm(km, trailSec float64) {
-	idx := tr.AtKm(km)
-	if idx >= len(tr.Samples) {
-		return
-	}
-	cut := tr.Samples[idx].T + trailSec
-	end := idx
-	for end < len(tr.Samples) && tr.Samples[end].T <= cut {
-		end++
-	}
-	if end >= len(tr.Samples) {
-		return
-	}
-	tr.Samples = append([]Sample(nil), tr.Samples[:end]...)
 }
 
 // Slice returns the samples with T in [t0, t1).

@@ -9,12 +9,12 @@ import (
 
 func testTrace(t *testing.T) *Trace {
 	t.Helper()
-	return Drive(NewRoute(), sim.NewRNG(23).Stream("drive"))
+	return DriveLimited(NewRoute(), sim.NewRNG(23).Stream("drive"), 0, 0)
 }
 
 func TestDriveDeterminism(t *testing.T) {
-	a := Drive(NewRoute(), sim.NewRNG(23).Stream("drive"))
-	b := Drive(NewRoute(), sim.NewRNG(23).Stream("drive"))
+	a := DriveLimited(NewRoute(), sim.NewRNG(23).Stream("drive"), 0, 0)
+	b := DriveLimited(NewRoute(), sim.NewRNG(23).Stream("drive"), 0, 0)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(a.Samples), len(b.Samples))
 	}
@@ -25,15 +25,31 @@ func TestDriveDeterminism(t *testing.T) {
 	}
 }
 
+// truncateAfterKm drops every sample more than trailSec seconds of trace
+// time past the first sample at or beyond km: the full trace cut to what a
+// consumer bounded to km (plus lookahead shorter than trailSec) observes.
+func truncateAfterKm(tr *Trace, km, trailSec float64) {
+	idx := tr.AtKm(km)
+	if idx >= len(tr.Samples) {
+		return
+	}
+	cut := tr.Samples[idx].T + trailSec
+	end := idx
+	for end < len(tr.Samples) && tr.Samples[end].T <= cut {
+		end++
+	}
+	tr.Samples = tr.Samples[:end]
+}
+
 // TestDriveLimitedMatchesTruncate pins the early-stop contract: stopping
 // the generator at (kmLimit, trailSec) yields exactly the samples the full
-// drive keeps after TruncateAfterKm with the same bounds — same draws, same
+// drive keeps after truncateAfterKm with the same bounds — same draws, same
 // floats, just fewer of them.
 func TestDriveLimitedMatchesTruncate(t *testing.T) {
 	route := NewRoute()
 	for _, kmLimit := range []float64{40, 120, 1000} {
-		full := Drive(route, sim.NewRNG(23).Stream("drive"))
-		full.TruncateAfterKm(kmLimit, 3600)
+		full := DriveLimited(route, sim.NewRNG(23).Stream("drive"), 0, 0)
+		truncateAfterKm(full, kmLimit, 3600)
 		lim := DriveLimited(route, sim.NewRNG(23).Stream("drive"), kmLimit, 3600)
 		if len(lim.Samples) != len(full.Samples) {
 			t.Fatalf("kmLimit %.0f: %d limited samples, want %d", kmLimit, len(lim.Samples), len(full.Samples))
@@ -46,12 +62,13 @@ func TestDriveLimitedMatchesTruncate(t *testing.T) {
 	}
 }
 
-// TestDriveLimitedNoLimit checks that a zero limit is the full drive.
+// TestDriveLimitedNoLimit checks that a zero limit is the full drive: the
+// trace runs through the last trip day.
 func TestDriveLimitedNoLimit(t *testing.T) {
-	full := Drive(NewRoute(), sim.NewRNG(23).Stream("drive"))
-	lim := DriveLimited(NewRoute(), sim.NewRNG(23).Stream("drive"), 0, 0)
-	if len(lim.Samples) != len(full.Samples) {
-		t.Fatalf("unlimited DriveLimited has %d samples, Drive has %d", len(lim.Samples), len(full.Samples))
+	r := NewRoute()
+	lim := DriveLimited(r, sim.NewRNG(23).Stream("drive"), 0, 0)
+	if last := lim.Samples[len(lim.Samples)-1]; last.Day != r.Days() {
+		t.Fatalf("unlimited drive ends on day %d, want %d", last.Day, r.Days())
 	}
 }
 
@@ -87,7 +104,7 @@ func TestDriveSpeedBinsByRoadClass(t *testing.T) {
 	want := map[RoadClass]SpeedBin{RoadCity: SpeedLow, RoadSuburban: SpeedMid, RoadHighway: SpeedHigh}
 	for _, s := range tr.Samples {
 		total[s.Road]++
-		if s.Bin() == want[s.Road] {
+		if BinForSpeed(s.MPH) == want[s.Road] {
 			inBin[s.Road]++
 		}
 	}
@@ -127,7 +144,7 @@ func TestDriveDailySchedule(t *testing.T) {
 
 func TestDriveTotalDuration(t *testing.T) {
 	tr := testTrace(t)
-	h := tr.DurationSec() / 3600
+	h := float64(len(tr.Samples)) / 3600 // one sample per driven second
 	// 5711 km over 8 days at mixed speeds: roughly 50-75 hours of driving.
 	if h < 45 || h > 80 {
 		t.Errorf("total driving time = %.1f h, want 45-80", h)
@@ -200,7 +217,7 @@ func TestDayStartLocalTime(t *testing.T) {
 
 func TestTraceAtKm(t *testing.T) {
 	r := NewRoute()
-	tr := Drive(r, sim.NewRNG(23).Stream("drive"))
+	tr := DriveLimited(r, sim.NewRNG(23).Stream("drive"), 0, 0)
 	// The index returned is the first sample at or past the requested km.
 	for _, km := range []float64{0, 1, 137.5, 2500, r.LengthKm() / 2} {
 		i := tr.AtKm(km)

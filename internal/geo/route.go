@@ -244,27 +244,8 @@ func NewRouteFrom(spec RouteSpec) (*Route, error) {
 // LengthKm returns the total road length of the route.
 func (r *Route) LengthKm() float64 { return r.total }
 
-// LengthMiles returns the total road length in miles.
-func (r *Route) LengthMiles() float64 { return r.total / KmPerMile }
-
 // Days returns the number of trip days.
 func (r *Route) Days() int { return r.Legs[len(r.Legs)-1].Day }
-
-// Counties estimates the number of counties crossed (Table 1 reports
-// "100+"): US counties along the interstate corridors average ~45-55 km of
-// road each, with one extra for each major-city core.
-func (r *Route) Counties() int {
-	const countyKm = 50.0
-	n := 0
-	for _, l := range r.Legs {
-		per := int(l.RoadKm / countyKm)
-		if per < 1 {
-			per = 1
-		}
-		n += per
-	}
-	return n + len(r.Cities)
-}
 
 // Reached returns how many distinct states and cities a drive that stops at
 // route distance km has entered. A leg's states split its road distance
@@ -435,12 +416,6 @@ func (c *Cursor) RoadClassAt(km float64) RoadClass {
 func (c *Cursor) CityAreaAt(km float64) (City, bool) {
 	leg, off := c.legAt(km)
 	return c.r.cityAreaOf(leg, off)
-}
-
-// DayAt returns the 1-based trip day for route distance km.
-func (r *Route) DayAt(km float64) int {
-	leg, _ := r.legAt(km)
-	return leg.Day
 }
 
 // DayRangeKm returns the [start, end) route-distance interval driven on the

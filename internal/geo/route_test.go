@@ -208,14 +208,6 @@ func TestBinForSpeed(t *testing.T) {
 	}
 }
 
-func TestCountiesEstimate(t *testing.T) {
-	r := NewRoute()
-	// Table 1: "100+" counties over the 5711 km trip.
-	if got := r.Counties(); got < 100 || got > 150 {
-		t.Errorf("counties = %d, want 100-150", got)
-	}
-}
-
 func TestCityAreaAt(t *testing.T) {
 	r := NewRoute()
 	// Los Angeles sits at the route start.

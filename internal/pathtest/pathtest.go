@@ -97,6 +97,7 @@ func (p *DriveLink) Step(dt float64) transport.PathState {
 	if dist < 0 {
 		dist = -dist
 	}
-	st := p.Link.Step(dt, dist+0.2, 60, geo.RoadHighway)
+	var st radio.LinkState
+	p.Link.StepInto(&st, dt, dist+0.2, 60, geo.RoadHighway, radio.NeedAll)
 	return transport.PathState{CapBps: st.CapDL, BaseRTTms: 60}
 }

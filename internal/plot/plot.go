@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Series is one named line on a chart.
@@ -229,32 +228,4 @@ func formatTick(v float64) string {
 	default:
 		return fmt.Sprintf("%.2g", v)
 	}
-}
-
-// CDFSeries converts sorted sample values into a decimated CDF polyline
-// with at most maxPts points, for plotting distribution figures.
-func CDFSeries(name string, values []float64, maxPts int) Series {
-	s := Series{Name: name}
-	n := len(values)
-	if n == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if maxPts < 2 {
-		maxPts = 2
-	}
-	stride := n / maxPts
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < n; i += stride {
-		s.X = append(s.X, sorted[i])
-		s.Y = append(s.Y, float64(i+1)/float64(n))
-	}
-	if s.X[len(s.X)-1] != sorted[n-1] {
-		s.X = append(s.X, sorted[n-1])
-		s.Y = append(s.Y, 1)
-	}
-	return s
 }

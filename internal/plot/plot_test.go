@@ -87,41 +87,6 @@ func TestTicksCoverRange(t *testing.T) {
 	}
 }
 
-func TestCDFSeries(t *testing.T) {
-	s := CDFSeries("x", []float64{3, 1, 2}, 100)
-	if len(s.X) != 3 {
-		t.Fatalf("points = %d, want 3", len(s.X))
-	}
-	if s.X[0] != 1 || s.X[2] != 3 {
-		t.Errorf("x values not sorted: %v", s.X)
-	}
-	if s.Y[2] != 1 {
-		t.Errorf("CDF does not end at 1: %v", s.Y)
-	}
-	for i := 1; i < len(s.Y); i++ {
-		if s.Y[i] <= s.Y[i-1] {
-			t.Fatalf("CDF not increasing: %v", s.Y)
-		}
-	}
-}
-
-func TestCDFSeriesDecimation(t *testing.T) {
-	big := make([]float64, 10000)
-	for i := range big {
-		big[i] = float64(i)
-	}
-	s := CDFSeries("big", big, 50)
-	if len(s.X) > 60 {
-		t.Errorf("decimated series has %d points, want about 50", len(s.X))
-	}
-	if s.X[len(s.X)-1] != 9999 || s.Y[len(s.Y)-1] != 1 {
-		t.Error("decimation dropped the maximum")
-	}
-	if CDFSeries("empty", nil, 10).X != nil {
-		t.Error("empty input produced points")
-	}
-}
-
 func TestFormatTick(t *testing.T) {
 	cases := map[float64]string{0: "0", 0.05: "0.05", 2.5: "2.5", 42: "42", 1500: "1500"}
 	for v, want := range cases {

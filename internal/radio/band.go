@@ -99,12 +99,3 @@ func Bands(op Operator, t Tech) BandConfig {
 		}
 	}
 }
-
-// PeakRateBps returns the theoretical peak PHY rate for the configuration in
-// the given direction, before BLER, overhead, and load sharing.
-func (b BandConfig) PeakRateBps(dir Direction) float64 {
-	if dir == Downlink {
-		return float64(b.MaxCCDown) * b.CarrierMHz * 1e6 * b.DutyDown * b.MaxSEDown
-	}
-	return float64(b.MaxCCUp) * b.CarrierMHz * 1e6 * b.DutyUp * b.MaxSEUp
-}

@@ -293,16 +293,8 @@ func (l *Link) Reset() {
 	l.load.Reset()
 }
 
-// Step advances the link by dt seconds with the UE at distKm from the cell,
-// moving at mph over the given road class, and returns the full PHY
-// snapshot: it is StepInto with NeedAll.
-func (l *Link) Step(dt, distKm, mph float64, road geo.RoadClass) LinkState {
-	var st LinkState
-	l.StepInto(&st, dt, distKm, mph, road, NeedAll)
-	return st
-}
-
-// StepInto advances the link like Step, writing the snapshot into
+// StepInto advances the link by dt seconds with the UE at distKm from the
+// cell, moving at mph over the given road class, writing the snapshot into
 // caller-owned memory — the per-tick loops build the state in place
 // (typically directly inside the UE snapshot) instead of copying a
 // LinkState up the call chain — and computing only the outputs in need.

@@ -73,15 +73,9 @@ func eirpDBm(b BandConfig) float64 {
 	return edge + PathLossDB(b.RangeKm, b.FreqGHz, geo.RoadSuburban)
 }
 
-// MeanRSRP returns the deterministic (pre-shadowing) RSRP in dBm at the
-// given distance from the serving cell.
-func MeanRSRP(b BandConfig, km float64, road geo.RoadClass, beamGainDB float64) float64 {
-	return meanRSRPFrom(eirpDBm(b), beamGainDB, fsplDB(refDistKm, b.FreqGHz), km, road)
-}
-
-// meanRSRPFrom is MeanRSRP over precomputed per-band invariants (EIRP, beam
-// gain, reference free-space loss), evaluated in the same order so the
-// result is bit-identical to MeanRSRP.
+// meanRSRPFrom returns the deterministic (pre-shadowing) RSRP in dBm at
+// distance km from the serving cell, over the band's precomputed invariants
+// (EIRP, beam gain, reference free-space loss).
 func meanRSRPFrom(eirp, beamGainDB, fsplRefDB, km float64, road geo.RoadClass) float64 {
 	return eirp + beamGainDB - pathLossFromRefDB(fsplRefDB, km, road)
 }

@@ -9,6 +9,31 @@ import (
 	"wheels/internal/sim"
 )
 
+// MeanRSRP returns the deterministic (pre-shadowing) RSRP in dBm at the
+// given distance from the serving cell, computing the band invariants that
+// Link precomputes on every call.
+func MeanRSRP(b BandConfig, km float64, road geo.RoadClass, beamGainDB float64) float64 {
+	return meanRSRPFrom(eirpDBm(b), beamGainDB, fsplDB(refDistKm, b.FreqGHz), km, road)
+}
+
+// Step advances the link by dt seconds with the UE at distKm from the cell,
+// moving at mph over the given road class, and returns the full PHY
+// snapshot: it is StepInto with NeedAll.
+func (l *Link) Step(dt, distKm, mph float64, road geo.RoadClass) LinkState {
+	var st LinkState
+	l.StepInto(&st, dt, distKm, mph, road, NeedAll)
+	return st
+}
+
+// PeakRateBps returns the theoretical peak PHY rate for the configuration in
+// the given direction, before BLER, overhead, and load sharing.
+func (b BandConfig) PeakRateBps(dir Direction) float64 {
+	if dir == Downlink {
+		return float64(b.MaxCCDown) * b.CarrierMHz * 1e6 * b.DutyDown * b.MaxSEDown
+	}
+	return float64(b.MaxCCUp) * b.CarrierMHz * 1e6 * b.DutyUp * b.MaxSEUp
+}
+
 func TestTechClassification(t *testing.T) {
 	if LTE.Is5G() || LTEA.Is5G() {
 		t.Error("4G technologies classified as 5G")

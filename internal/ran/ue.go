@@ -32,21 +32,6 @@ type HandoverEvent struct {
 	Traffic Traffic
 }
 
-// Vertical reports whether the handover crossed technologies.
-func (h HandoverEvent) Vertical() bool { return h.From.Tech != h.To.Tech }
-
-// Kind classifies the handover the way Fig. 12 does: 4G->4G, 4G->5G,
-// 5G->4G, or 5G->5G.
-func (h HandoverEvent) Kind() string {
-	g := func(t radio.Tech) string {
-		if t.Is5G() {
-			return "5G"
-		}
-		return "4G"
-	}
-	return g(h.From.Tech) + "->" + g(h.To.Tech)
-}
-
 // hoDurationMedianMs returns the per-operator handover interruption medians
 // measured by the paper (Fig. 11b), split by traffic direction.
 func hoDurationMedianMs(op radio.Operator, dir radio.Direction) float64 {
@@ -142,10 +127,6 @@ func (u *UE) TakeHandovers() []HandoverEvent {
 	u.events = u.events[:0]
 	return ev
 }
-
-// ServingTech returns the current serving technology and whether the UE is
-// attached at all.
-func (u *UE) ServingTech() (radio.Tech, bool) { return u.tech, u.attached }
 
 // chooseTech runs one policy evaluation: walk the 5G tiers from fastest to
 // slowest, elevating with the traffic- and operator-dependent probability,

@@ -9,6 +9,25 @@ import (
 	"wheels/internal/radio"
 )
 
+// Vertical reports whether the handover crossed technologies.
+func (h HandoverEvent) Vertical() bool { return h.From.Tech != h.To.Tech }
+
+// Kind classifies the handover the way Fig. 12 does: 4G->4G, 4G->5G,
+// 5G->4G, or 5G->5G.
+func (h HandoverEvent) Kind() string {
+	g := func(t radio.Tech) string {
+		if t.Is5G() {
+			return "5G"
+		}
+		return "4G"
+	}
+	return g(h.From.Tech) + "->" + g(h.To.Tech)
+}
+
+// ServingTech returns the current serving technology and whether the UE is
+// attached at all.
+func (u *UE) ServingTech() (radio.Tech, bool) { return u.tech, u.attached }
+
 func testSetup(t *testing.T, op radio.Operator) (*geo.Route, *deploy.Deployment, *UE) {
 	t.Helper()
 	return setupFor(op)
@@ -246,7 +265,7 @@ func TestOutageAndReattach(t *testing.T) {
 	// Find a dead zone, if the seed produced one.
 	dead := -1.0
 	for km := 0.0; km < route.LengthKm(); km += 0.1 {
-		if len(dep.Available(km)) == 0 {
+		if dep.AvailMask(km) == 0 {
 			dead = km
 			break
 		}
@@ -261,7 +280,7 @@ func TestOutageAndReattach(t *testing.T) {
 	// Find covered ground and confirm reattach.
 	covered := 0.0
 	for km := 0.0; km < route.LengthKm(); km += 0.1 {
-		if len(dep.Available(km)) > 0 {
+		if dep.AvailMask(km) != 0 {
 			covered = km
 			break
 		}

@@ -21,15 +21,6 @@ type Scenario struct {
 // Name returns the scenario's name.
 func (s *Scenario) Name() string { return s.cfg.Name }
 
-// Config returns a deep-enough copy of the underlying config for
-// inspection and re-serialization; mutating it does not affect s.
-func (s *Scenario) Config() Config {
-	cfg := s.cfg
-	cfg.Cities = append([]CityConfig(nil), s.cfg.Cities...)
-	cfg.Legs = append([]LegConfig(nil), s.cfg.Legs...)
-	return cfg
-}
-
 // RouteSpec lowers the scenario's route sections into the geo layer's
 // declarative form.
 func (s *Scenario) RouteSpec() geo.RouteSpec {
@@ -136,14 +127,4 @@ func (s *Scenario) Compile() (*campaign.Testbed, error) {
 	tb.Density = s.Densities()
 	tb.Handover = s.HandoverConfigs()
 	return tb, nil
-}
-
-// MustCompile is Compile for scenarios known valid (the named library, the
-// procedural generators); it panics on error.
-func (s *Scenario) MustCompile() *campaign.Testbed {
-	tb, err := s.Compile()
-	if err != nil {
-		panic(err)
-	}
-	return tb
 }

@@ -40,15 +40,6 @@ func Load(name string) (*Scenario, error) {
 	return New(mk())
 }
 
-// MustLoad is Load for names known to exist; it panics on error.
-func MustLoad(name string) *Scenario {
-	s, err := Load(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Resolve turns a -scenario argument into a scenario: a library name, or
 // "random:<seed>" for a procedurally generated one.
 func Resolve(spec string) (*Scenario, error) {

@@ -11,9 +11,7 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -119,19 +117,6 @@ type Config struct {
 // maxDensityScale bounds density knobs: a scale above this turns the
 // coverage model into a step function and is almost certainly a typo.
 const maxDensityScale = 10.0
-
-// Parse decodes a JSON scenario config. Unknown fields are rejected — a
-// misspelled knob must fail loudly, not silently keep its default — and the
-// decoded config is normalized and validated before being returned.
-func Parse(r io.Reader) (*Scenario, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("scenario: parse: %w", err)
-	}
-	return New(cfg)
-}
 
 // New normalizes and validates a config, returning the compiled-checkable
 // scenario. The input config is not mutated.

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +13,36 @@ import (
 	"wheels/internal/campaign"
 	"wheels/internal/geo"
 )
+
+// MustLoad is Load for names known to exist; it panics on error.
+func MustLoad(name string) *Scenario {
+	s, err := Load(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// MustCompile is Compile for scenarios known valid; it panics on error.
+func (s *Scenario) MustCompile() *campaign.Testbed {
+	tb, err := s.Compile()
+	if err != nil {
+		panic(err)
+	}
+	return tb
+}
+
+// Parse decodes a JSON scenario config, rejecting unknown fields, and
+// validates it through New.
+func Parse(r io.Reader) (*Scenario, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var cfg Config
+	if err := dec.Decode(&cfg); err != nil {
+		return nil, fmt.Errorf("scenario: parse: %w", err)
+	}
+	return New(cfg)
+}
 
 // TestLibraryAllValidAndCompile proves every named scenario validates and
 // compiles into a usable testbed.
@@ -167,17 +199,17 @@ func TestGenerateReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a1.Config(), a2.Config()) {
+	if !reflect.DeepEqual(a1.cfg, a2.cfg) {
 		t.Error("Generate(7) differs between calls")
 	}
 	b, err := Generate(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a1.Config(), b.Config()) {
+	if reflect.DeepEqual(a1.cfg, b.cfg) {
 		t.Error("Generate(7) and Generate(8) produced identical configs")
 	}
-	if a1.Name() == b.Name() && reflect.DeepEqual(a1.Config().Cities, b.Config().Cities) {
+	if a1.Name() == b.Name() && reflect.DeepEqual(a1.cfg.Cities, b.cfg.Cities) {
 		t.Error("distinct seeds share a route")
 	}
 }
@@ -303,7 +335,7 @@ func FuzzScenarioConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := json.Marshal(s.Config())
+		again, err := json.Marshal(s.cfg)
 		if err != nil {
 			t.Fatalf("accepted config does not re-marshal: %v", err)
 		}

@@ -98,9 +98,6 @@ func (r *Registry) NearestEdge(pos geo.LatLon) (Server, bool) {
 	return best, bestD <= EdgeRadiusKm
 }
 
-// Edges returns all edge servers.
-func (r *Registry) Edges() []Server { return r.edges }
-
 // PropagationRTTms returns the round-trip wire latency between the UE
 // position and a server: great-circle distance over fiber at ~2/3 c, times
 // a routing-stretch factor, plus a fixed core/peering overhead. Edge servers

@@ -9,10 +9,10 @@ import (
 
 func TestRegistryLayout(t *testing.T) {
 	r := NewRegistry(geo.NewRoute())
-	if len(r.Edges()) != 5 {
-		t.Fatalf("edge servers = %d, want 5", len(r.Edges()))
+	if len(r.edges) != 5 {
+		t.Fatalf("edge servers = %d, want 5", len(r.edges))
 	}
-	for _, s := range r.Edges() {
+	for _, s := range r.edges {
 		if s.Kind != Edge {
 			t.Errorf("edge server %s has kind %v", s.Name, s.Kind)
 		}

@@ -16,9 +16,10 @@ func TestFastRandMatchesMathRand(t *testing.T) {
 	seeds := []int64{0, 1, -1, 23, 89482311, math.MaxInt64, math.MinInt64, 1 << 40}
 	for _, seed := range seeds {
 		ref := rand.New(rand.NewSource(seed))
-		got := newFastRand(seed)
+		got := &fastRand{}
+		got.seed(seed)
 		for i := 0; i < 200_000; i++ {
-			switch i % 8 {
+			switch i % 7 {
 			case 0:
 				if a, b := ref.Int63(), got.Int63(); a != b {
 					t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, b, a)
@@ -51,14 +52,6 @@ func TestFastRandMatchesMathRand(t *testing.T) {
 			case 6:
 				if a, b := ref.Uint32(), got.Uint32(); a != b {
 					t.Fatalf("seed %d draw %d: Uint32 %d != %d", seed, i, b, a)
-				}
-			case 7:
-				n := 1 + i%13
-				a, b := ref.Perm(n), got.Perm(n)
-				for k := range a {
-					if a[k] != b[k] {
-						t.Fatalf("seed %d draw %d: Perm(%d)[%d] %d != %d", seed, i, n, k, b[k], a[k])
-					}
 				}
 			}
 		}

@@ -43,15 +43,6 @@ func MakeGaussMarkov(rng *RNG, mean, sigma, tau float64) GaussMarkov {
 	return GaussMarkov{Mean: mean, Sigma: sigma, Tau: tau, rng: rng}
 }
 
-// Value returns the current state without advancing the process.
-func (g *GaussMarkov) Value() float64 {
-	if !g.init {
-		g.value = g.Mean + g.Sigma*g.rng.NormFloat64()
-		g.init = true
-	}
-	return g.value
-}
-
 // Step advances the process by dt seconds and returns the new state.
 func (g *GaussMarkov) Step(dt float64) float64 {
 	// Inline Value's lazy init: Value's draw branch pushes it past the

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Value returns the current state without advancing the process.
+func (g *GaussMarkov) Value() float64 {
+	if !g.init {
+		g.value = g.Mean + g.Sigma*g.rng.NormFloat64()
+		g.init = true
+	}
+	return g.value
+}
+
 func TestGaussMarkovStationaryMoments(t *testing.T) {
 	g := NewGaussMarkov(NewRNG(3).Stream("gm"), 10, 2, 5)
 	// Burn in past several time constants, then sample.

@@ -70,23 +70,11 @@ func (r *RNG) Stream(labels ...string) *RNG {
 	return c
 }
 
-// Float64 returns a uniform draw in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
-
 // Intn returns a uniform draw in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
-
 // NormFloat64 returns a standard normal draw.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns an exponential draw with rate 1.
-func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
@@ -99,26 +87,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 // Normal returns a normal draw with the given mean and standard deviation.
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.src.NormFloat64()
-}
-
-// TruncNormal returns a normal draw clamped to [lo, hi]. Clamping (rather
-// than rejection) keeps the draw count per call constant, which preserves
-// stream alignment across runs with different parameters.
-func (r *RNG) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	v := r.Normal(mean, stddev)
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// LogNormal returns a log-normal draw where mu and sigma are the mean and
-// standard deviation of the underlying normal (i.e. of log X).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
 }
 
 // LogNormalMedian returns a log-normal draw parameterized by its median and

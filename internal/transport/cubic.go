@@ -65,12 +65,6 @@ func (f *CubicFlow) Reset() {
 // DeliveredBytes returns cumulative goodput in bytes.
 func (f *CubicFlow) DeliveredBytes() float64 { return f.delivered }
 
-// Cwnd returns the current congestion window in packets.
-func (f *CubicFlow) Cwnd() float64 { return f.cwnd }
-
-// SRTTms returns the smoothed RTT including queueing delay, in ms.
-func (f *CubicFlow) SRTTms() float64 { return f.srttSec * 1000 }
-
 // pow3 is math.Pow(x, 3) for finite x, bit for bit: it performs exactly the
 // arithmetic of package math's pure-Go pow squaring loop specialized to the
 // exponent 3 (two iterations over the bits 0b11, no fractional part, so no

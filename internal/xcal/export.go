@@ -65,34 +65,18 @@ type RebuiltTest struct {
 	Unmatched int
 }
 
-// Rebuild reconstructs every test in the directory from its raw file pair
-// and returns them all. It is RebuildStream with a collecting visitor;
-// callers that reduce tests one at a time should stream instead and avoid
-// holding every rebuilt row in memory.
+// Rebuild reconstructs every test in the directory from its raw file pair.
+// It uses the supplied offset lookup (UTC offset in effect at a given
+// instant — in the real pipeline this came from the GPS track; here the
+// route provides it). This is the full C2 flow: parse the zone-less
+// filenames, recover UTC, match app logs to .drm files, and join samples
+// with KPI rows.
 func Rebuild(dir string, offsetAt func(utc time.Time) int) ([]RebuiltTest, error) {
-	var out []RebuiltTest
-	err := RebuildStream(dir, offsetAt, func(t RebuiltTest) error {
-		out = append(out, t)
-		return nil
-	})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// RebuildStream reconstructs each test in the directory from its raw file
-// pair and hands it to visit as soon as it is rebuilt, holding only one
-// test's rows at a time. It uses the supplied offset lookup (UTC offset in
-// effect at a given instant — in the real pipeline this came from the GPS
-// track; here the route provides it). This is the full C2 flow: parse the
-// zone-less filenames, recover UTC, match app logs to .drm files, and join
-// samples with KPI rows. A visit error aborts the walk and is returned.
-func RebuildStream(dir string, offsetAt func(utc time.Time) int, visit func(RebuiltTest) error) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
+	var out []RebuiltTest
 	for _, ent := range entries {
 		name := ent.Name()
 		if filepath.Ext(name) != ".drm" {
@@ -100,7 +84,7 @@ func RebuildStream(dir string, offsetAt func(utc time.Time) int, visit func(Rebu
 		}
 		op, test, localWall, err := ParseFilename(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// The filename's wall time is zone-less: recover UTC by probing
 		// candidate offsets and keeping the one consistent with the
@@ -115,41 +99,39 @@ func RebuildStream(dir string, offsetAt func(utc time.Time) int, visit func(Rebu
 			}
 		}
 		if !found {
-			return fmt.Errorf("xcal: no consistent timezone for %s", name)
+			return nil, fmt.Errorf("xcal: no consistent timezone for %s", name)
 		}
 		offset := offsetAt(startUTC)
 
 		drmFile, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		log, err := ParseLog(drmFile)
 		drmFile.Close()
 		if err != nil {
-			return fmt.Errorf("xcal: %s: %v", name, err)
+			return nil, fmt.Errorf("xcal: %s: %v", name, err)
 		}
 
 		appName := appLogName(op, test, startUTC, offset)
 		appFile, err := os.Open(filepath.Join(dir, appName))
 		if err != nil {
-			return fmt.Errorf("xcal: missing app log for %s: %v", name, err)
+			return nil, fmt.Errorf("xcal: missing app log for %s: %v", name, err)
 		}
 		app, err := ParseAppLog(appFile, AppLocalNoZone, offset)
 		appFile.Close()
 		if err != nil {
-			return fmt.Errorf("xcal: %s: %v", appName, err)
+			return nil, fmt.Errorf("xcal: %s: %v", appName, err)
 		}
 		if len(app) > 0 {
 			if err := MatchFile(app[0].TimeUTC, name, offset, 2*time.Minute); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		res := Sync(app, log.KPIs)
-		if err := visit(RebuiltTest{
+		out = append(out, RebuiltTest{
 			Op: op, Test: test, Rows: res.Rows, Signals: log.Signals, Unmatched: res.Unmatched,
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return out, nil
 }
