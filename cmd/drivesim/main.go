@@ -62,6 +62,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if !(*km >= 0) {
+		log.Fatalf("-km must be at least 0, got %v", *km)
+	}
 	sc, err := scenario.Resolve(*scn)
 	if err != nil {
 		log.Fatalf("-scenario %s: %v", *scn, err)

@@ -156,6 +156,9 @@ func main() {
 		}
 	}
 
+	if !(*km >= 0) {
+		log.Fatalf("-km must be at least 0, got %v", *km)
+	}
 	base := campaign.DefaultConfig(0) // Seed is set per fleet job
 	base.EnableApps = *apps
 	base.KmLimit = *km
@@ -256,7 +259,7 @@ func main() {
 		cfg.Offset = shard
 		cfg.Checkpoint = coord.ShardPath(*checkpoint, shard)
 		if _, err := fleet.Run(cfg); err != nil {
-			log.Fatal(err)
+			fatalRun(err)
 		}
 		return
 	}
@@ -339,7 +342,7 @@ func main() {
 	}
 
 	if err != nil {
-		log.Fatal(err)
+		fatalRun(err)
 	}
 	if rep.ShardedRows > 0 {
 		fmt.Fprintf(os.Stderr, "fleet: ignored %d checkpoint row(s) written by route-sharded builds\n", rep.ShardedRows)
@@ -364,4 +367,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "HTML report written to %s\n", *htmlOut)
 	}
+}
+
+// fatalRun exits with an error from fleet.Run. Those errors already begin
+// with "fleet: ", the word this command's log prefix adds, so it is printed
+// once.
+func fatalRun(err error) {
+	log.Fatal(strings.TrimPrefix(err.Error(), "fleet: "))
 }

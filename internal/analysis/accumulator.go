@@ -13,16 +13,19 @@ import (
 // consumer can score a seed without ever materializing its dataset.
 //
 // Medians are exact, not sketched: the accumulator keeps the raw float
-// values per metric (a few percent of the full record bytes) and sorts at
-// read time, which makes every output bit-identical to the same computation
-// over a materialized Dataset. Records must all be emitted before the
-// first read (Headline, ShapeResults, Fig2a).
+// values per metric (a few percent of the full record bytes) and selects
+// each quantile at read time in a scratch copy it owns, which makes every
+// output bit-identical to the same computation over a materialized
+// Dataset. Records must all be emitted before the first read (Headline,
+// ShapeResults, RoadSummaries, Fig2a), and reads share the scratch, so
+// they must not run concurrently.
 type Accumulator struct {
 	seed   int64
 	ops    []opAccum                     // indexed by operator
 	roads  [geo.NumRoadClasses]roadAccum // driving samples split by road class
 	n      Counts
 	params ShapeParams
+	q      quantiles
 }
 
 // opAccum holds one operator's metric samples. Slices append in emission
@@ -223,23 +226,41 @@ func (a *Accumulator) Fig2a() Fig2a {
 
 // Headline returns the operator's headline metrics. Empty metrics are
 // zero-valued, never NaN, exactly as the materialized reduction behaves.
+// Once the scratch has grown to the longest series, it allocates nothing.
 func (a *Accumulator) Headline(op radio.Operator) OpHeadline {
 	o := &a.ops[op]
-	share := normalize(o.techMiles)
+	fiveG, highSpeed := fiveGShares(o.techMiles)
 	return OpHeadline{
-		DriveDLMedMbps:  ShapeMedian(o.driveDL),
-		DriveULMedMbps:  ShapeMedian(o.driveUL),
-		StaticDLMedMbps: ShapeMedian(o.staticDL),
-		DriveRTTMedMs:   ShapeMedian(o.rtt),
-		FiveGMileShare:  share.FiveG(),
-		HighSpeedShare:  share.HighSpeed(),
-		HOsPerMileMed:   ShapeMedian(o.hpm),
-		HODurMedMs:      ShapeMedian(o.hoDur),
-		VideoQoEMed:     ShapeMedian(o.qoe),
-		GamingMbpsMed:   ShapeMedian(o.gaming),
+		DriveDLMedMbps:  a.q.median(o.driveDL),
+		DriveULMedMbps:  a.q.median(o.driveUL),
+		StaticDLMedMbps: a.q.median(o.staticDL),
+		DriveRTTMedMs:   a.q.median(o.rtt),
+		FiveGMileShare:  fiveG,
+		HighSpeedShare:  highSpeed,
+		HOsPerMileMed:   a.q.median(o.hpm),
+		HODurMedMs:      a.q.median(o.hoDur),
+		VideoQoEMed:     a.q.median(o.qoe),
+		GamingMbpsMed:   a.q.median(o.gaming),
 		VideoRuns:       o.videoRuns,
 		GamingRuns:      o.gamingRuns,
 	}
+}
+
+// fiveGShares is normalize(w).FiveG() and normalize(w).HighSpeed() without
+// building the normalized map: the same divisions summed in the same
+// order, so the same bits.
+func fiveGShares(w TechShare) (fiveG, highSpeed float64) {
+	var total float64
+	for _, t := range radio.Techs() {
+		total += w[t]
+	}
+	share := func(t radio.Tech) float64 {
+		if total == 0 {
+			return w[t]
+		}
+		return w[t] / total
+	}
+	return share(radio.NRLow) + share(radio.NRMid) + share(radio.NRmmW), share(radio.NRMid) + share(radio.NRmmW)
 }
 
 // ShapeResults evaluates every shape invariant against the accumulated
@@ -256,10 +277,10 @@ func (a *Accumulator) ShapeResults() []ShapeResult {
 	}
 	for _, op := range radio.Operators() {
 		o := &a.ops[op]
-		st.driveDLMed[op] = ShapeMedian(o.driveDL)
-		st.driveULMed[op] = ShapeMedian(o.driveUL)
-		st.staticDL[op] = ShapeMedian(o.staticDL)
-		st.hpmMed[op] = ShapeMedian(o.hpm)
+		st.driveDLMed[op] = a.q.median(o.driveDL)
+		st.driveULMed[op] = a.q.median(o.driveUL)
+		st.staticDL[op] = a.q.median(o.staticDL)
+		st.hpmMed[op] = a.q.median(o.hpm)
 		st.driveN[op] = len(o.driveDL)
 		st.hpmN[op] = len(o.hpm)
 		if len(o.driveDL) > 0 {

@@ -20,7 +20,7 @@ type roadAccum struct {
 
 // RoadSummary is one road class's reduced metrics for a seed: the
 // per-road-class axis of the policy-sweep report. Quantiles are exact
-// (sorted at read time) like every other accumulator output.
+// (selected at read time) like every other accumulator output.
 type RoadSummary struct {
 	Miles      float64 `json:"miles"`
 	Samples    int     `json:"samples"`
@@ -54,7 +54,8 @@ func (a *Accumulator) roadEmit(road geo.RoadClass, dir radio.Direction, mbps flo
 }
 
 // RoadSummaries reduces the per-road-class buckets. Road classes with no
-// samples return a zero summary.
+// samples return a zero summary. Once the scratch has grown to the longest
+// series, it allocates nothing.
 func (a *Accumulator) RoadSummaries() [geo.NumRoadClasses]RoadSummary {
 	var out [geo.NumRoadClasses]RoadSummary
 	for i := range a.roads {
@@ -62,10 +63,10 @@ func (a *Accumulator) RoadSummaries() [geo.NumRoadClasses]RoadSummary {
 		s := RoadSummary{
 			Miles:     r.miles,
 			Samples:   r.samples,
-			DLMedMbps: ShapeMedian(r.dl),
-			DLP25Mbps: ShapeQuantile(r.dl, 0.25),
-			DLP75Mbps: ShapeQuantile(r.dl, 0.75),
-			ULMedMbps: ShapeMedian(r.ul),
+			DLMedMbps: a.q.median(r.dl),
+			DLP25Mbps: a.q.of(r.dl, 0.25),
+			DLP75Mbps: a.q.of(r.dl, 0.75),
+			ULMedMbps: a.q.median(r.ul),
 		}
 		if r.miles > 0 {
 			s.HOsPerMile = float64(r.hos) / r.miles

@@ -11,6 +11,8 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"wheels/internal/radio"
@@ -161,24 +163,106 @@ func evalShapes(st shapeStats, p ShapeParams) []ShapeResult {
 	return out
 }
 
-// ShapeMedian is the sorted-middle median the shape checks use (0 for an
-// empty slice — callers gate on sample counts, not NaN).
-func ShapeMedian(v []float64) float64 {
-	return ShapeQuantile(v, 0.5)
-}
+// quantiles reads the sorted-index quantiles the shape checks and the
+// fleet summary report, without permuting the series it reads: where a
+// tie decides the result's bits (see of), they depend on the series'
+// order, which must stay the emission order for every read. Each read
+// copies its series into one scratch buffer the value owns and selects
+// there, so once the buffer has grown to the longest series a read
+// allocates nothing. The zero value is ready to use.
+type quantiles struct{ buf []float64 }
 
-// ShapeQuantile is the same sorted-index quantile generalized: the element
-// at floor(q·n), so ShapeQuantile(v, 0.5) is exactly ShapeMedian (0 for an
-// empty slice).
-func ShapeQuantile(v []float64, q float64) float64 {
-	if len(v) == 0 {
+// median is of(v, 0.5).
+func (s *quantiles) median(v []float64) float64 { return s.of(v, 0.5) }
+
+// of returns the element sort.Float64s would place at index floor(q·n) of
+// a copy of v (the last one for q ≥ 1), or 0 for an empty v — callers gate
+// on sample counts, not NaN.
+//
+// It selects instead of sorting, and the result has the sort's bits. Under
+// sort.Float64s's order (NaNs first, then <) elements that compare equal
+// have identical bits unless they are zeros (+0 and -0) or NaNs (payloads),
+// where the sort's tie order decides which one lands at the index. So a
+// selected ±0 or NaN falls back to sorting a fresh copy, exactly as the
+// result was defined.
+func (s *quantiles) of(v []float64, q float64) float64 {
+	n := len(v)
+	if n == 0 {
 		return 0
 	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	i := int(q * float64(len(c)))
-	if i >= len(c) {
-		i = len(c) - 1
+	k := int(q * float64(n))
+	if k >= n {
+		k = n - 1
 	}
-	return c[i]
+	// Copy the non-NaN values to the front: the sort puts the NaNs first,
+	// so the element at k is the (k-nan)-th smallest of the rest.
+	buf := slices.Grow(s.buf[:0], n)[:n]
+	s.buf = buf
+	m := 0
+	for _, x := range v {
+		buf[m] = x
+		if x == x {
+			m++
+		}
+	}
+	if nan := n - m; k >= nan {
+		if x := selectKth(buf[:m], k-nan); x != 0 {
+			return x
+		}
+	}
+	copy(buf, v)
+	sort.Float64s(buf)
+	return buf[k]
+}
+
+// selectKth returns the k-th smallest of a (0-based), which holds no NaN,
+// permuting a: Hoare partitioning around a median-of-three pivot, keeping
+// only the side that holds k. Ties split evenly between the sides, so runs
+// of equal values cost no more than distinct ones. Past a round budget
+// that well-mixed input rarely reaches, it sorts what is left instead, so
+// no input is quadratic.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); hi > lo; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		p := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] ≤ p ≤ a[i..hi], and everything strictly between
+		// j and i equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }

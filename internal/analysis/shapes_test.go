@@ -1,9 +1,15 @@
 package analysis
 
 import (
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 
 	"wheels/internal/dataset"
+	"wheels/internal/geo"
 	"wheels/internal/radio"
 )
 
@@ -117,10 +123,165 @@ func TestCheckShapesEmptyDataset(t *testing.T) {
 }
 
 func TestShapeMedianEmpty(t *testing.T) {
-	if m := ShapeMedian(nil); m != 0 {
-		t.Errorf("ShapeMedian(nil) = %v, want 0", m)
+	var q quantiles
+	if m := q.median(nil); m != 0 {
+		t.Errorf("median(nil) = %v, want 0", m)
 	}
-	if m := ShapeMedian([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("ShapeMedian = %v, want 2", m)
+	if m := q.median([]float64{3, 1, 2}); m != 2 {
+		t.Errorf("median = %v, want 2", m)
+	}
+}
+
+// sortQuantile is the definition quantiles.of must reproduce bit for bit:
+// copy the series, sort it, and index floor(q·n).
+func sortQuantile(v []float64, q float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	c := append([]float64(nil), v...)
+	sort.Float64s(c)
+	i := int(q * float64(len(c)))
+	if i >= len(c) {
+		i = len(c) - 1
+	}
+	return c[i]
+}
+
+var shapeQs = []float64{0, 0.25, 0.5, 0.75, 1}
+
+// checkQuantiles compares every shapeQs quantile of v against sortQuantile
+// by bits, and checks that v is left in order.
+func checkQuantiles(t *testing.T, s *quantiles, v []float64) {
+	t.Helper()
+	orig := append([]float64(nil), v...)
+	for _, q := range shapeQs {
+		got, want := s.of(v, q), sortQuantile(v, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("of(%v, %v) = %v (%#x), sort gives %v (%#x)", orig, q, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for i := range v {
+		if math.Float64bits(v[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("of permuted its series: %v, was %v", v, orig)
+		}
+	}
+}
+
+// quantileCases are the inputs whose bits a tie order could decide (±0 and
+// NaN payloads), plus duplicates, ±Inf and the shortest lengths.
+func quantileCases() [][]float64 {
+	negZero := math.Copysign(0, -1)
+	nan2 := math.Float64frombits(0x7ff8000000000002)
+	inf := math.Inf(1)
+	return [][]float64{
+		{},
+		{1},
+		{negZero},
+		{2, 1},
+		{negZero, 0},
+		{0, negZero},
+		{3, 1, 2},
+		{negZero, 0, negZero},
+		{0, negZero, 0, negZero, 0, negZero},
+		{1, negZero, -1, 0, 2, negZero, 0},
+		{math.NaN(), 1, 2},
+		{math.NaN(), nan2, math.NaN(), nan2},
+		{1, nan2, 1, math.NaN(), 0, negZero},
+		{inf, -inf, 0, inf, -inf},
+		{5, 5, 5, 5, 5},
+		{2, 2, 1, 1, 3, 3, 2, 2},
+		{-inf, math.NaN(), inf, negZero, 0, 7, 7, -7},
+	}
+}
+
+func TestShapeQuantileMatchesSort(t *testing.T) {
+	var s quantiles
+	for _, v := range quantileCases() {
+		checkQuantiles(t, &s, v)
+	}
+	// Longer series, past the sort's insertion-sort cutoff, with heavy
+	// ties, zeros of both signs, NaNs, sorted and reversed runs.
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.IntN(400)
+		v := make([]float64, n)
+		for i := range v {
+			switch r.IntN(8) {
+			case 0:
+				v[i] = math.Copysign(0, -1)
+			case 1:
+				v[i] = 0
+			case 2:
+				if trial%4 == 0 {
+					v[i] = math.NaN()
+				} else {
+					v[i] = float64(r.IntN(3))
+				}
+			default:
+				v[i] = float64(r.IntN(n/4+1)) + r.Float64()*float64(trial%2)
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			slices.Sort(v)
+		case 2:
+			slices.Sort(v)
+			slices.Reverse(v)
+		}
+		checkQuantiles(t, &s, v)
+	}
+}
+
+func FuzzShapeQuantile(f *testing.F) {
+	for _, v := range quantileCases() {
+		f.Add(encodeFloats(v))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var s quantiles
+		checkQuantiles(t, &s, decodeFloats(b))
+	})
+}
+
+func encodeFloats(v []float64) []byte {
+	b := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+func decodeFloats(b []byte) []float64 {
+	v := make([]float64, len(b)/8)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v
+}
+
+// TestAccumulatorReadsAllocFree pins the steady-state summary reads: once
+// one read has grown the scratch, Headline for every operator and
+// RoadSummaries allocate nothing.
+func TestAccumulatorReadsAllocFree(t *testing.T) {
+	ds := synthShapeDataset()
+	for i := range ds.Thr {
+		ds.Thr[i].Road = geo.RoadClass(i % geo.NumRoadClasses)
+		ds.Thr[i].MPH = float64(10 + i%50)
+	}
+	ds.Handovers = append(ds.Handovers, dataset.HandoverRecord{Op: radio.ATT, DurSec: 0.05})
+	ds.RTT = append(ds.RTT, dataset.RTTSample{Op: radio.Verizon, Ms: 40})
+	ds.Apps = append(ds.Apps,
+		dataset.AppRun{Op: radio.TMobile, App: dataset.TestVideo, QoE: 3},
+		dataset.AppRun{Op: radio.TMobile, App: dataset.TestGaming, SendBitrate: 9})
+	acc := NewAccumulator(ds.Seed)
+	ds.EmitTo(acc)
+	read := func() {
+		for _, op := range radio.Operators() {
+			acc.Headline(op)
+		}
+		acc.RoadSummaries()
+	}
+	read()
+	if n := testing.AllocsPerRun(20, read); n != 0 {
+		t.Errorf("Headline for every operator plus RoadSummaries allocate %v times per read, want 0", n)
 	}
 }

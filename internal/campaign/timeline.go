@@ -11,10 +11,17 @@ import (
 
 // phoneLead bounds how far a phone may run ahead of the merge: each phone
 // owns this many phase buffers and blocks once all of them hold finished
-// phases the merge has not reached yet. Two lets a phone run its next
-// phase while the merge drains the previous one, and keeps the records in
-// flight at O(phones × phoneLead) phases.
-const phoneLead = 2
+// phases the merge has not reached yet, so the records in flight stay at
+// O(phones × phoneLead) phases. The merge order, and so every byte, does
+// not depend on it. The merge waits on the slowest phone for each phase,
+// and a longer lead lets the others run on meanwhile; but every buffer
+// grows to the largest phase it holds and stays parked with the testbed.
+// Three was chosen by measurement (DESIGN.md §11): of the leads whose peak
+// RSS stayed within 5% of two's on every perfbench workload, it keeps the
+// most cores busy in RunTo, 1.85–1.91 of two against 1.82–1.87 at two.
+// Four reads 1.89–1.92 but raised sweep-dump peak RSS by 7%, and eight
+// 1.94–1.95 but by a fifth.
+const phoneLead = 3
 
 // timeline is one phone's side of the per-phone engine: filled phase
 // buffers travel to the merge on full and come back empty on free, and the

@@ -217,3 +217,25 @@ func BenchmarkFleetStreaming(b *testing.B) {
 	b.ReportMetric(peakSum/float64(b.N), "live-MB/seed")
 	runtime.KeepAlive(sums)
 }
+
+// BenchmarkSeedSummary measures summarize alone, the reduction a fleet
+// worker runs on one core after each seed: shape verdicts, road-class
+// quantiles and per-operator headlines over the accumulator of one 200 km
+// QuickConfig seed (the perfbench fleet-network workload's seeds). The
+// accumulator is fed once, outside the timer; every iteration reads it in
+// full. Its name stays clear of the gated BenchmarkFleet|BenchmarkSweep
+// regex: it is reported, not gated.
+func BenchmarkSeedSummary(b *testing.B) {
+	cfg := campaign.QuickConfig(1001, 200)
+	cfg.Engine = campaign.EngineBatch
+	acc := analysis.NewAccumulator(cfg.Seed)
+	campaign.New(cfg).RunTo(acc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seedSummarySink = summarize(acc, "", "paper")
+	}
+}
+
+// seedSummarySink keeps BenchmarkSeedSummary's result live.
+var seedSummarySink SeedSummary
