@@ -1,17 +1,17 @@
 // Command drivesim runs the full cross-country measurement campaign — the
 // LA → Boston drive with three test phones, three handover-loggers, static
-// city baselines, and the four killer apps — and writes the consolidated
-// dataset as CSV files.
+// city baselines, and the four killer apps — and streams the consolidated
+// dataset to gzip CSV files as the records are produced.
 //
 // Usage:
 //
-//	drivesim [-scenario NAME] [-seed N] [-km N] [-out DIR] [-stream-out DIR]
+//	drivesim [-scenario NAME] [-seed N] [-km N] [-out DIR]
 //	         [-quick] [-video SEC] [-gaming SEC] [-progress]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
-// With no flags it reproduces the paper's full methodology (about a minute
-// of wall time); -quick runs network tests only over the first 200 km, or
-// the first -km N when given.
+// With no flags it reproduces the paper's full methodology (about 12 s of
+// wall time and under 100 MB of peak RSS on two cores); -quick runs network
+// tests only over the first 200 km, or the first -km N when given.
 // -scenario selects the route: a library name ("paper", "dense-urban",
 // "interstate-only", "mountain-sparse", "commuter-loop", "mmwave-downtown")
 // or "random:<seed>" for a procedurally generated route. The default
@@ -20,11 +20,12 @@
 // tests) and rescore the shape invariants against its own thresholds.
 // The campaign is one continuous drive: each of the three test phones runs
 // on its own goroutine, so one campaign keeps at most three cores busy.
-// -stream-out DIR streams records to gzip CSVs as they are produced instead
-// of materializing the dataset, holding only the running summary in memory
-// (see README "Streaming the dataset"); it replaces -out. Its output is
-// multi-member gzip, each member compressed as its rows arrive, on up to
-// all cores, byte-deterministic regardless of the core count.
+// -out DIR receives one <table>.csv.gz per record type (see README
+// "Streaming the dataset"). No dataset is held in memory: the records go
+// to the writer and to the running reductions behind the printed Table 1,
+// record counts, Fig. 2a and shape verdicts. Each file is multi-member
+// gzip, each member compressed as its rows arrive, on up to all cores,
+// byte-deterministic regardless of the core count.
 // -cpuprofile and -memprofile write pprof profiles covering the campaign
 // run (see README "Profiling the hot path").
 package main
@@ -50,8 +51,7 @@ func main() {
 		scn      = flag.String("scenario", "paper", "route scenario: a library name or random:<seed>")
 		seed     = flag.Int64("seed", 23, "campaign random seed")
 		km       = flag.Float64("km", 0, "truncate the campaign to the first N km (0 = full trip)")
-		out      = flag.String("out", "dataset", "output directory for the CSV dataset")
-		stream   = flag.String("stream-out", "", "stream gzip CSVs to this directory without materializing the dataset (replaces -out)")
+		out      = flag.String("out", "dataset", "output directory for the gzip CSV dataset")
 		quick    = flag.Bool("quick", false, "network tests only, first 200 km")
 		video    = flag.Float64("video", 180, "video session length in seconds")
 		gaming   = flag.Float64("gaming", 60, "gaming session length in seconds")
@@ -111,30 +111,20 @@ func main() {
 		dataset.ProfilePhases = true
 	}
 
-	rt := tb.Route
-	var ds *dataset.Dataset
-	var acc *analysis.Accumulator
-	var endKm float64 // where the drive stopped; bounds Table 1
-	if *stream != "" {
-		w, err := dataset.NewParallelCSVWriter(*stream, 0, 0)
-		if err != nil {
-			log.Fatalf("opening stream output: %v", err)
-		}
-		acc = analysis.NewAccumulator(cfg.Seed)
-		acc.SetShapeParams(sc.ShapeParams())
-		sink := dataset.Tee(w, acc)
-		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d), streaming to %s...\n",
-			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed, *stream)
-		campaign.NewWithTestbed(cfg, tb).RunTo(sink)
-		if err := sink.Flush(); err != nil {
-			log.Fatalf("streaming dataset: %v", err)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
-			describe(cfg), sc.Name(), rt.LengthKm(), cfg.Seed)
-		c := campaign.NewWithTestbed(cfg, tb)
-		ds = c.Run()
-		endKm = c.EndKm()
+	w, err := dataset.NewParallelCSVWriter(*out, 0, 0)
+	if err != nil {
+		log.Fatalf("opening output: %v", err)
+	}
+	acc := analysis.NewAccumulator(cfg.Seed)
+	acc.SetShapeParams(sc.ShapeParams())
+	var t1 analysis.Table1Sink
+	sink := dataset.Tee(w, acc, &t1)
+	fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
+		describe(cfg), sc.Name(), tb.Route.LengthKm(), cfg.Seed)
+	c := campaign.NewWithTestbed(cfg, tb)
+	c.RunTo(sink)
+	if err := sink.Flush(); err != nil {
+		log.Fatalf("writing dataset: %v", err)
 	}
 
 	if *cpuProf != "" {
@@ -152,29 +142,21 @@ func main() {
 		}
 	}
 
-	if acc != nil {
-		n := acc.Counts()
-		fmt.Printf("streamed %d throughput, %d RTT, %d handover, %d test, %d app, %d passive records\n",
-			n.Thr, n.RTT, n.Handovers, n.Tests, n.Apps, n.Passive)
-		fmt.Println(acc.Fig2a().Render())
-		results := acc.ShapeResults()
-		pass := 0
-		for _, r := range results {
-			if r.Pass {
-				pass++
-			}
+	states, cities := tb.Route.Reached(c.EndKm())
+	fmt.Println(t1.Table1(c.EndKm(), states, cities).Render())
+	n := acc.Counts()
+	fmt.Printf("%d throughput, %d RTT, %d handover, %d test, %d app, %d passive records\n",
+		n.Thr, n.RTT, n.Handovers, n.Tests, n.Apps, n.Passive)
+	fmt.Println(acc.Fig2a().Render())
+	_, shapes := acc.Summarize()
+	pass := 0
+	for _, r := range shapes {
+		if r.Pass {
+			pass++
 		}
-		fmt.Printf("shape invariants: %d/%d pass\n", pass, len(results))
-		fmt.Printf("dataset streamed to %s (gzip CSVs)\n", *stream)
-		return
 	}
-
-	if err := ds.Save(*out); err != nil {
-		log.Fatalf("saving dataset: %v", err)
-	}
-	states, cities := rt.Reached(endKm)
-	fmt.Println(analysis.ComputeTable1(ds, endKm, states, cities).Render())
-	fmt.Printf("dataset written to %s\n", *out)
+	fmt.Printf("shape invariants: %d/%d pass\n", pass, len(shapes))
+	fmt.Printf("dataset written to %s (gzip CSVs)\n", *out)
 }
 
 func describe(cfg campaign.Config) string {

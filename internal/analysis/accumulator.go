@@ -17,7 +17,7 @@ import (
 // each quantile at read time in a scratch copy it owns, which makes every
 // output bit-identical to the same computation over a materialized
 // Dataset. Records must all be emitted before the first read (Headline,
-// ShapeResults, RoadSummaries, Fig2a), and reads share the scratch, so
+// Summarize, RoadSummaries, Fig2a), and reads share the scratch, so
 // they must not run concurrently.
 type Accumulator struct {
 	seed   int64
@@ -80,7 +80,7 @@ func NewAccumulator(seed int64) *Accumulator {
 // Seed returns the campaign seed the accumulator was created for.
 func (a *Accumulator) Seed() int64 { return a.seed }
 
-// SetShapeParams replaces the thresholds ShapeResults evaluates under.
+// SetShapeParams replaces the thresholds Summarize evaluates shapes under.
 // Reset does not touch them: a fleet worker pinned to one scenario sets
 // them once and reuses the accumulator across seeds.
 func (a *Accumulator) SetShapeParams(p ShapeParams) { a.params = p }
@@ -263,29 +263,19 @@ func fiveGShares(w TechShare) (fiveG, highSpeed float64) {
 	return share(radio.NRLow) + share(radio.NRMid) + share(radio.NRmmW), share(radio.NRMid) + share(radio.NRmmW)
 }
 
-// ShapeResults evaluates every shape invariant against the accumulated
-// records, in ShapeChecks order.
-func (a *Accumulator) ShapeResults() []ShapeResult {
-	st := shapeStats{
-		driveDLMed: map[radio.Operator]float64{},
-		driveULMed: map[radio.Operator]float64{},
-		staticDL:   map[radio.Operator]float64{},
-		fiveGShare: map[radio.Operator]float64{},
-		hpmMed:     map[radio.Operator]float64{},
-		driveN:     map[radio.Operator]int{},
-		hpmN:       map[radio.Operator]int{},
-	}
+// Summarize returns every operator's headline metrics, indexed by
+// operator, and every shape invariant's verdict in ShapeChecks order. The
+// verdicts read their medians from the headlines, so each median is
+// selected once.
+func (a *Accumulator) Summarize() (heads [radio.NumOperators]OpHeadline, shapes []ShapeResult) {
+	var st shapeStats
 	for _, op := range radio.Operators() {
 		o := &a.ops[op]
-		st.driveDLMed[op] = a.q.median(o.driveDL)
-		st.driveULMed[op] = a.q.median(o.driveUL)
-		st.staticDL[op] = a.q.median(o.staticDL)
-		st.hpmMed[op] = a.q.median(o.hpm)
-		st.driveN[op] = len(o.driveDL)
-		st.hpmN[op] = len(o.hpm)
+		heads[op] = a.Headline(op)
+		st[op] = opShapes{OpHeadline: heads[op], driveN: len(o.driveDL), hpmN: len(o.hpm)}
 		if len(o.driveDL) > 0 {
-			st.fiveGShare[op] = float64(o.fiveDrive) / float64(len(o.driveDL))
+			st[op].fiveGShare = float64(o.fiveDrive) / float64(len(o.driveDL))
 		}
 	}
-	return evalShapes(st, a.params)
+	return heads, evalShapes(&st, a.params)
 }

@@ -70,7 +70,7 @@ type ShapeResult struct {
 
 // ShapeChecks lists every shape invariant in evaluation order, described
 // with the default paper-route thresholds. The order and names are stable
-// across runs: ShapeResults returns results in exactly this order.
+// across runs: Accumulator.Summarize returns verdicts in exactly this order.
 func ShapeChecks() []ShapeCheck {
 	return ShapeChecksWith(DefaultShapeParams())
 }
@@ -112,53 +112,52 @@ func ShapeChecksWith(p ShapeParams) []ShapeCheck {
 	return checks
 }
 
-// shapeStats is the reduced view every check reads. The Accumulator builds
-// it incrementally.
-type shapeStats struct {
-	driveDLMed map[radio.Operator]float64
-	driveULMed map[radio.Operator]float64
-	staticDL   map[radio.Operator]float64
-	fiveGShare map[radio.Operator]float64 // fraction of driving DL samples on 5G
-	hpmMed     map[radio.Operator]float64 // handovers per driven mile, median per test
-	driveN     map[radio.Operator]int     // driving DL sample count
-	hpmN       map[radio.Operator]int
+// shapeStats is the reduced view every check reads, indexed by operator.
+// Accumulator.Summarize builds it from the headlines it returns.
+type shapeStats [radio.NumOperators]opShapes
+
+type opShapes struct {
+	OpHeadline
+	fiveGShare float64 // fraction of driving DL samples on 5G
+	driveN     int     // driving DL sample count
+	hpmN       int     // tests behind HOsPerMileMed
 }
 
 // evalShapes turns the reduced stats into verdicts under the thresholds in
 // p, in ShapeChecks order.
-func evalShapes(st shapeStats, p ShapeParams) []ShapeResult {
-	var out []ShapeResult
+func evalShapes(st *shapeStats, p ShapeParams) []ShapeResult {
+	out := make([]ShapeResult, 0, 3*radio.NumOperators+2)
 	add := func(name string, pass bool, detail string) {
 		out = append(out, ShapeResult{Name: name, Pass: pass, Detail: detail})
 	}
 	for _, op := range radio.Operators() {
-		dm, sm := st.driveDLMed[op], st.staticDL[op]
+		dm, sm := st[op].DriveDLMedMbps, st[op].StaticDLMedMbps
 		add("static-dwarfs-driving/"+op.Short(),
-			st.driveN[op] > 0 && sm >= p.StaticOverDriving*dm,
+			st[op].driveN > 0 && sm >= p.StaticOverDriving*dm,
 			fmt.Sprintf("static DL median %.1f vs driving %.1f Mbps", sm, dm))
 	}
 	for _, op := range radio.Operators() {
-		dl, ul := st.driveDLMed[op], st.driveULMed[op]
+		dl, ul := st[op].DriveDLMedMbps, st[op].DriveULMedMbps
 		add("dl-exceeds-ul-driving/"+op.Short(),
-			st.driveN[op] > 0 && dl > ul,
+			st[op].driveN > 0 && dl > ul,
 			fmt.Sprintf("driving DL median %.1f vs UL %.1f Mbps", dl, ul))
 	}
 	for _, op := range radio.Operators() {
-		m := st.hpmMed[op]
+		m := st[op].HOsPerMileMed
 		add("hos-per-mile-band/"+op.Short(),
-			st.hpmN[op] > 0 && m >= p.HOsPerMileLo && m <= p.HOsPerMileHi,
-			fmt.Sprintf("HOs/mile median %.2f over %d tests", m, st.hpmN[op]))
+			st[op].hpmN > 0 && m >= p.HOsPerMileLo && m <= p.HOsPerMileHi,
+			fmt.Sprintf("HOs/mile median %.2f over %d tests", m, st[op].hpmN))
 	}
-	tm, vz, att := st.fiveGShare[radio.TMobile], st.fiveGShare[radio.Verizon], st.fiveGShare[radio.ATT]
+	tm, vz, att := st[radio.TMobile].fiveGShare, st[radio.Verizon].fiveGShare, st[radio.ATT].fiveGShare
 	add("tmobile-5g-leads",
-		st.driveN[radio.TMobile] > 0 && tm >= p.TMobileLead*vz && tm >= p.TMobileLead*att,
+		st[radio.TMobile].driveN > 0 && tm >= p.TMobileLead*vz && tm >= p.TMobileLead*att,
 		fmt.Sprintf("5G shares T-Mobile %.2f, Verizon %.2f, AT&T %.2f", tm, vz, att))
 	lo, hi := vz, att
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	add("verizon-att-5g-band",
-		st.driveN[radio.Verizon] > 0 && st.driveN[radio.ATT] > 0 && hi <= p.VzAttBand*lo,
+		st[radio.Verizon].driveN > 0 && st[radio.ATT].driveN > 0 && hi <= p.VzAttBand*lo,
 		fmt.Sprintf("5G shares Verizon %.2f vs AT&T %.2f", vz, att))
 	return out
 }

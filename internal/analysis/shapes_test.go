@@ -20,7 +20,8 @@ import (
 func CheckShapes(ds *dataset.Dataset) []ShapeResult {
 	acc := NewAccumulator(ds.Seed)
 	ds.EmitTo(acc)
-	return acc.ShapeResults()
+	_, shapes := acc.Summarize()
+	return shapes
 }
 
 // synthShapeDataset builds a tiny dataset that satisfies every shape

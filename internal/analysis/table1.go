@@ -9,65 +9,112 @@ import (
 )
 
 // Table1 is the campaign's dataset statistics — Table 1 of the paper.
+// Per-operator fields are indexed by radio.Operator.
 type Table1 struct {
 	DistanceKm  float64
 	States      int
 	Cities      int
 	Counties    int
 	Timezones   int
-	UniqueCells map[radio.Operator]int
-	Handovers   map[radio.Operator]int
+	UniqueCells [radio.NumOperators]int
+	Handovers   [radio.NumOperators]int
 	RxGB        float64
 	TxGB        float64
-	RuntimeMin  map[radio.Operator]float64
+	RuntimeMin  [radio.NumOperators]float64
 	ThrSamples  int
 	RTTSamples  int
 	AppRuns     int
 }
 
-// ComputeTable1 reduces the dataset to Table 1. Route facts (distance,
-// states, cities) come from the route the campaign drove; the caller passes
-// them in so a loaded CSV dataset can still render the table.
+// ComputeTable1 reduces the dataset to Table 1 by replaying it into a
+// Table1Sink. Route facts (distance, states, cities) come from the route
+// the campaign drove; the caller passes them in so a loaded CSV dataset can
+// still render the table.
 func ComputeTable1(ds *dataset.Dataset, distanceKm float64, states, cities int) Table1 {
-	t := Table1{
-		DistanceKm:  distanceKm,
-		States:      states,
-		Cities:      cities,
-		Counties:    int(distanceKm/50) + cities, // ~50 km of road per county, plus one per city core
-		Timezones:   4,
-		UniqueCells: map[radio.Operator]int{},
-		Handovers:   map[radio.Operator]int{},
-		RuntimeMin:  map[radio.Operator]float64{},
-		ThrSamples:  len(ds.Thr),
-		RTTSamples:  len(ds.RTT),
-		AppRuns:     len(ds.Apps),
-	}
-	cells := map[radio.Operator]map[string]bool{}
-	for _, op := range radio.Operators() {
-		cells[op] = map[string]bool{}
-	}
-	for _, h := range ds.Handovers {
-		t.Handovers[h.Op]++
-		cells[h.Op][h.FromCell] = true
-		cells[h.Op][h.ToCell] = true
-	}
-	for _, p := range ds.Passive {
-		if p.Cell != "" {
-			cells[p.Op][p.Cell] = true
-		}
-	}
-	for op, set := range cells {
-		t.UniqueCells[op] = len(set)
-	}
-	for _, ts := range ds.Tests {
-		t.RuntimeMin[ts.Op] += ts.DurSec / 60
-		t.RxGB += ts.RxBytes / 1e9
-		t.TxGB += ts.TxBytes / 1e9
-	}
-	for _, a := range ds.Apps {
-		t.RuntimeMin[a.Op] += a.DurSec / 60
+	var s Table1Sink
+	ds.EmitTo(&s)
+	return s.Table1(distanceKm, states, cities)
+}
+
+// Table1Sink is the streaming reduction behind Table 1: a dataset.Sink that
+// counts each operator's handovers, collects its unique cells (handover
+// endpoints and the passive loggers' non-empty serving cells), sums its
+// experiment runtime, and sums the tests' Rx/Tx bytes and the sample and
+// app-run counts. It is kept apart from Accumulator so fleet seeds, which
+// never read Table 1, pay no map insert per passive sample.
+//
+// Every sum runs over one table in emission order, and the test and app
+// runtimes are added only at read, so a campaign's interleaved stream and a
+// table-by-table replay of the same records give the same bits. The zero
+// value is ready to use.
+type Table1Sink struct {
+	t       Table1 // the counts and the Rx/Tx sums
+	cells   [radio.NumOperators]map[string]struct{}
+	testMin [radio.NumOperators]float64
+	appMin  [radio.NumOperators]float64
+}
+
+// Table1 returns the table for the records emitted so far and the given
+// route facts.
+func (s *Table1Sink) Table1(distanceKm float64, states, cities int) Table1 {
+	t := s.t
+	t.DistanceKm, t.States, t.Cities = distanceKm, states, cities
+	t.Counties = int(distanceKm/50) + cities // ~50 km of road per county, plus one per city core
+	t.Timezones = 4
+	for op := range t.UniqueCells {
+		t.UniqueCells[op] = len(s.cells[op])
+		t.RuntimeMin[op] = s.testMin[op] + s.appMin[op]
 	}
 	return t
+}
+
+func (s *Table1Sink) cell(op radio.Operator, id string) {
+	if s.cells[op] == nil {
+		s.cells[op] = map[string]struct{}{}
+	}
+	s.cells[op][id] = struct{}{}
+}
+
+func (s *Table1Sink) EmitThr(dataset.ThroughputSample) { s.t.ThrSamples++ }
+func (s *Table1Sink) EmitRTT(dataset.RTTSample)        { s.t.RTTSamples++ }
+
+func (s *Table1Sink) EmitHandover(h dataset.HandoverRecord) {
+	s.t.Handovers[h.Op]++
+	s.cell(h.Op, h.FromCell)
+	s.cell(h.Op, h.ToCell)
+}
+
+func (s *Table1Sink) EmitTest(t dataset.TestSummary) {
+	s.testMin[t.Op] += t.DurSec / 60
+	s.t.RxGB += t.RxBytes / 1e9
+	s.t.TxGB += t.TxBytes / 1e9
+}
+
+func (s *Table1Sink) EmitApp(a dataset.AppRun) {
+	s.t.AppRuns++
+	s.appMin[a.Op] += a.DurSec / 60
+}
+
+func (s *Table1Sink) EmitPassive(p dataset.PassiveSample) {
+	if p.Cell != "" {
+		s.cell(p.Op, p.Cell)
+	}
+}
+
+// Batch emits count the sample tables and reduce the others record by
+// record through the scalar methods.
+func (s *Table1Sink) EmitThrAll(recs []dataset.ThroughputSample)    { s.t.ThrSamples += len(recs) }
+func (s *Table1Sink) EmitRTTAll(recs []dataset.RTTSample)           { s.t.RTTSamples += len(recs) }
+func (s *Table1Sink) EmitHandoverAll(recs []dataset.HandoverRecord) { each(recs, s.EmitHandover) }
+func (s *Table1Sink) EmitTestAll(recs []dataset.TestSummary)        { each(recs, s.EmitTest) }
+func (s *Table1Sink) EmitAppAll(recs []dataset.AppRun)              { each(recs, s.EmitApp) }
+func (s *Table1Sink) EmitPassiveAll(recs []dataset.PassiveSample)   { each(recs, s.EmitPassive) }
+func (s *Table1Sink) Flush() error                                  { return nil }
+
+func each[T any](recs []T, emit func(T)) {
+	for _, r := range recs {
+		emit(r)
+	}
 }
 
 // Render prints the table in the paper's layout.

@@ -8,8 +8,8 @@ import (
 	"wheels/internal/pathtest"
 )
 
-// exportBytes saves the dataset under a temp dir and returns the
-// concatenated bytes of every CSV file. It delegates to the shared helper
+// exportBytes writes the dataset under a temp dir and returns the
+// concatenated bytes of every table. It delegates to the shared helper
 // so every byte-identity test (including the scenario paper-route guard)
 // hashes the same form.
 func exportBytes(t *testing.T, ds *dataset.Dataset) []byte {
@@ -83,7 +83,8 @@ func TestLongCampaignShapes(t *testing.T) {
 	cfg.KmLimit = 500
 	acc := analysis.NewAccumulator(cfg.Seed)
 	New(cfg).RunTo(acc)
-	for _, r := range acc.ShapeResults() {
+	_, shapes := acc.Summarize()
+	for _, r := range shapes {
 		if !r.Pass {
 			t.Errorf("shape %s failed: %s", r.Name, r.Detail)
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -31,10 +30,10 @@ const (
 
 const timeLayout = time.RFC3339Nano
 
-// Table indices. Save, ParallelCSVWriter, and HashSink all iterate the
-// tables in this canonical order and encode rows through the one tableEnc
-// front end (sink.go) over the byte codecs of rowbytes.go, so "the CSV
-// bytes of a record" has exactly one definition in the package.
+// Table indices. ParallelCSVWriter and HashSink both iterate the tables in
+// this canonical order and encode rows through the one tableEnc front end
+// (sink.go) over the byte codecs of rowbytes.go, so "the CSV bytes of a
+// record" has exactly one definition in the package.
 const (
 	tabThr = iota
 	tabRTT
@@ -194,79 +193,9 @@ func readCSV(in io.Reader, name string, wantCols int, row func(line int, rec []s
 	}
 }
 
-// Save writes the dataset as CSV files under dir, creating it if needed.
-func (d *Dataset) Save(dir string) error {
-	w, err := newPlainWriter(dir)
-	if err != nil {
-		return err
-	}
-	d.EmitTo(w)
-	return w.Flush()
-}
-
-// plainWriter is Save's Sink: the six plain <table>.csv files, each piece
-// written straight to its file. The first write error is latched; later
-// pieces are dropped and Flush reports it.
-type plainWriter struct {
-	tableEnc
-	files [numTables]*os.File
-	err   error
-}
-
-func newPlainWriter(dir string) (*plainWriter, error) {
-	files, err := createTables(dir, "")
-	if err != nil {
-		return nil, err
-	}
-	w := &plainWriter{files: files}
-	w.chunkRows, w.hand = math.MaxInt, w.write
-	for i := range w.buf {
-		w.start(i, nil)
-	}
-	return w, nil
-}
-
-func (w *plainWriter) write(tab int, b []byte, _ bool) []byte {
-	if w.err == nil {
-		_, w.err = w.files[tab].Write(b)
-	}
-	return b[:0]
-}
-
-// Flush writes every partial piece and closes the files.
-func (w *plainWriter) Flush() error {
-	w.flush()
-	for _, f := range w.files {
-		if err := f.Close(); err != nil && w.err == nil {
-			w.err = err
-		}
-	}
-	return w.err
-}
-
-// createTables creates dir if needed and the six table files in it, named
-// by table with suffix appended. On error no file is left open.
-func createTables(dir, suffix string) ([numTables]*os.File, error) {
-	var files [numTables]*os.File
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return files, err
-	}
-	for i, name := range tableNames {
-		f, err := os.Create(filepath.Join(dir, name+suffix))
-		if err != nil {
-			for _, g := range files[:i] {
-				g.Close()
-			}
-			return files, err
-		}
-		files[i] = f
-	}
-	return files, nil
-}
-
-// Load reads a dataset written by Save or streamed by ParallelCSVWriter.
-// Each table is read from <table>.csv when that file exists and from
-// <table>.csv.gz otherwise.
+// Load reads a dataset directory: ParallelCSVWriter's <table>.csv.gz files
+// or plain <table>.csv files. Each table is read from <table>.csv when that
+// file exists and from <table>.csv.gz otherwise.
 func Load(dir string) (*Dataset, error) {
 	table := func(name string, wantCols int, row func(line int, rec []string) error) error {
 		path := filepath.Join(dir, name)

@@ -51,12 +51,12 @@ func sampleDataset() *Dataset {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// TestLoadRoundTrip: a dataset written through ParallelCSVWriter loads
+// back to the same records.
+func TestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	d := sampleDataset()
-	if err := d.Save(dir); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	writeGzip(t, d, dir)
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -84,9 +84,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsCorruptRows(t *testing.T) {
 	dir := t.TempDir()
-	if err := sampleDataset().Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeOracle(t, dir, sampleDataset())
 	path := filepath.Join(dir, fileThr)
 	corrupt := []byte("test_id,op,dir,time_utc,bps,tech,rsrp_dbm,sinr_db,mcs,bler,cc,mph,km,zone,road,server,static,hos\n" +
 		"x,Verizon,DL,2022-08-08T15:00:00Z,1,LTE,-90,5,3,0.1,1,10,1,Pacific,city,cloud,false,0\n")
@@ -100,9 +98,7 @@ func TestLoadRejectsCorruptRows(t *testing.T) {
 
 func TestLoadRejectsUnknownEnum(t *testing.T) {
 	dir := t.TempDir()
-	if err := sampleDataset().Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	writeOracle(t, dir, sampleDataset())
 	path := filepath.Join(dir, fileRTT)
 	corrupt := []byte("test_id,op,time_utc,ms,tech,mph,km,zone,server,static\n" +
 		"1,Sprint,2022-08-08T15:00:00Z,50,LTE,10,1,Pacific,cloud,false\n")
@@ -158,7 +154,7 @@ func TestMbps(t *testing.T) {
 	}
 }
 
-// writeGzip writes d through a ParallelCSVWriter, the gzip dump path.
+// writeGzip writes d through a ParallelCSVWriter.
 func writeGzip(t *testing.T, d *Dataset, dir string) {
 	t.Helper()
 	w, err := NewParallelCSVWriter(dir, 0, 0)
@@ -186,15 +182,13 @@ func TestCompressedRoundTrip(t *testing.T) {
 		}
 	}
 	// Load falls back to <table>.csv.gz, so the compressed directory reads
-	// back exactly as the plain one does.
+	// back exactly as the plain encoding/csv oracle's does.
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	plain := t.TempDir()
-	if err := d.Save(plain); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	writeOracle(t, plain, d)
 	want, err := Load(plain)
 	if err != nil {
 		t.Fatalf("Load(plain): %v", err)

@@ -54,12 +54,12 @@ func fuzzSeedDataset() *Dataset {
 	return d
 }
 
-// readAll returns the concatenated bytes of every dataset CSV under dir.
+// readAll returns the concatenated bytes of every <table>.csv.gz under dir.
 func readAll(t *testing.T, dir string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, name := range csvFiles {
-		b, err := os.ReadFile(filepath.Join(dir, name))
+		b, err := os.ReadFile(filepath.Join(dir, name+".gz"))
 		if err != nil {
 			t.Fatalf("reading %s: %v", name, err)
 		}
@@ -70,15 +70,13 @@ func readAll(t *testing.T, dir string) []byte {
 	return buf.Bytes()
 }
 
-// FuzzLoadCSV mutates one table of a valid exported dataset at a time and
-// asserts two properties: Load never panics, and anything Load accepts
-// round-trips export→import→export byte-identically (the canonical form is
-// a fixed point of Save∘Load).
+// FuzzLoadCSV mutates one plain <table>.csv of a valid dataset at a time
+// and asserts two properties: Load never panics, and anything Load accepts
+// round-trips export→import→export byte-identically (the writer's canonical
+// form is a fixed point of ParallelCSVWriter∘Load).
 func FuzzLoadCSV(f *testing.F) {
 	seedDir := f.TempDir()
-	if err := fuzzSeedDataset().Save(seedDir); err != nil {
-		f.Fatalf("exporting seed dataset: %v", err)
-	}
+	writeOracle(f, seedDir, fuzzSeedDataset())
 	for which, name := range csvFiles {
 		b, err := os.ReadFile(filepath.Join(seedDir, name))
 		if err != nil {
@@ -95,9 +93,7 @@ func FuzzLoadCSV(f *testing.F) {
 			which = -which
 		}
 		dir := t.TempDir()
-		if err := fuzzSeedDataset().Save(dir); err != nil {
-			t.Fatal(err)
-		}
+		writeOracle(t, dir, fuzzSeedDataset())
 		target := csvFiles[which%len(csvFiles)]
 		if err := os.WriteFile(filepath.Join(dir, target), content, 0o644); err != nil {
 			t.Fatal(err)
@@ -107,16 +103,12 @@ func FuzzLoadCSV(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		out1, out2 := t.TempDir(), t.TempDir()
-		if err := d.Save(out1); err != nil {
-			t.Fatalf("accepted dataset failed to export: %v", err)
-		}
+		writeGzip(t, d, out1)
 		back, err := Load(out1)
 		if err != nil {
 			t.Fatalf("our own export failed to import: %v", err)
 		}
-		if err := back.Save(out2); err != nil {
-			t.Fatalf("re-imported dataset failed to export: %v", err)
-		}
+		writeGzip(t, back, out2)
 		if !bytes.Equal(readAll(t, out1), readAll(t, out2)) {
 			t.Fatal("export -> import -> export is not byte-identical")
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"hash"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 )
@@ -25,9 +26,9 @@ const DefaultChunkRows = 8192
 // content.
 const gzipLevel = 5
 
-// ParallelCSVWriter is the gzip CSV exporter: one <table>.csv.gz file per
-// record type, the same headers and row encoding as Save's plain files,
-// with the compression running beside the emitting goroutine. Rows are
+// ParallelCSVWriter is the dataset writer: one <table>.csv.gz file per
+// record type, each the gzip of the table's CSV (header row first), with
+// the compression running beside the emitting goroutine. Rows are
 // CSV-encoded in emit order and cut into gzip members of chunkRows rows;
 // the members are concatenated in order. Concatenated members are a valid
 // gzip stream (RFC 1952 §2.2), so gzip.Reader — and therefore Load —
@@ -109,15 +110,25 @@ type pieceList struct{ free [][]byte }
 
 var pieceLists = sync.Pool{New: func() any { return new(pieceList) }}
 
-// NewParallelCSVWriter creates dir if needed and opens the six table
-// streams. workers <= 0 means GOMAXPROCS; chunkRows <= 0 means
+// NewParallelCSVWriter creates dir if needed and the six <table>.csv.gz
+// files in it, leaving none open on error. workers <= 0 means GOMAXPROCS; chunkRows <= 0 means
 // DefaultChunkRows. Changing chunkRows changes the output bytes (but never
 // the decompressed content); keep it fixed where byte-level reproducibility
 // of the .gz files matters.
 func NewParallelCSVWriter(dir string, workers, chunkRows int) (*ParallelCSVWriter, error) {
-	files, err := createTables(dir, ".gz")
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	var files [numTables]*os.File
+	for i, name := range tableNames {
+		f, err := os.Create(filepath.Join(dir, name+".gz"))
+		if err != nil {
+			for _, g := range files[:i] {
+				g.Close()
+			}
+			return nil, err
+		}
+		files[i] = f
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -9,7 +9,7 @@ import (
 
 // Byte-level row codecs: the one CSV encoding of the dataset.
 //
-// Every exporter (Save, ParallelCSVWriter, HashSink) encodes through these
+// Both byte sinks (ParallelCSVWriter, HashSink) encode through these
 // csvAppend* codecs via the tableEnc front end, and the fleet's sinks run
 // millions of rows through them: fields are formatted directly into a
 // caller-owned byte buffer with strconv's Append* forms and joined with the

@@ -62,10 +62,11 @@ func appendPassive(dst []string, p PassiveSample) []string {
 		p.Zone.String(), b2s(p.NoSvc))
 }
 
-// writeOracle writes d under dir in Save's layout (six plain CSV files,
-// headers first) through encoding/csv and the append* rows — the
-// independent reference every exporter's bytes are checked against.
-func writeOracle(t *testing.T, dir string, d *Dataset) {
+// writeOracle writes d under dir as six plain <table>.csv files, headers
+// first, through encoding/csv and the append* rows — the independent
+// reference the writer's decompressed bytes are checked against, and a
+// plain-CSV dataset for Load.
+func writeOracle(t testing.TB, dir string, d *Dataset) {
 	t.Helper()
 	var rows [numTables][][]string
 	for _, r := range d.Thr {

@@ -211,15 +211,15 @@ func (t tee) Flush() error {
 	return first
 }
 
-// tableEnc is the one emit front end of the byte sinks (HashSink,
-// ParallelCSVWriter, and Save's plain-file writer): it CSV-encodes every
+// tableEnc is the one emit front end of the byte sinks (HashSink and
+// ParallelCSVWriter): it CSV-encodes every
 // record through the rowEnc codecs into its table's buffer, which starts
 // with the table's header row, and cuts the buffer into pieces of about
 // chunkBytes. Each piece goes to the owner through hand, which consumes it
 // and returns the buffer the table's next piece is encoded into. end tells
 // the owner that the piece closes a gzip member: the member has reached
-// chunkRows rows, or Flush is closing it. Only ParallelCSVWriter reads end
-// and sets chunkRows; the others set chunkRows to math.MaxInt. Embedding a
+// chunkRows rows, or Flush is closing it. Only ParallelCSVWriter reads end;
+// HashSink sets chunkRows to math.MaxInt. Embedding a
 // tableEnc gives the owner all twelve Sink emit methods; the owner adds
 // Flush, which calls flush.
 type tableEnc struct {
@@ -345,10 +345,11 @@ func (e *tableEnc) EmitPassiveAll(recs []PassiveSample) {
 
 // HashSink computes a SHA-256 fingerprint of the dataset's canonical CSV
 // encoding without materializing any of it: each record is CSV-encoded
-// exactly as Save writes it and fed to a per-table hash, and Sum combines
-// the per-table digests (bound to their file names) into one hex string.
-// Emitting a dataset into a HashSink therefore fingerprints exactly the
-// bytes Save would write, table order and headers included.
+// exactly as ParallelCSVWriter encodes it and fed to a per-table hash, and
+// Sum combines the per-table digests (bound to their file names) into one
+// hex string. Emitting a dataset into a HashSink therefore fingerprints
+// exactly the CSV bytes the writer compresses, table order and headers
+// included.
 type HashSink struct {
 	tableEnc
 	h [numTables]hash.Hash

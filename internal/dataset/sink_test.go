@@ -24,22 +24,16 @@ func TestCollectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveMatchesCSVOracle: Save's plain files and the gunzipped files of
-// a ParallelCSVWriter both equal the encoding/csv oracle for the same dataset —
+// TestParallelCSVWriterMatchesCSVOracle: the gunzipped files of a
+// ParallelCSVWriter equal the encoding/csv oracle for the same dataset —
 // same headers, same row encoding, table by table.
-func TestSaveMatchesCSVOracle(t *testing.T) {
+func TestParallelCSVWriterMatchesCSVOracle(t *testing.T) {
 	ds := fuzzSeedDataset()
-	oracleDir, plainDir, gzDir := t.TempDir(), t.TempDir(), t.TempDir()
+	oracleDir, gzDir := t.TempDir(), t.TempDir()
 	writeOracle(t, oracleDir, ds)
-	if err := ds.Save(plainDir); err != nil {
-		t.Fatal(err)
-	}
 	writeGzip(t, ds, gzDir)
 	for _, name := range csvFiles {
 		want := readFile(t, filepath.Join(oracleDir, name))
-		if got := readFile(t, filepath.Join(plainDir, name)); !bytes.Equal(got, want) {
-			t.Errorf("%s: Save bytes differ from the encoding/csv oracle", name)
-		}
 		if got := gunzipFile(t, filepath.Join(gzDir, name+".gz")); !bytes.Equal(got, want) {
 			t.Errorf("%s: gunzipped ParallelCSVWriter bytes differ from the encoding/csv oracle", name)
 		}
@@ -81,7 +75,7 @@ func TestHashSinkFingerprint(t *testing.T) {
 // FuzzCSVRoundTrip mutates record fields, streams the dataset to disk with
 // ParallelCSVWriter, and asserts that whatever Load accepts streams back
 // out byte-identically — the canonical gzip CSV form is a fixed point of
-// stream-write ∘ load, exactly like the uncompressed Save ∘ Load pair.
+// stream-write ∘ load.
 func FuzzCSVRoundTrip(f *testing.F) {
 	f.Add(42.5e6, 63.2, 12.5, "A-LTE-17", false)
 	f.Add(0.0, -1.5, math.Inf(1), "cell,with\"quotes", true)

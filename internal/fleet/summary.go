@@ -135,7 +135,7 @@ type SeedSummary struct {
 	Seed int64 `json:"seed"`
 
 	Ops    map[string]OpSummary `json:"ops"`    // keyed by radio.Operator.Short()
-	Shapes map[string]bool      `json:"shapes"` // Accumulator.ShapeResults verdicts
+	Shapes map[string]bool      `json:"shapes"` // Accumulator.Summarize verdicts
 
 	// Roads is the per-road-class reduction (handover rate, 5G dwell,
 	// throughput quantiles) the policy-sweep report compares configs on,
@@ -226,7 +226,8 @@ func summarize(acc *analysis.Accumulator, sha string, scenario string) SeedSumma
 		PassiveSamples: n.Passive,
 		DatasetSHA256:  sha,
 	}
-	for _, r := range acc.ShapeResults() {
+	heads, shapes := acc.Summarize()
+	for _, r := range shapes {
 		sum.Shapes[r.Name] = r.Pass
 	}
 	for i, rs := range acc.RoadSummaries() {
@@ -239,7 +240,7 @@ func summarize(acc *analysis.Accumulator, sha string, scenario string) SeedSumma
 		sum.Roads[geo.RoadClass(i).String()] = rs
 	}
 	for _, op := range radio.Operators() {
-		sum.Ops[op.Short()] = OpSummary(acc.Headline(op))
+		sum.Ops[op.Short()] = OpSummary(heads[op])
 	}
 	return sum
 }

@@ -8,9 +8,12 @@ package pathtest
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"wheels/internal/dataset"
@@ -19,19 +22,25 @@ import (
 	"wheels/internal/transport"
 )
 
-// ExportBytes saves the dataset under a temp dir and returns the
-// concatenation of "<basename>\0<bytes>" for every CSV file in sorted name
-// order — the byte-level identity the engine differential and the seed-23
-// golden promise. Every byte-identity test must hash exactly this form, so
-// the campaign goldens and the scenario guard agree on what "identical
-// output" means.
+// ExportBytes writes the dataset through dataset.ParallelCSVWriter under a
+// temp dir and returns the concatenation of "<basename>\0<bytes>" for every
+// table, the bytes gunzipped and named by its <table>.csv name, in sorted
+// name order — the byte-level identity the engine differential and the
+// seed-23 golden promise. Every byte-identity test must hash exactly this
+// form, so the campaign goldens and the scenario guard agree on what
+// "identical output" means.
 func ExportBytes(t *testing.T, ds *dataset.Dataset) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	if err := ds.Save(dir); err != nil {
-		t.Fatalf("saving dataset: %v", err)
+	w, err := dataset.NewParallelCSVWriter(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	ds.EmitTo(w)
+	if err := w.Flush(); err != nil {
+		t.Fatalf("writing dataset: %v", err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.csv.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +50,21 @@ func ExportBytes(t *testing.T, ds *dataset.Dataset) []byte {
 	}
 	var buf bytes.Buffer
 	for _, name := range names {
-		b, err := os.ReadFile(name)
+		f, err := os.Open(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.WriteString(filepath.Base(name))
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		buf.WriteString(strings.TrimSuffix(filepath.Base(name), ".gz"))
 		buf.WriteByte(0)
-		buf.Write(b)
+		_, err = io.Copy(&buf, zr)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	return buf.Bytes()
 }
