@@ -53,10 +53,9 @@ func benchDataset(b *testing.B) *dataset.Dataset {
 func BenchmarkTable1_DatasetStats(b *testing.B) {
 	ds := benchDataset(b)
 	var t1 analysis.Table1
-	states, cities := benchRt.Reached(benchRt.LengthKm())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t1 = analysis.ComputeTable1(ds, benchRt.LengthKm(), states, cities)
+		t1 = analysis.ComputeTable1(ds, benchRt)
 	}
 	b.ReportMetric(float64(t1.Handovers[radio.Verizon]), "handovers-V")
 	b.ReportMetric(float64(t1.UniqueCells[radio.TMobile]), "cells-T")

@@ -142,8 +142,7 @@ func main() {
 		}
 	}
 
-	states, cities := tb.Route.Reached(c.EndKm())
-	fmt.Println(t1.Table1(c.EndKm(), states, cities).Render())
+	fmt.Println(t1.Table1(tb.Route).Render())
 	n := acc.Counts()
 	fmt.Printf("%d throughput, %d RTT, %d handover, %d test, %d app, %d passive records\n",
 		n.Thr, n.RTT, n.Handovers, n.Tests, n.Apps, n.Passive)

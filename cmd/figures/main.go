@@ -41,32 +41,23 @@ func main() {
 	)
 	flag.Parse()
 
-	// endKm is where the drive behind the dataset stopped, which bounds
-	// Table 1's distance, states and cities.
 	var ds *dataset.Dataset
-	var endKm float64
 	if *data != "" {
 		var err error
 		ds, err = dataset.Load(*data)
 		if err != nil {
 			log.Fatalf("loading dataset: %v", err)
 		}
-		endKm = ds.EndKm()
 	} else {
 		cfg := campaign.DefaultConfig(*seed)
 		cfg.KmLimit = *km
 		fmt.Fprintf(os.Stderr, "simulating campaign (seed %d, %.0f km)...\n", *seed, *km)
-		c := campaign.New(cfg)
-		ds = c.Run()
-		endKm = c.EndKm()
+		ds = campaign.New(cfg).Run()
 	}
 
 	route := geo.NewRoute()
 	render := map[string]func() string{
-		"table1": func() string {
-			states, cities := route.Reached(endKm)
-			return analysis.ComputeTable1(ds, endKm, states, cities).Render()
-		},
+		"table1": func() string { return analysis.ComputeTable1(ds, route).Render() },
 		"fig1":   func() string { return analysis.ComputeFig1(ds, route.LengthKm()/2).Render() },
 		"fig2a":  func() string { return analysis.ComputeFig2a(ds).Render() },
 		"fig2b":  func() string { return analysis.ComputeFig2b(ds).Render() },
@@ -169,7 +160,7 @@ func main() {
 	}
 
 	if *htmlOut != "" {
-		page, err := report.Build(ds, route, endKm)
+		page, err := report.Build(ds, route)
 		if err != nil {
 			log.Fatalf("building report: %v", err)
 		}

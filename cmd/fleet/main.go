@@ -9,7 +9,7 @@
 //	fleet [-scenario LIST] [-seeds N] [-start-seed S] [-workers W]
 //	      [-checkpoint FILE] [-verify-resume] [-out FILE] [-html FILE]
 //	      [-dump-dir DIR] [-quick] [-km N] [-apps=false] [-grid builtin|FILE]
-//	      [-print-grid] [-procs N] [-cpuprofile FILE] [-memprofile FILE]
+//	      [-print-grid] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -scenario takes a comma-separated list of route scenarios (library names
 // like "paper" or "dense-urban", or "random:<seed>" for a procedurally
@@ -61,18 +61,6 @@
 // to DIR/<scenario>/seed-N/ as gzip CSVs (compressed while the seed runs),
 // or DIR/<scenario>@<policy>/seed-N/ for a non-default grid policy; resumed
 // seeds are not re-run, so they leave no dump.
-//
-// -procs N partitions the sweep across N spawned fleet worker processes
-// (requires -checkpoint): each worker runs its residue class of the sweep
-// against its own checkpoint shard "<checkpoint>.shard<i>", the
-// coordinator merges the shards back into the main checkpoint, and the
-// final report is rendered by a resume-only pass over the merged file —
-// byte-identical to a -procs 1 run, including after killing the
-// coordinator or a worker mid-sweep and re-running (see README
-// "Multi-process fleets"). Each worker is this binary re-invoked with
-// "-coord-shard i/N" followed by the coordinator's own arguments verbatim,
-// so every flag reaches the workers unchanged. -coord-shard is that
-// internal worker-mode flag; it is not for direct use.
 package main
 
 import (
@@ -81,7 +69,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -89,7 +76,6 @@ import (
 	"time"
 
 	"wheels/internal/campaign"
-	"wheels/internal/coord"
 	"wheels/internal/dataset"
 	"wheels/internal/fleet"
 	"wheels/internal/scenario"
@@ -113,8 +99,6 @@ func main() {
 		apps       = flag.Bool("apps", true, "run the four killer apps in each campaign")
 		gridSpec   = flag.String("grid", "", "cross every scenario with a handover-policy grid: \"builtin\" (baseline/sticky/nervous/eager-5g) or a JSON grid file")
 		printGrid  = flag.Bool("print-grid", false, "print the effective -grid as JSON and exit")
-		procs      = flag.Int("procs", 1, "partition the sweep across N spawned fleet processes (requires -checkpoint; output is byte-identical to -procs 1)")
-		coordShard = flag.String("coord-shard", "", "internal: run as coordinator worker i/N against checkpoint shard i (set by -procs, not by hand)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
 		memProf    = flag.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -138,22 +122,6 @@ func main() {
 			log.Fatal(err)
 		}
 		return
-	}
-
-	// Worker mode: -coord-shard i/N narrows this process to its residue
-	// class of the sweep (Stride/Offset) and retargets it at its own
-	// checkpoint shard. The coordinator merges and reports; a worker only
-	// computes, returning right after fleet.Run — before the -procs,
-	// profiling and report code — so the coordinator's -procs, -out, -html
-	// and profile flags, forwarded verbatim, never act twice.
-	shard, shardOf := 0, 0
-	if *coordShard != "" {
-		if _, err := fmt.Sscanf(*coordShard, "%d/%d", &shard, &shardOf); err != nil || shardOf < 1 || shard < 0 || shard >= shardOf {
-			log.Fatalf("bad -coord-shard %q (want i/N with 0 <= i < N)", *coordShard)
-		}
-		if *checkpoint == "" {
-			log.Fatal("-coord-shard needs -checkpoint")
-		}
 	}
 
 	if !(*km >= 0) {
@@ -213,12 +181,6 @@ func main() {
 	}
 
 	start := time.Now()
-	// Worker progress lines interleave with the coordinator's and the other
-	// workers' on the shared stderr, so each carries its shard tag.
-	tag := " "
-	if *coordShard != "" {
-		tag = fmt.Sprintf(" [shard %d] ", shard)
-	}
 	cfg := fleet.Config{
 		Base:         base,
 		Scenarios:    sweep,
@@ -239,8 +201,8 @@ func main() {
 			if ev.PolicyName != "" {
 				cell += "/" + ev.PolicyName
 			}
-			fmt.Fprintf(os.Stderr, " %s%s seed %d %s (%d/%d, shapes %d/%d, %s)\n",
-				tag, cell, ev.Seed, state, ev.Done, ev.Total, ev.ShapesPass, ev.ShapesTotal,
+			fmt.Fprintf(os.Stderr, "  %s seed %d %s (%d/%d, shapes %d/%d, %s)\n",
+				cell, ev.Seed, state, ev.Done, ev.Total, ev.ShapesPass, ev.ShapesTotal,
 				time.Since(start).Round(time.Second))
 			if ev.HashMismatch {
 				fmt.Fprintf(os.Stderr, "  WARNING: %s seed %d checkpoint hash disagrees with this build's recomputed dataset hash — the checkpoint was written by different code\n", cell, ev.Seed)
@@ -254,58 +216,12 @@ func main() {
 		}
 	}
 
-	if *coordShard != "" {
-		cfg.Stride = shardOf
-		cfg.Offset = shard
-		cfg.Checkpoint = coord.ShardPath(*checkpoint, shard)
-		if _, err := fleet.Run(cfg); err != nil {
-			fatalRun(err)
-		}
-		return
-	}
-
 	axis := ""
 	if grid != nil {
 		axis = fmt.Sprintf(" × %d policies", len(policies))
 	}
 	fmt.Fprintf(os.Stderr, "fleet: scenarios %s%s, %d seeds from %d...\n",
 		strings.Join(names, ","), axis, *seeds, *startSeed)
-
-	if *procs > 1 {
-		// Coordinator phase: partition the sweep across -procs re-invocations
-		// of this binary, each a worker on its own checkpoint shard, then
-		// merge the shards back into -checkpoint. The ordinary fleet.Run
-		// below then finds every pair already checkpointed: it is a
-		// resume-only pass that renders the report — the same code path, and
-		// so the same bytes, as a -procs 1 run.
-		if *checkpoint == "" {
-			log.Fatalf("-procs %d needs -checkpoint: the shards are checkpoint files", *procs)
-		}
-		exe, err := os.Executable()
-		if err != nil {
-			log.Fatalf("locating own binary for workers: %v", err)
-		}
-		err = coord.Run(coord.Config{
-			Checkpoint: *checkpoint,
-			Procs:      *procs,
-			Spawn: func(shard, procs int) (*exec.Cmd, error) {
-				// The shard flag goes first, as two argv entries, so the
-				// coordinator's own arguments follow verbatim and the
-				// process title reads "coord-shard i/N" for pkill -f.
-				args := append([]string{"-coord-shard", fmt.Sprintf("%d/%d", shard, procs)}, os.Args[1:]...)
-				cmd := exec.Command(exe, args...)
-				cmd.Stderr = os.Stderr
-				return cmd, nil
-			},
-			Merge: cfg.MergeShards,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -342,7 +258,8 @@ func main() {
 	}
 
 	if err != nil {
-		fatalRun(err)
+		// fleet.Run's errors already begin with "fleet: ", the log prefix.
+		log.Fatal(strings.TrimPrefix(err.Error(), "fleet: "))
 	}
 	if rep.ShardedRows > 0 {
 		fmt.Fprintf(os.Stderr, "fleet: ignored %d checkpoint row(s) written by route-sharded builds\n", rep.ShardedRows)
@@ -367,11 +284,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "HTML report written to %s\n", *htmlOut)
 	}
-}
-
-// fatalRun exits with an error from fleet.Run. Those errors already begin
-// with "fleet: ", the word this command's log prefix adds, so it is printed
-// once.
-func fatalRun(err error) {
-	log.Fatal(strings.TrimPrefix(err.Error(), "fleet: "))
 }

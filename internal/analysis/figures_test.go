@@ -326,12 +326,12 @@ func TestTable1Counts(t *testing.T) {
 			{Op: radio.Verizon, FromCell: "V-LTE-1", ToCell: "V-LTE-2"},
 			{Op: radio.Verizon, FromCell: "V-LTE-2", ToCell: "V-LTE-1"},
 		},
-		Passive: []dataset.PassiveSample{{Op: radio.Verizon, Cell: "V-LTE-9"}},
+		Passive: []dataset.PassiveSample{{Op: radio.Verizon, Cell: "V-LTE-9", Km: 5711}},
 		Tests: []dataset.TestSummary{
 			{Op: radio.Verizon, DurSec: 60, RxBytes: 2e9},
 		},
 	}
-	t1 := ComputeTable1(ds, 5711, 14, 10)
+	t1 := ComputeTable1(ds, geo.NewRoute())
 	if t1.UniqueCells[radio.Verizon] != 3 {
 		t.Errorf("unique cells = %d, want 3", t1.UniqueCells[radio.Verizon])
 	}
@@ -349,11 +349,32 @@ func TestTable1Counts(t *testing.T) {
 	}
 }
 
+// TestTable1Distance: the distance is the furthest sample of any located
+// table (throughput, RTT or passive), whichever table holds it.
+func TestTable1Distance(t *testing.T) {
+	r := geo.NewRoute()
+	d := &dataset.Dataset{
+		Thr:     []dataset.ThroughputSample{{Km: 3}, {Km: 2}},
+		RTT:     []dataset.RTTSample{{Km: 7}},
+		Passive: []dataset.PassiveSample{{Km: 5}},
+	}
+	if got := ComputeTable1(d, r).DistanceKm; got != 7 {
+		t.Errorf("distance = %v, want 7 (the RTT sample)", got)
+	}
+	d.Passive[0].Km = 9
+	if got := ComputeTable1(d, r).DistanceKm; got != 9 {
+		t.Errorf("distance = %v, want 9 (the passive sample)", got)
+	}
+	if got := ComputeTable1(&dataset.Dataset{}, r).DistanceKm; got != 0 {
+		t.Errorf("empty distance = %v, want 0", got)
+	}
+}
+
 func TestCountiesEstimate(t *testing.T) {
 	r := geo.NewRoute()
-	states, cities := r.Reached(r.LengthKm())
+	ds := &dataset.Dataset{Thr: []dataset.ThroughputSample{{Km: r.LengthKm()}}}
 	// Table 1: "100+" counties over the 5711 km trip.
-	if got := ComputeTable1(&dataset.Dataset{}, r.LengthKm(), states, cities).Counties; got < 100 || got > 150 {
+	if got := ComputeTable1(ds, r).Counties; got < 100 || got > 150 {
 		t.Errorf("counties = %d, want 100-150", got)
 	}
 }
@@ -417,7 +438,7 @@ func TestRendersDoNotPanic(t *testing.T) {
 		ComputeFig10(empty).Render(),
 		ComputeFig11(empty).Render(),
 		ComputeFig12(empty).Render(),
-		ComputeTable1(empty, 0, 0, 0).Render(),
+		ComputeTable1(empty, geo.NewRoute()).Render(),
 		ComputeTable2(empty).Render(),
 		ComputeTable3(empty).Render(),
 		ComputeOffloadFig(empty, dataset.TestAR).Render(),

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"wheels/internal/dataset"
+	"wheels/internal/geo"
 	"wheels/internal/radio"
 )
 
@@ -27,21 +28,21 @@ type Table1 struct {
 }
 
 // ComputeTable1 reduces the dataset to Table 1 by replaying it into a
-// Table1Sink. Route facts (distance, states, cities) come from the route
-// the campaign drove; the caller passes them in so a loaded CSV dataset can
-// still render the table.
-func ComputeTable1(ds *dataset.Dataset, distanceKm float64, states, cities int) Table1 {
+// Table1Sink over the route the campaign drove.
+func ComputeTable1(ds *dataset.Dataset, route *geo.Route) Table1 {
 	var s Table1Sink
 	ds.EmitTo(&s)
-	return s.Table1(distanceKm, states, cities)
+	return s.Table1(route)
 }
 
 // Table1Sink is the streaming reduction behind Table 1: a dataset.Sink that
-// counts each operator's handovers, collects its unique cells (handover
-// endpoints and the passive loggers' non-empty serving cells), sums its
-// experiment runtime, and sums the tests' Rx/Tx bytes and the sample and
-// app-run counts. It is kept apart from Accumulator so fleet seeds, which
-// never read Table 1, pay no map insert per passive sample.
+// tracks the furthest route distance of any throughput, RTT or passive
+// sample (how far the drive got), counts each operator's handovers,
+// collects its unique cells (handover endpoints and the passive loggers'
+// non-empty serving cells), sums its experiment runtime, and sums the
+// tests' Rx/Tx bytes and the sample and app-run counts. It is kept apart
+// from Accumulator so fleet seeds, which never read Table 1, pay no map
+// insert per passive sample.
 //
 // Every sum runs over one table in emission order, and the test and app
 // runtimes are added only at read, so a campaign's interleaved stream and a
@@ -49,17 +50,20 @@ func ComputeTable1(ds *dataset.Dataset, distanceKm float64, states, cities int) 
 // value is ready to use.
 type Table1Sink struct {
 	t       Table1 // the counts and the Rx/Tx sums
+	endKm   float64
 	cells   [radio.NumOperators]map[string]struct{}
 	testMin [radio.NumOperators]float64
 	appMin  [radio.NumOperators]float64
 }
 
-// Table1 returns the table for the records emitted so far and the given
-// route facts.
-func (s *Table1Sink) Table1(distanceKm float64, states, cities int) Table1 {
+// Table1 returns the table for the records emitted so far. The distance is
+// the furthest sample's, and the states and cities are those route has
+// reached by then.
+func (s *Table1Sink) Table1(route *geo.Route) Table1 {
 	t := s.t
-	t.DistanceKm, t.States, t.Cities = distanceKm, states, cities
-	t.Counties = int(distanceKm/50) + cities // ~50 km of road per county, plus one per city core
+	t.DistanceKm = s.endKm
+	t.States, t.Cities = route.Reached(s.endKm)
+	t.Counties = int(t.DistanceKm/50) + t.Cities // ~50 km of road per county, plus one per city core
 	t.Timezones = 4
 	for op := range t.UniqueCells {
 		t.UniqueCells[op] = len(s.cells[op])
@@ -75,8 +79,15 @@ func (s *Table1Sink) cell(op radio.Operator, id string) {
 	s.cells[op][id] = struct{}{}
 }
 
-func (s *Table1Sink) EmitThr(dataset.ThroughputSample) { s.t.ThrSamples++ }
-func (s *Table1Sink) EmitRTT(dataset.RTTSample)        { s.t.RTTSamples++ }
+func (s *Table1Sink) EmitThr(r dataset.ThroughputSample) {
+	s.t.ThrSamples++
+	s.endKm = max(s.endKm, r.Km)
+}
+
+func (s *Table1Sink) EmitRTT(r dataset.RTTSample) {
+	s.t.RTTSamples++
+	s.endKm = max(s.endKm, r.Km)
+}
 
 func (s *Table1Sink) EmitHandover(h dataset.HandoverRecord) {
 	s.t.Handovers[h.Op]++
@@ -96,15 +107,15 @@ func (s *Table1Sink) EmitApp(a dataset.AppRun) {
 }
 
 func (s *Table1Sink) EmitPassive(p dataset.PassiveSample) {
+	s.endKm = max(s.endKm, p.Km)
 	if p.Cell != "" {
 		s.cell(p.Op, p.Cell)
 	}
 }
 
-// Batch emits count the sample tables and reduce the others record by
-// record through the scalar methods.
-func (s *Table1Sink) EmitThrAll(recs []dataset.ThroughputSample)    { s.t.ThrSamples += len(recs) }
-func (s *Table1Sink) EmitRTTAll(recs []dataset.RTTSample)           { s.t.RTTSamples += len(recs) }
+// Batch emits reduce record by record through the scalar methods.
+func (s *Table1Sink) EmitThrAll(recs []dataset.ThroughputSample)    { each(recs, s.EmitThr) }
+func (s *Table1Sink) EmitRTTAll(recs []dataset.RTTSample)           { each(recs, s.EmitRTT) }
 func (s *Table1Sink) EmitHandoverAll(recs []dataset.HandoverRecord) { each(recs, s.EmitHandover) }
 func (s *Table1Sink) EmitTestAll(recs []dataset.TestSummary)        { each(recs, s.EmitTest) }
 func (s *Table1Sink) EmitAppAll(recs []dataset.AppRun)              { each(recs, s.EmitApp) }

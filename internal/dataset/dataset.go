@@ -172,19 +172,3 @@ type Dataset struct {
 	Apps      []AppRun
 	Passive   []PassiveSample
 }
-
-// EndKm returns the furthest route distance of any throughput, RTT or
-// passive sample: how far the drive that produced the dataset got.
-func (d *Dataset) EndKm() float64 {
-	var end float64
-	for _, s := range d.Thr {
-		end = max(end, s.Km)
-	}
-	for _, s := range d.RTT {
-		end = max(end, s.Km)
-	}
-	for _, s := range d.Passive {
-		end = max(end, s.Km)
-	}
-	return end
-}

@@ -116,26 +116,6 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-// TestEndKm: the furthest sample of any located table, whichever table
-// holds it.
-func TestEndKm(t *testing.T) {
-	d := &Dataset{
-		Thr:     []ThroughputSample{{Km: 3}, {Km: 2}},
-		RTT:     []RTTSample{{Km: 7}},
-		Passive: []PassiveSample{{Km: 5}},
-	}
-	if got := d.EndKm(); got != 7 {
-		t.Errorf("EndKm = %v, want 7 (the RTT sample)", got)
-	}
-	d.Passive[0].Km = 9
-	if got := d.EndKm(); got != 9 {
-		t.Errorf("EndKm = %v, want 9 (the passive sample)", got)
-	}
-	if got := (&Dataset{}).EndKm(); got != 0 {
-		t.Errorf("empty EndKm = %v, want 0", got)
-	}
-}
-
 func TestHandoverKindAndVertical(t *testing.T) {
 	h := HandoverRecord{FromTech: radio.NRMid, ToTech: radio.LTE}
 	if h.Kind() != "5G->4G" {

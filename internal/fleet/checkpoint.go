@@ -144,24 +144,6 @@ func openCheckpointAppend(path string) (*os.File, error) {
 	return f, nil
 }
 
-// AppendSummaries appends the given summaries to the checkpoint at path in
-// order, creating the file if needed and healing a torn final line first
-// (see openCheckpointAppend). The coordinator uses it to seed worker
-// shards from the main checkpoint.
-func AppendSummaries(path string, sums []SeedSummary) error {
-	f, err := openCheckpointAppend(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, sum := range sums {
-		if err := appendSummary(f, sum); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // appendSummary writes one summary line to the open checkpoint file and
 // syncs it, so a completed seed survives any later kill.
 func appendSummary(f *os.File, sum SeedSummary) error {

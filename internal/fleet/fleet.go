@@ -29,19 +29,13 @@ type Config struct {
 	Seeds     int   // number of campaigns per scenario
 	Workers   int   // max campaigns in flight at once (0 = GOMAXPROCS)
 
-	// Stride/Offset partition the sweep across cooperating fleet processes
-	// (the multi-process coordinator in internal/coord). When Stride > 1,
-	// this run executes only the (scenario, seed) pairs whose sweep index —
+	// Stride, when > 1, narrows the run to every Stride-th pair of the
+	// sweep: only the (scenario, seed) pairs whose sweep index —
 	// scenarioIndex*Seeds + (seed − StartSeed), the position a -workers 1
-	// fleet would run the pair at — is ≡ Offset (mod Stride). Checkpoint
-	// rows outside the partition are neither adopted nor re-run; they stay
-	// in the file for the process that owns them. Stride <= 1 (the zero
-	// value) is the whole sweep. Because each partition's summaries are the
-	// same pure functions of (scenario, policy, seed) they always were,
-	// merging the partitions' checkpoints reproduces the single-process
-	// file — see MergeShards.
+	// fleet would run the pair at — is ≡ 0 (mod Stride) are run or adopted
+	// from the checkpoint. Checkpoint rows for the other pairs stay in the
+	// file untouched. Stride <= 1 (the zero value) is the whole sweep.
 	Stride int
-	Offset int
 
 	// Checkpoint, when set, is the JSONL file completed seeds append to
 	// and resume reads from. (Scenario, policy, seed) rows already present
@@ -165,23 +159,16 @@ func Run(cfg Config) (*Report, error) {
 		order[sn.label()] = i
 		cellIdx[SeedKey{Scenario: sn.Name, Policy: sn.Policy}] = i
 	}
-	// inPart reports whether a (scenario index, seed) pair belongs to this
-	// process's Stride/Offset partition. The whole sweep when Stride <= 1.
-	stride := cfg.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	if cfg.Offset < 0 || cfg.Offset >= stride {
-		return nil, fmt.Errorf("fleet: Offset %d outside partition [0,%d)", cfg.Offset, stride)
-	}
-	inPart := func(scnIdx int, seed int64) bool {
-		idx := scnIdx*cfg.Seeds + int(seed-cfg.StartSeed)
-		return idx%stride == cfg.Offset
+	// inStride reports whether a (scenario index, seed) pair is one of the
+	// sweep positions Stride keeps: every pair when Stride <= 1.
+	stride := max(cfg.Stride, 1)
+	inStride := func(scnIdx int, seed int64) bool {
+		return (scnIdx*cfg.Seeds+int(seed-cfg.StartSeed))%stride == 0
 	}
 	total := 0
 	for i := range scenarios {
 		for seed := cfg.StartSeed; seed < cfg.StartSeed+int64(cfg.Seeds); seed++ {
-			if inPart(i, seed) {
+			if inStride(i, seed) {
 				total++
 			}
 		}
@@ -192,20 +179,18 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// The checkpoint is exclusive for the whole run: resume reads and
 	// completion appends from two fleets would corrupt each other.
-	var lock *CheckpointLock
 	if cfg.Checkpoint != "" {
-		l, err := AcquireCheckpointLock(cfg.Checkpoint)
+		lock, err := acquireCheckpointLock(cfg.Checkpoint)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		lock = l
 		defer lock.Release()
 	}
 
-	// Resume: adopt checkpointed summaries for (scenario, policy, seed)
-	// rows in this fleet's partition. Rows for scenarios this sweep does not
-	// run — or pairs in another process's partition — are left alone; they
-	// stay in the file for the fleet that does run them.
+	// Resume: adopt checkpointed summaries for the (scenario, policy, seed)
+	// rows this run sweeps. Rows for scenarios, seeds or Stride positions it
+	// does not run are left alone; they stay in the file for the fleet that
+	// does run them.
 	done := map[SeedKey]SeedSummary{}
 	sharded := 0
 	if cfg.Checkpoint != "" {
@@ -217,7 +202,7 @@ func Run(cfg Config) (*Report, error) {
 		for key, sum := range prev {
 			cell := SeedKey{Scenario: key.Scenario, Policy: key.Policy}
 			ci, swept := cellIdx[cell]
-			if swept && key.Seed >= cfg.StartSeed && key.Seed < cfg.StartSeed+int64(cfg.Seeds) && inPart(ci, key.Seed) {
+			if swept && key.Seed >= cfg.StartSeed && key.Seed < cfg.StartSeed+int64(cfg.Seeds) && inStride(ci, key.Seed) {
 				done[key] = sum
 			}
 		}
@@ -266,7 +251,7 @@ func Run(cfg Config) (*Report, error) {
 	var jobs []job
 	for i, sn := range scenarios {
 		for seed := cfg.StartSeed; seed < cfg.StartSeed+int64(cfg.Seeds); seed++ {
-			if !inPart(i, seed) {
+			if !inStride(i, seed) {
 				continue
 			}
 			if stored, ok := done[SeedKey{Scenario: sn.Name, Policy: sn.Policy, Seed: seed}]; ok {

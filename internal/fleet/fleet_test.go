@@ -104,10 +104,9 @@ func TestFleetCheckpointResume(t *testing.T) {
 }
 
 // checkpointRows runs cfg once against a fresh checkpoint and returns its
-// one row, plus that row re-tagged as older builds wrote it: with
-// "shards":2, as a route-sharded run did, and with "shards":1, as an
-// unsharded run did.
-func checkpointRows(t *testing.T, cfg Config) (fresh, sharded, unsharded string) {
+// one row re-tagged as older builds wrote it: with "shards":2, as a
+// route-sharded run did, and with "shards":1, as an unsharded run did.
+func checkpointRows(t *testing.T, cfg Config) (sharded, unsharded string) {
 	t.Helper()
 	cfg.Checkpoint = filepath.Join(t.TempDir(), "fresh.jsonl")
 	if _, err := Run(cfg); err != nil {
@@ -121,7 +120,7 @@ func checkpointRows(t *testing.T, cfg Config) (fresh, sharded, unsharded string)
 	if strings.Count(line, "\n") != 1 || !strings.HasPrefix(line, "{") || strings.Contains(line, `"shards"`) {
 		t.Fatalf("want one fresh row without a shards field, got %q", line)
 	}
-	return line, `{"shards":2,` + line[1:], `{"shards":1,` + line[1:]
+	return `{"shards":2,` + line[1:], `{"shards":1,` + line[1:]
 }
 
 // TestFleetShardedRowDoesNotShadowFreshRow: a route-sharded row ahead of
@@ -132,7 +131,7 @@ func TestFleetShardedRowDoesNotShadowFreshRow(t *testing.T) {
 	cfg := testConfig("")
 	cfg.Seeds = 1
 	want := renderedReport(t, cfg)
-	_, sharded, unsharded := checkpointRows(t, cfg)
+	sharded, unsharded := checkpointRows(t, cfg)
 
 	cfg.Checkpoint = filepath.Join(t.TempDir(), "fleet.jsonl")
 	if err := os.WriteFile(cfg.Checkpoint, []byte(sharded+unsharded), 0o644); err != nil {
@@ -161,41 +160,68 @@ func TestFleetShardedRowDoesNotShadowFreshRow(t *testing.T) {
 	}
 }
 
-// TestMergeShardsSkipsShardedRows: MergeShards reads rows the way Run
-// does, so a fresh row a worker appended behind a route-sharded one is
-// merged, and a merged one is never merged twice.
-func TestMergeShardsSkipsShardedRows(t *testing.T) {
-	cfg := testConfig("")
-	cfg.Seeds = 1
-	fresh, sharded, unsharded := checkpointRows(t, cfg)
-	for _, tc := range []struct {
-		name, main, shard, want string
-	}{
-		{"fresh row behind a sharded row is merged", sharded, sharded + fresh, sharded + fresh},
-		{"adopted row is not merged again", sharded + unsharded, sharded + unsharded, sharded + unsharded},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			mcfg := cfg
-			mcfg.Checkpoint = filepath.Join(dir, "main.jsonl")
-			shard := filepath.Join(dir, "main.jsonl.shard0")
-			if err := os.WriteFile(mcfg.Checkpoint, []byte(tc.main), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(shard, []byte(tc.shard), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := mcfg.MergeShards([]string{shard}); err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(mcfg.Checkpoint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != tc.want {
-				t.Errorf("merged checkpoint:\n%s\nwant:\n%s", got, tc.want)
-			}
-		})
+// TestFleetStride: with Stride 4, a 2-scenario × 3-seed sweep runs only
+// its sweep positions 0 (paper, seed 23) and 4 (alt, seed 24). It adopts
+// the checkpoint row of position 0, re-runs position 4, whose row is
+// missing, and leaves the rows of the other positions in the file byte for
+// byte, with only position 4's row appended after them.
+func TestFleetStride(t *testing.T) {
+	dir := t.TempDir()
+	tb := campaign.NewTestbed()
+	cfg := Config{
+		Base:      campaign.QuickConfig(0, 25),
+		Scenarios: []Scenario{{Name: "paper", Testbed: tb}, {Name: "alt", Testbed: tb}},
+		StartSeed: 23,
+		Seeds:     3,
+		Workers:   1,
+	}
+
+	// A -workers 1 run writes its rows in sweep order: line i is position i.
+	full := cfg
+	full.Checkpoint = filepath.Join(dir, "full.jsonl")
+	if _, err := Run(full); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(full.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.SplitAfter(string(b), "\n")
+	if len(rows) != 7 || rows[6] != "" {
+		t.Fatalf("full run wrote %d checkpoint lines, want 6", len(rows)-1)
+	}
+	prior := strings.Join(rows[:4], "") + rows[5]
+
+	cfg.Stride = 4
+	cfg.Checkpoint = filepath.Join(dir, "stride.jsonl")
+	if err := os.WriteFile(cfg.Checkpoint, []byte(prior), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	cfg.Progress = func(ev Event) {
+		got = append(got, fmt.Sprintf("%s/%d resumed=%v", ev.Scenario, ev.Seed, ev.Resumed))
+	}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"paper/23 resumed=true", "alt/24 resumed=false"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Stride 4 events %v, want %v", got, want)
+	}
+	var ran []string
+	for _, sum := range rep.Summaries {
+		ran = append(ran, fmt.Sprintf("%s/%d", sum.Scenario, sum.Seed))
+	}
+	if fmt.Sprint(ran) != "[paper/23 alt/24]" {
+		t.Errorf("Stride 4 report holds %v, want [paper/23 alt/24]", ran)
+	}
+	after, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != prior+rows[4] {
+		t.Errorf("Stride 4 checkpoint:\n%s\nwant the prior rows unchanged, then position 4:\n%s", after, prior+rows[4])
 	}
 }
 

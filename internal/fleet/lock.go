@@ -26,19 +26,16 @@ type lockInfo struct {
 	Started time.Time `json:"started"`
 }
 
-// CheckpointLock is a held lock; Release removes the lock file. It is
-// exported for the multi-process coordinator (internal/coord), which must
-// hold the main checkpoint's lock across shard seeding, the worker phase,
-// and the merge — Run takes and releases it itself for ordinary fleets.
-type CheckpointLock struct{ path string }
+// checkpointLock is a held lock; Release removes the lock file.
+type checkpointLock struct{ path string }
 
 // lockPath returns the lock file guarding a checkpoint path.
 func lockPath(ckpt string) string { return ckpt + ".lock" }
 
-// AcquireCheckpointLock takes the exclusive lock for ckpt, breaking a stale
+// acquireCheckpointLock takes the exclusive lock for ckpt, breaking a stale
 // one (dead holder on this host) at most once. A live holder is a fast,
 // descriptive failure — the caller must not touch the checkpoint.
-func AcquireCheckpointLock(ckpt string) (*CheckpointLock, error) {
+func acquireCheckpointLock(ckpt string) (*checkpointLock, error) {
 	path := lockPath(ckpt)
 	for attempt := 0; ; attempt++ {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -55,7 +52,7 @@ func AcquireCheckpointLock(ckpt string) (*CheckpointLock, error) {
 				os.Remove(path)
 				return nil, fmt.Errorf("writing checkpoint lock %s: %w", path, cerr)
 			}
-			return &CheckpointLock{path: path}, nil
+			return &checkpointLock{path: path}, nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("creating checkpoint lock %s: %w", path, err)
@@ -116,4 +113,4 @@ func zombie(pid int) bool {
 }
 
 // Release removes the lock file. Safe to call once per acquired lock.
-func (l *CheckpointLock) Release() error { return os.Remove(l.path) }
+func (l *checkpointLock) Release() error { return os.Remove(l.path) }

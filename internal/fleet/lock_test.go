@@ -18,7 +18,7 @@ import (
 // naming the holder, without touching the checkpoint.
 func TestCheckpointLockExcludesSecondRun(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
-	lock, err := AcquireCheckpointLock(ck)
+	lock, err := acquireCheckpointLock(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCheckpointLockBreaksZombie(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "fleet.jsonl")
 	host, _ := os.Hostname()
 	writeLockFile(t, lockPath(ck), lockInfo{PID: p.Pid, Host: host, Started: time.Now().UTC()})
-	lock, err := AcquireCheckpointLock(ck)
+	lock, err := acquireCheckpointLock(ck)
 	if err != nil {
 		t.Errorf("lock held by a zombie was not broken: %v", err)
 	} else if err := lock.Release(); err != nil {

@@ -42,11 +42,8 @@ func smallDS() *dataset.Dataset {
 	return ds
 }
 
-// buildSmall renders smallDS's report, with Table 1 bounded by how far its
-// samples got.
 func buildSmall() ([]byte, error) {
-	ds := smallDS()
-	return Build(ds, geo.NewRoute(), ds.EndKm())
+	return Build(smallDS(), geo.NewRoute())
 }
 
 func TestBuildReport(t *testing.T) {
@@ -76,8 +73,8 @@ func TestBuildReport(t *testing.T) {
 }
 
 // TestBuildReportTable1StopsWithTheDrive: Table 1 reports the distance,
-// states, cities and counties of the drive that produced the dataset, not
-// of the whole route.
+// states, cities and counties of the drive that produced the dataset (its
+// furthest sample), not of the whole route.
 func TestBuildReportTable1StopsWithTheDrive(t *testing.T) {
 	route := geo.NewRoute()
 	for _, c := range []struct {
@@ -87,7 +84,9 @@ func TestBuildReportTable1StopsWithTheDrive(t *testing.T) {
 		{25, []string{"Distance travelled       25 km", "States/cities/counties   1 / 1 / 1 "}},
 		{route.LengthKm(), []string{"Distance travelled       5714 km", "States/cities/counties   14 / 10 / 124 "}},
 	} {
-		out, err := Build(smallDS(), route, c.endKm)
+		ds := smallDS()
+		ds.RTT[len(ds.RTT)-1].Km = c.endKm
+		out, err := Build(ds, route)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func TestBuildReportTable1StopsWithTheDrive(t *testing.T) {
 }
 
 func TestBuildReportRejectsEmptyDataset(t *testing.T) {
-	if _, err := Build(&dataset.Dataset{}, geo.NewRoute(), 0); err == nil {
+	if _, err := Build(&dataset.Dataset{}, geo.NewRoute()); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
