@@ -13,11 +13,17 @@ import (
 
 // BootstrapCI returns the [lo, hi] percentile-bootstrap confidence interval
 // for the statistic at the given confidence level (e.g. 0.95), using
-// resamples draws. It returns NaNs for empty input.
+// resamples draws. It returns NaNs for empty input. A one-value series
+// returns its statistic twice without drawing: every resample would be
+// that series.
 func BootstrapCI(values []float64, stat func([]float64) float64, resamples int, level float64, rng *sim.RNG) (lo, hi float64) {
 	n := len(values)
 	if n == 0 {
 		return math.NaN(), math.NaN()
+	}
+	if n == 1 {
+		s := stat(values)
+		return s, s
 	}
 	if resamples < 10 {
 		resamples = 10

@@ -63,9 +63,15 @@ type ShapeCheck struct {
 
 // ShapeResult is one invariant evaluated against a dataset.
 type ShapeResult struct {
-	Name   string
-	Pass   bool
-	Detail string // the measured quantities behind the verdict
+	Name string
+	Pass bool
+	// Measured holds the quantities behind the verdict, unformatted: a
+	// fleet evaluates every check on every seed and reads only Pass. By
+	// check: static and driving DL medians (Mbps); driving DL and UL
+	// medians (Mbps); the HOs/mile median and its test count; the T-Mobile,
+	// Verizon and AT&T 5G shares; the Verizon and AT&T 5G shares. Unused
+	// slots are zero.
+	Measured [3]float64
 }
 
 // ShapeChecks lists every shape invariant in evaluation order, described
@@ -127,38 +133,35 @@ type opShapes struct {
 // p, in ShapeChecks order.
 func evalShapes(st *shapeStats, p ShapeParams) []ShapeResult {
 	out := make([]ShapeResult, 0, 3*radio.NumOperators+2)
-	add := func(name string, pass bool, detail string) {
-		out = append(out, ShapeResult{Name: name, Pass: pass, Detail: detail})
+	add := func(name string, pass bool, measured ...float64) {
+		r := ShapeResult{Name: name, Pass: pass}
+		copy(r.Measured[:], measured)
+		out = append(out, r)
 	}
 	for _, op := range radio.Operators() {
 		dm, sm := st[op].DriveDLMedMbps, st[op].StaticDLMedMbps
 		add("static-dwarfs-driving/"+op.Short(),
-			st[op].driveN > 0 && sm >= p.StaticOverDriving*dm,
-			fmt.Sprintf("static DL median %.1f vs driving %.1f Mbps", sm, dm))
+			st[op].driveN > 0 && sm >= p.StaticOverDriving*dm, sm, dm)
 	}
 	for _, op := range radio.Operators() {
 		dl, ul := st[op].DriveDLMedMbps, st[op].DriveULMedMbps
 		add("dl-exceeds-ul-driving/"+op.Short(),
-			st[op].driveN > 0 && dl > ul,
-			fmt.Sprintf("driving DL median %.1f vs UL %.1f Mbps", dl, ul))
+			st[op].driveN > 0 && dl > ul, dl, ul)
 	}
 	for _, op := range radio.Operators() {
 		m := st[op].HOsPerMileMed
 		add("hos-per-mile-band/"+op.Short(),
-			st[op].hpmN > 0 && m >= p.HOsPerMileLo && m <= p.HOsPerMileHi,
-			fmt.Sprintf("HOs/mile median %.2f over %d tests", m, st[op].hpmN))
+			st[op].hpmN > 0 && m >= p.HOsPerMileLo && m <= p.HOsPerMileHi, m, float64(st[op].hpmN))
 	}
 	tm, vz, att := st[radio.TMobile].fiveGShare, st[radio.Verizon].fiveGShare, st[radio.ATT].fiveGShare
 	add("tmobile-5g-leads",
-		st[radio.TMobile].driveN > 0 && tm >= p.TMobileLead*vz && tm >= p.TMobileLead*att,
-		fmt.Sprintf("5G shares T-Mobile %.2f, Verizon %.2f, AT&T %.2f", tm, vz, att))
+		st[radio.TMobile].driveN > 0 && tm >= p.TMobileLead*vz && tm >= p.TMobileLead*att, tm, vz, att)
 	lo, hi := vz, att
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	add("verizon-att-5g-band",
-		st[radio.Verizon].driveN > 0 && st[radio.ATT].driveN > 0 && hi <= p.VzAttBand*lo,
-		fmt.Sprintf("5G shares Verizon %.2f vs AT&T %.2f", vz, att))
+		st[radio.Verizon].driveN > 0 && st[radio.ATT].driveN > 0 && hi <= p.VzAttBand*lo, vz, att)
 	return out
 }
 

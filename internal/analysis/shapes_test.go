@@ -66,7 +66,7 @@ func TestCheckShapesPassesOnConformingData(t *testing.T) {
 			t.Errorf("result %d named %q, ShapeChecks says %q", i, r.Name, checks[i].Name)
 		}
 		if !r.Pass {
-			t.Errorf("%s failed on conforming data: %s", r.Name, r.Detail)
+			t.Errorf("%s failed on conforming data: measured %v", r.Name, r.Measured)
 		}
 	}
 }
@@ -77,7 +77,7 @@ func TestCheckShapesFlagsViolations(t *testing.T) {
 		for _, r := range res {
 			if r.Name == name {
 				if r.Pass {
-					t.Errorf("%s passed on violating data: %s", name, r.Detail)
+					t.Errorf("%s passed on violating data: measured %v", name, r.Measured)
 				}
 				return
 			}
@@ -117,7 +117,7 @@ func TestCheckShapesEmptyDataset(t *testing.T) {
 	for _, ds := range []*dataset.Dataset{{}, {Tests: []dataset.TestSummary{{ID: 1, Miles: 1}}}} {
 		for _, r := range CheckShapes(ds) {
 			if r.Pass {
-				t.Errorf("%s passed on an empty dataset (%s)", r.Name, r.Detail)
+				t.Errorf("%s passed on an empty dataset (measured %v)", r.Name, r.Measured)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func TestLongCampaignShapes(t *testing.T) {
 	_, shapes := acc.Summarize()
 	for _, r := range shapes {
 		if !r.Pass {
-			t.Errorf("shape %s failed: %s", r.Name, r.Detail)
+			t.Errorf("shape %s failed: measured %v", r.Name, r.Measured)
 		}
 	}
 }

@@ -29,6 +29,17 @@ const (
 	phaseStatic
 )
 
+// summaryOnly reports whether a phase of kind k emits no per-sample rows:
+// the speed test and the app battery write one test or app row per phone
+// plus that test's handovers, and no throughput, RTT or passive rows.
+func (k phaseKind) summaryOnly() bool {
+	switch k {
+	case phaseSpeedTest, phaseAR, phaseARCompressed, phaseCAV, phaseCAVCompressed, phaseVideo, phaseGaming:
+		return true
+	}
+	return false
+}
+
 // phaseLabels are the pprof `phase` label values of the test phases.
 var phaseLabels = [...]string{
 	phaseProgress:      "progress",

@@ -9,35 +9,61 @@ import (
 	"wheels/internal/dataset"
 )
 
-// phoneLead bounds how far a phone may run ahead of the merge: each phone
-// owns this many phase buffers and blocks once all of them hold finished
-// phases the merge has not reached yet, so the records in flight stay at
-// O(phones × phoneLead) phases. The merge order, and so every byte, does
-// not depend on it. The merge waits on the slowest phone for each phase,
-// and a longer lead lets the others run on meanwhile; but every buffer
-// grows to the largest phase it holds and stays parked with the testbed.
-// Three was chosen by measurement (DESIGN.md §11): of the leads whose peak
-// RSS stayed within 5% of two's on every perfbench workload, it keeps the
-// most cores busy in RunTo, 1.85–1.91 of two against 1.82–1.87 at two.
-// Four reads 1.89–1.92 but raised sweep-dump peak RSS by 7%, and eight
-// 1.94–1.95 but by a fifth.
+// phoneLead bounds how far a phone may run ahead of the merge through its
+// sample phases (bulk, RTT and static batteries, which emit per-sample
+// rows): each phone owns this many buffers for them and blocks once all of
+// them hold finished phases the merge has not reached yet, so the records
+// in flight stay at O(phones × phoneLead) phases. The merge order, and so
+// every byte, does not depend on it. The merge waits on the slowest phone
+// for each phase, and a longer lead lets the others run on meanwhile; but
+// every buffer grows to the largest phase it holds and stays parked with
+// the testbed. Three was chosen by measurement (DESIGN.md §11): of the
+// leads whose peak RSS stayed within 5% of two's on every perfbench
+// workload, it keeps the most cores busy in RunTo, 1.85–1.91 of two against
+// 1.82–1.87 at two. Four reads 1.89–1.92 but raised sweep-dump peak RSS by
+// 7%, and eight 1.94–1.95 but by a fifth.
 const phoneLead = 3
 
-// timeline is one phone's side of the per-phone engine: filled phase
-// buffers travel to the merge on full and come back empty on free, and the
-// phone's passive-logger samples (when enabled) arrive once on passive.
-type timeline struct {
+// summaryLead is the depth of each phone's second ring, which holds its
+// summary phases (phaseKind.summaryOnly: the speed test and the app
+// battery). Those phases emit one row per phone plus the test's handovers,
+// so their buffers stay a few hundred bytes however deep the ring, while
+// a deeper ring lets a phone run through the long app sessions while the
+// merge waits on a slower one. Six was chosen by measurement (DESIGN.md
+// §11).
+const summaryLead = 6
+
+// ring is one bounded ring of phase buffers between a phone and the
+// merge: filled buffers travel to the merge on full and come back empty on
+// free, first in first out.
+type ring struct {
 	full, free chan *dataset.Collector
-	passive    chan []dataset.PassiveSample
+}
+
+// timeline is one phone's side of the per-phone engine: its sample-phase
+// and summary-phase rings, and the phone's passive-logger samples (when
+// enabled), which arrive once on passive.
+type timeline struct {
+	sample, summary ring
+	passive         chan []dataset.PassiveSample
+}
+
+// ringFor returns the ring that buffers a phase of kind k.
+func (tl *timeline) ringFor(k phaseKind) *ring {
+	if k.summaryOnly() {
+		return &tl.summary
+	}
+	return &tl.sample
 }
 
 // scratch is a campaign's reusable working memory: the phase schedule and,
-// for the production engine, each phone's test-lane buffers and its ring of
-// phase buffers.
+// for the production engine, each phone's test-lane buffers and its phase
+// buffers, phoneLead for the sample ring and then summaryLead for the
+// summary ring.
 type scratch struct {
 	sd    schedule
 	lanes []batch.Lane
-	ring  [][phoneLead]dataset.Collector
+	bufs  [][phoneLead + summaryLead]dataset.Collector
 }
 
 // scratchPool parks scratch between the campaigns run on one testbed, so
@@ -60,7 +86,7 @@ func (p *scratchPool) get(phones int) *scratch {
 			return sc
 		}
 	}
-	return &scratch{lanes: make([]batch.Lane, phones), ring: make([][phoneLead]dataset.Collector, phones)}
+	return &scratch{lanes: make([]batch.Lane, phones), bufs: make([][phoneLead + summaryLead]dataset.Collector, phones)}
 }
 
 func (p *scratchPool) put(sc *scratch) {
@@ -73,10 +99,13 @@ func (p *scratchPool) put(sc *scratch) {
 
 // runTimeline is the production engine (EngineBatch). Each phone runs the
 // whole schedule on its own goroutine — its passive logger first, then
-// every phase in schedule order — into its own bounded ring of phase
-// buffers, while this goroutine merges: the passive block first, then each
-// phase's buffers in operator order, firing Cfg.Progress at each progress
-// mark and handing each drained buffer back to its phone.
+// every phase in schedule order — each phase into the next buffer of the
+// bounded ring its kind maps to, while this goroutine merges: the passive
+// block first, then each phase's buffers in operator order, each taken
+// from the ring its kind maps to, firing Cfg.Progress at each progress
+// mark and handing each drained buffer back to its ring. Phone and merge
+// visit the phases in the same order, so each ring is first in first out
+// and the merge order does not depend on which ring a phase went through.
 //
 // The output is a pure function of the schedule. A phone's simulation
 // state (UE, links, latency model, label-derived RNG streams, test
@@ -91,10 +120,14 @@ func (c *Campaign) runTimeline(sc *scratch) {
 	for i := range tls {
 		c.phones[i].a.Lane = sc.lanes[i]
 		tl := &tls[i]
-		tl.full = make(chan *dataset.Collector, phoneLead)
-		tl.free = make(chan *dataset.Collector, phoneLead)
-		for k := range sc.ring[i] {
-			tl.free <- &sc.ring[i][k]
+		tl.sample = ring{full: make(chan *dataset.Collector, phoneLead), free: make(chan *dataset.Collector, phoneLead)}
+		tl.summary = ring{full: make(chan *dataset.Collector, summaryLead), free: make(chan *dataset.Collector, summaryLead)}
+		for k := range sc.bufs[i] {
+			rg := &tl.sample
+			if k >= phoneLead {
+				rg = &tl.summary
+			}
+			rg.free <- &sc.bufs[i][k]
 		}
 		if c.Cfg.EnablePassive {
 			tl.passive = make(chan []dataset.PassiveSample, 1)
@@ -117,10 +150,11 @@ func (c *Campaign) runTimeline(sc *scratch) {
 			continue
 		}
 		for i := range tls {
-			buf := <-tls[i].full
+			rg := tls[i].ringFor(p.kind)
+			buf := <-rg.full
 			buf.D.EmitTo(c.sink)
 			buf.Reset()
-			tls[i].free <- buf
+			rg.free <- buf
 		}
 	}
 	wg.Wait()
@@ -177,7 +211,8 @@ func (c *Campaign) runPhone(i int, sd *schedule, tl *timeline) {
 		if p.kind == phaseProgress {
 			continue
 		}
-		buf := <-tl.free
+		rg := tl.ringFor(p.kind)
+		buf := <-rg.free
 		if ProfilePhases {
 			pprof.Do(context.Background(), pprof.Labels("phase", phaseLabels[p.kind], "op", ph.op.String()), func(context.Context) {
 				c.runPhase(buf, i, ph, sd, p)
@@ -185,6 +220,6 @@ func (c *Campaign) runPhone(i int, sd *schedule, tl *timeline) {
 		} else {
 			c.runPhase(buf, i, ph, sd, p)
 		}
-		tl.full <- buf
+		rg.full <- buf
 	}
 }

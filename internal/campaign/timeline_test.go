@@ -28,6 +28,8 @@ func fullCellConfig() Config {
 // at 4, where they run in parallel and drift apart up to the lead bound,
 // and requires both digests to equal each other and the scalar oracle's:
 // how the scheduler interleaves the phone goroutines must not move a byte.
+// The config runs the speed test and the apps, so both of each phone's
+// phase rings carry phases here (TestSummaryPhasesHoldNoSampleRows).
 func TestTimelineGOMAXPROCSDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-config differential run is slow")
@@ -39,6 +41,48 @@ func TestTimelineGOMAXPROCSDifferential(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		if got := engineDigest(t, cfg, EngineBatch); got != want {
 			t.Errorf("GOMAXPROCS=%d: production digest %s, scalar oracle %s", procs, got, want)
+		}
+	}
+}
+
+// TestSummaryPhasesHoldNoSampleRows runs every phase of a full-config
+// seed's schedule, phone by phone, into a buffer of its own and requires
+// each summary phase (the ones the production engine buffers in its
+// summary ring) to hold exactly one test or app row, any handovers, and no
+// throughput, RTT or passive rows: the summary ring's buffers stay small
+// because of that, whatever its depth. It also requires the schedule to
+// hold summary phases, so the full-config differentials run both rings.
+func TestSummaryPhasesHoldNoSampleRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-config run is slow")
+	}
+	c := New(fullCellConfig())
+	var sd schedule
+	c.plan(&sd)
+	var buf dataset.Collector
+	summaries := map[phaseKind]int{}
+	for k := range sd.phases {
+		p := &sd.phases[k]
+		if p.kind == phaseProgress {
+			continue
+		}
+		for i, ph := range c.phones {
+			buf.Reset()
+			c.runPhase(&buf, i, ph, &sd, p)
+			if !p.kind.summaryOnly() {
+				continue
+			}
+			summaries[p.kind]++
+			d := &buf.D
+			if len(d.Thr) != 0 || len(d.RTT) != 0 || len(d.Passive) != 0 || len(d.Tests)+len(d.Apps) != 1 {
+				t.Fatalf("%s phase at t=%.0f, phone %d: %d throughput, %d RTT, %d passive, %d test and %d app rows; want one test or app row only",
+					phaseLabels[p.kind], p.t, i, len(d.Thr), len(d.RTT), len(d.Passive), len(d.Tests), len(d.Apps))
+			}
+		}
+	}
+	for _, kind := range []phaseKind{phaseSpeedTest, phaseAR, phaseARCompressed, phaseCAV, phaseCAVCompressed, phaseVideo, phaseGaming} {
+		if summaries[kind] == 0 {
+			t.Errorf("no %s phase ran", phaseLabels[kind])
 		}
 	}
 }

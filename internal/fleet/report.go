@@ -25,6 +25,12 @@ type Report struct {
 	// builds that the resume ignored. It is never rendered: a checkpointed
 	// and a checkpoint-free fleet must render identical reports.
 	ShardedRows int
+
+	// bands memoizes MetricBandsFor per group label: the text and HTML
+	// renderings read the same bands, and each band draws its bootstrap
+	// resamples. So a Report's fields must not change once it has
+	// rendered, and one Report renders on one goroutine at a time.
+	bands map[string][]MetricBand
 }
 
 // scenarioNames returns the report's grouping labels: the recorded sweep
@@ -212,8 +218,21 @@ const bootstrapResamples = 500
 
 // MetricBandsFor returns one scenario's per-operator headline bands in a
 // fixed order. Bands never pool values across scenarios: a median over two
-// different routes is not a statistic of either.
+// different routes is not a statistic of either. The bands are computed
+// once per scenario and memoized on the report.
 func (r *Report) MetricBandsFor(scenario string) []MetricBand {
+	if bands, ok := r.bands[scenario]; ok {
+		return bands
+	}
+	if r.bands == nil {
+		r.bands = map[string][]MetricBand{}
+	}
+	bands := r.metricBands(scenario)
+	r.bands[scenario] = bands
+	return bands
+}
+
+func (r *Report) metricBands(scenario string) []MetricBand {
 	sums := r.summariesFor(scenario)
 	apps := false
 	for _, s := range sums {

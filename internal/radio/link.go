@@ -220,16 +220,28 @@ func interferencePenaltyDB(distFrac float64) float64 {
 
 // clampedSINR returns the SINR s0 - pen clamped to [sinrMin, sinrMax],
 // where s0 is the SINR before the interference penalty and pen is
-// interferencePenaltyDB(distFrac). pen ∈ [0, 34] by construction, so s0
-// alone decides the rails exactly: s0 ≤ sinrMin pins SINR low and
-// s0-34 ≥ sinrMax pins it high whatever pen is, and the penalty's Log/Exp
-// pair is skipped. Both bounds use only pen's hard range, never an
-// estimate of its value, so no bit can flip.
+// interferencePenaltyDB(distFrac). Three exact bounds decide a rail before
+// the penalty's Log/Exp pair runs:
+//
+//   - pen ∈ [0, 34] by construction, so s0 ≤ sinrMin pins SINR low and
+//     s0-34 ≥ sinrMax pins it high whatever pen is.
+//   - For 0 ≤ x ≤ 1 (x = distFrac), fl(s0 - fl(26·fl(x·x))) ≥ sinrMax pins
+//     it high. There Log(x) ≤ 0, so the Exp factor of pow22 is at most 1
+//     and pow22(x) ≤ fl(x·x) (below 1e-100, math.Pow's x^2.2 is twenty
+//     orders of magnitude under x²); IEEE rounding is monotone, so the
+//     penalized SINR fl(s0 - fl(26·pow22(x))) is at or above the bound.
+//     The float64 conversions keep each rounding the bound relies on: the
+//     spec lets an implementation fuse s0 - 26·xx into one FMA otherwise.
+//     Past x = 1 the Exp factor exceeds 1 and the bound would not hold.
+//
+// None of them estimates pen's value, so no bit can flip.
 func clampedSINR(s0, distFrac float64) float64 {
 	switch {
 	case s0 <= sinrMinDB:
 		return sinrMinDB
 	case s0-34 >= sinrMaxDB:
+		return sinrMaxDB
+	case distFrac >= 0 && distFrac <= 1 && s0-float64(26*float64(distFrac*distFrac)) >= sinrMaxDB:
 		return sinrMaxDB
 	}
 	sinr := s0 - interferencePenaltyDB(distFrac)

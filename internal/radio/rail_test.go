@@ -60,8 +60,8 @@ func stepUnmemoized(l *Link, st *LinkState, dt, distKm, mph float64, road geo.Ro
 // Link.StepInto and through stepUnmemoized across the operating envelope —
 // near-cell geometry that pins SINR to the high rail, deep cell edges that
 // pin it low, and everything between — and requires bit-identical
-// LinkStates. It also requires both s0 shortcuts to have fired, so the
-// equality covers them rather than only the plain path.
+// LinkStates. It also requires all three rail shortcuts to have fired, so
+// the equality covers them rather than only the plain path.
 func TestLinkStepIntoMatchesUnmemoized(t *testing.T) {
 	const lanes, ticks = 9, 400
 	fast := twinLinks(42, lanes)
@@ -69,7 +69,7 @@ func TestLinkStepIntoMatchesUnmemoized(t *testing.T) {
 	meta := sim.NewRNG(1234).Stream("geometry")
 	roads := []geo.RoadClass{geo.RoadCity, geo.RoadSuburban, geo.RoadHighway}
 	const dt = 0.02
-	var lowSkips, highSkips int
+	var lowSkips, highSkips, boundSkips int
 	for tick := 0; tick < ticks; tick++ {
 		road := roads[meta.Intn(len(roads))]
 		mph := meta.Uniform(0, 85)
@@ -93,16 +93,19 @@ func TestLinkStepIntoMatchesUnmemoized(t *testing.T) {
 				t.Fatalf("tick %d lane %d (dist %.4f mph %.1f road %v):\n StepInto    %+v\n unmemoized  %+v",
 					tick, i, dist, mph, road, got, want)
 			}
+			df := dist / ref[i].Band.RangeKm
 			switch {
 			case s0 <= sinrMinDB:
 				lowSkips++
 			case s0-34 >= sinrMaxDB:
 				highSkips++
+			case df <= 1 && s0-26*(df*df) >= sinrMaxDB:
+				boundSkips++
 			}
 		}
 	}
-	if lowSkips == 0 || highSkips == 0 {
-		t.Fatalf("shortcuts not exercised: %d low-rail and %d high-rail skips", lowSkips, highSkips)
+	if lowSkips == 0 || highSkips == 0 || boundSkips == 0 {
+		t.Fatalf("shortcuts not exercised: %d low-rail, %d high-rail and %d 26x²-bound skips", lowSkips, highSkips, boundSkips)
 	}
 }
 
@@ -164,13 +167,34 @@ func TestLinkStepIntoNeedMask(t *testing.T) {
 	}
 }
 
-// TestClampedSINRExact sweeps clampedSINR across both rail thresholds —
-// s0 stepped finely around sinrMin and sinrMax+34 and one ulp either side
-// of each — against the full range of the interference penalty, and
-// requires the bits of the unshortcut clamp(s0 - pen) everywhere. Driving
-// geometry rarely pairs a strong signal with a far cell, so only this
-// direct sweep pins the thresholds themselves.
+// clampRef is clampedSINR without its shortcuts: clamp(s0 - pen), written
+// as clampedSINR writes the clamp, so a NaN keeps its payload.
+func clampRef(s0, distFrac float64) float64 {
+	sinr := s0 - interferencePenaltyDB(distFrac)
+	if sinr > sinrMaxDB {
+		sinr = sinrMaxDB
+	}
+	if sinr < sinrMinDB {
+		sinr = sinrMinDB
+	}
+	return sinr
+}
+
+// TestClampedSINRExact sweeps clampedSINR across its rail thresholds
+// against the unshortened clamp(s0 - pen), bit for bit: s0 stepped finely
+// around sinrMin and sinrMax+34 and one ulp either side of each, against
+// the full range of the interference penalty; and s0 at and around the
+// high-rail bound 28 + 26x² for x near 0, near 1 and just past 1, where
+// the bound stops applying. Driving geometry rarely pairs a strong signal
+// with a far cell, so only this direct sweep pins the thresholds
+// themselves.
 func TestClampedSINRExact(t *testing.T) {
+	check := func(s0, df float64) {
+		t.Helper()
+		if got, want := clampedSINR(s0, df), clampRef(s0, df); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clampedSINR(%v, %v) = %v, want %v", s0, df, got, want)
+		}
+	}
 	var s0s []float64
 	for _, edge := range []float64{sinrMinDB, sinrMaxDB + 34} {
 		for d := -40.0; d <= 40; d += 0.25 {
@@ -178,18 +202,70 @@ func TestClampedSINRExact(t *testing.T) {
 		}
 		s0s = append(s0s, math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1)))
 	}
-	fracs := []float64{0, 1e-101, 1e-50, 1.1297, 1.13, 2}
+	fracs := []float64{0, math.Copysign(0, -1), 5e-324, 1e-200, 1e-101, 1e-100, 1e-50, 1e-8,
+		0.5, 0.999, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.0001, 1.01, 1.1297, 1.13, 2}
 	for f := 0.0; f < 1.2; f += 0.01 {
 		fracs = append(fracs, f)
 	}
 	for _, s0 := range s0s {
 		for _, df := range fracs {
-			want := max(min(s0-interferencePenaltyDB(df), sinrMaxDB), sinrMinDB)
-			if got := clampedSINR(s0, df); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("clampedSINR(%v, %v) = %v, want %v", s0, df, got, want)
-			}
+			check(s0, df)
 		}
 	}
+	// Around the bound itself: s0 within a few ulps, and within a few
+	// thousandths of a dB, of the s0 where fl(s0 - fl(26·fl(x·x))) reaches
+	// sinrMax.
+	var decided int
+	for _, df := range fracs {
+		edge := sinrMaxDB + float64(26*float64(df*df))
+		for _, s0 := range []float64{edge - 1e-3, edge - 1e-9, edge + 1e-9, edge + 1e-3} {
+			check(s0, df)
+		}
+		s0 := edge
+		for i := 0; i < 8; i++ {
+			s0 = math.Nextafter(s0, math.Inf(-1))
+		}
+		for i := 0; i < 16; i++ {
+			check(s0, df)
+			if df >= 0 && df <= 1 && s0-float64(26*float64(df*df)) >= sinrMaxDB && s0-34 < sinrMaxDB {
+				decided++
+			}
+			s0 = math.Nextafter(s0, math.Inf(1))
+		}
+	}
+	// Random x in [0, 1.02] with s0 within a few hundred ulps of the bound.
+	rng := sim.NewRNG(7).Stream("clamp-bound")
+	for i := 0; i < 200000; i++ {
+		df := rng.Uniform(0, 1.02)
+		s0 := sinrMaxDB + float64(26*float64(df*df)) + float64(rng.Intn(401)-200)*1e-14
+		check(s0, df)
+	}
+	if decided == 0 {
+		t.Fatal("the 26x² bound never decided a rail")
+	}
+}
+
+// FuzzClampedSINR compares clampedSINR bit for bit with the unshortened
+// clamp(s0 - interferencePenaltyDB(x)) on arbitrary inputs with a non-NaN
+// x: a NaN x has no penalty range for the rails to rest on, and no caller
+// makes one (x is a finite distance over a cell range). The seeds sit on
+// the high-rail bound near x = 0, near x = 1 and just past it.
+func FuzzClampedSINR(f *testing.F) {
+	for _, df := range []float64{0, 1e-101, 0.3, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.05, 1.13} {
+		f.Add(sinrMaxDB+float64(26*float64(df*df)), df)
+	}
+	f.Add(sinrMinDB, 0.5)
+	f.Add(sinrMaxDB+34, 1.2)
+	f.Add(math.NaN(), 0.5)
+	f.Add(40.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, s0, df float64) {
+		if df != df {
+			t.Skip("NaN distance fraction")
+		}
+		if got, want := clampedSINR(s0, df), clampRef(s0, df); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clampedSINR(%v, %v) = %v (%#x), want %v (%#x)", s0, df, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // TestLinkRailMemos pins the package-variable rail memos against the
