@@ -18,7 +18,6 @@ import (
 	"wheels/internal/dataset"
 	"wheels/internal/deploy"
 	"wheels/internal/geo"
-	"wheels/internal/multipath"
 	"wheels/internal/pathtest"
 	"wheels/internal/radio"
 	"wheels/internal/ran"
@@ -433,13 +432,14 @@ func BenchmarkCampaign_Serial(b *testing.B) {
 // coverage share each view produces — the mechanism behind Fig. 1.
 func BenchmarkAblation_ElevationPolicy(b *testing.B) {
 	route := geo.NewRoute()
-	dep := deploy.New(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"))
+	dep := deploy.NewUpToDensity(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"), 0, deploy.DefaultDensity())
 	fiveG := func(tr ran.Traffic) float64 {
-		ue := ran.NewUE(sim.NewRNG(23).Stream("ablate"), dep)
+		ue := ran.NewUEWithConfig(sim.NewRNG(23).Stream("ablate"), dep, nil)
 		hits, total := 0, 0
 		tm := 0.0
 		for km := 0.0; km < 800; km += 0.05 {
-			snap := ue.Step(tm, 0.5, km, 60, route.RoadClassAt(km), route.TimezoneAt(km), tr)
+			var snap ran.Snapshot
+			ue.StepInto(&snap, tm, 0.5, km, 60, route.RoadClassAt(km), route.TimezoneAt(km), tr, radio.NeedAll)
 			tm += 0.5
 			if !snap.Outage {
 				total++
@@ -537,38 +537,6 @@ func BenchmarkExtension_MultipathGain(b *testing.B) {
 	b.ReportMetric(g.MedianGain(), "medianGain-x")
 	b.ReportMetric(g.BestSingle.Median(), "bestSingle-Mbps")
 	b.ReportMetric(g.Bonded.Median(), "bonded-Mbps")
-}
-
-// BenchmarkExtension_BondedTransport bonds three CUBIC subflows over
-// independently varying per-carrier links (the multipath package) and
-// compares against the best single subflow.
-func BenchmarkExtension_BondedTransport(b *testing.B) {
-	mkPaths := func() []transport.Path {
-		var out []transport.Path
-		for _, op := range radio.Operators() {
-			out = append(out, &pathtest.DriveLink{
-				Link: radio.NewLink(sim.NewRNG(23).Stream("bond", op.String()), op, radio.NRMid),
-			})
-		}
-		return out
-	}
-	var bonded, best float64
-	for i := 0; i < b.N; i++ {
-		agg, err := multipath.NewAggregator(mkPaths()...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := agg.RunBulk(30)
-		bonded = res.Aggregate.MeanBps()
-		best = 0
-		for _, pp := range res.PerPath {
-			if m := pp.MeanBps(); m > best {
-				best = m
-			}
-		}
-	}
-	b.ReportMetric(bonded/1e6, "bonded-Mbps")
-	b.ReportMetric(best/1e6, "bestSubflow-Mbps")
 }
 
 // BenchmarkExtension_SpeedTestGap measures Table 3's methodology gap: the

@@ -1,10 +1,10 @@
-// Command figures regenerates any of the paper's figures or tables, either
-// from a dataset directory produced by drivesim or by simulating a fresh
-// campaign.
+// Command figures regenerates any of the paper's figures or tables, its
+// extensions and the §8 what-if replay, either from a dataset directory
+// produced by drivesim or by simulating a fresh campaign.
 //
 // Usage:
 //
-//	figures -data DIR [fig1 fig2a ... table3]
+//	figures -data DIR [fig1 fig2a ... table3 whatif]
 //	figures -seed 23 -km 1000 all
 //
 // With no figure arguments it prints every figure and table.
@@ -25,7 +25,15 @@ import (
 	"wheels/internal/geo"
 	"wheels/internal/mapexport"
 	"wheels/internal/radio"
+	"wheels/internal/replay"
 	"wheels/internal/report"
+)
+
+// The session lengths, in seconds, the what-if replay runs its video and
+// gaming models for.
+const (
+	whatIfVideoSec  = 60
+	whatIfGamingSec = 30
 )
 
 func main() {
@@ -88,6 +96,8 @@ func main() {
 			return analysis.ComputeMultipathGain(ds, radio.Downlink).Render() +
 				analysis.ComputeMultipathGain(ds, radio.Uplink).Render()
 		},
+		// The §8 recommendations replayed over the recorded traces.
+		"whatif": func() string { return replay.WhatIf(ds, whatIfVideoSec, whatIfGamingSec) },
 	}
 
 	want := flag.Args()

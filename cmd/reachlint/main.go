@@ -18,12 +18,13 @@
 // the type to satisfy the interface.
 //
 // Packages are listed by `go list`, so build tags apply. Declarations are
-// checked in this module's packages only; a package that only tests import,
-// such as a shared test fixture, is not checked.
+// checked in this module's packages only, except in a package the allowlist
+// names as a whole, such as a shared test fixture that no main links.
 //
 // The checker prints "file:line name" for each unreached declaration not in
-// the allowlist (allowlistPath), and for each allowlist entry that names no
-// unreached declaration. It exits 1 if it printed anything.
+// the allowlist (allowlistPath), and for each stale allowlist entry: one
+// that names no unreached declaration, or a package a main links or that is
+// not this module's. It exits 1 if it printed anything.
 package main
 
 import (
@@ -47,7 +48,8 @@ import (
 
 // allowlistPath holds, relative to the module root, one
 // "<import path>.<name> <reason>" line per declaration kept unreached on
-// purpose.
+// purpose, and one "<import path> <reason>" line per package exempt from the
+// check.
 const allowlistPath = "cmd/reachlint/allowlist.txt"
 
 // stdlibCalls are method names the standard library calls through an
@@ -76,9 +78,8 @@ func main() {
 
 // listPkg is the part of a `go list -json` record the checker reads.
 type listPkg struct {
-	Dir, ImportPath, Name     string
-	GoFiles, Imports          []string
-	TestImports, XTestImports []string
+	Dir, ImportPath, Name string
+	GoFiles, Imports      []string
 }
 
 // unit is what becomes reached as one: a function or method, a type, a var
@@ -156,23 +157,40 @@ func run(root string, w io.Writer) (int, error) {
 		}
 	}
 
-	// Linked packages are those a main imports, directly or not; packages
-	// outside them that tests import are test support.
-	var mains, testImports []string
+	// Linked packages are those a main imports, directly or not.
+	var mains []string
 	for path, p := range c.list {
 		if p.Name == "main" {
 			mains = append(mains, path)
 		}
-		testImports = append(testImports, p.TestImports...)
-		testImports = append(testImports, p.XTestImports...)
 	}
 	linked := c.closure(mains)
-	testOnly := c.closure(testImports)
+
+	// An entry naming a listed package exempts it, if it is this module's
+	// and no main links it; the other entries name declarations.
+	allow, err := readAllowlist(filepath.Join(root, allowlistPath))
+	if err != nil {
+		return 0, err
+	}
+	var out []finding
+	var decls []entry
+	exempt := map[string]bool{}
+	for _, e := range allow {
+		switch {
+		case c.list[e.name] == nil:
+			decls = append(decls, e)
+		case !own[e.name] || linked[e.name]:
+			out = append(out, finding{e.pos, e.name + " (stale allowlist entry)"})
+		case e.reason == "":
+			out = append(out, finding{e.pos, e.name + " (allowlist entry without a reason)"})
+		default:
+			exempt[e.name] = true
+		}
+	}
 
 	for path := range c.list {
-		checked := own[path] && (linked[path] || !testOnly[path])
 		for _, f := range c.files[path] {
-			c.declare(f, linked[path], checked)
+			c.declare(f, linked[path], own[path] && !exempt[path])
 		}
 	}
 	c.drain()
@@ -188,12 +206,7 @@ func run(root string, w io.Writer) (int, error) {
 	}
 
 	// An allowlisted declaration is kept, and so is all it references.
-	allow, err := readAllowlist(filepath.Join(root, allowlistPath))
-	if err != nil {
-		return 0, err
-	}
-	var out []finding
-	for _, e := range allow {
+	for _, e := range decls {
 		switch obj := unreached[e.name]; {
 		case obj == nil:
 			out = append(out, finding{e.pos, e.name + " (stale allowlist entry)"})
@@ -255,7 +268,7 @@ func modules(root string) ([]string, error) {
 }
 
 func goList(dir string) ([]*listPkg, error) {
-	cmd := exec.Command("go", "list", "-json=Dir,ImportPath,Name,GoFiles,Imports,TestImports,XTestImports", "./...")
+	cmd := exec.Command("go", "list", "-json=Dir,ImportPath,Name,GoFiles,Imports", "./...")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -497,8 +510,7 @@ type entry struct {
 }
 
 // readAllowlist parses the allowlist at path, if there is one: a
-// "<import path>.<name> <reason>" line per entry, blank lines and #
-// comments skipped.
+// "<name> <reason>" line per entry, blank lines and # comments skipped.
 func readAllowlist(path string) ([]entry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {

@@ -1,5 +1,12 @@
 package lib
 
-import "testing"
+import (
+	"testing"
 
-func TestTestOnly(t *testing.T) { TestOnly() }
+	"fix/fixture"
+)
+
+func TestTestOnly(t *testing.T) {
+	TestOnly()
+	fixture.Helper()
+}

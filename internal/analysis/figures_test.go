@@ -173,6 +173,14 @@ func TestFig3SplitsStaticAndDriving(t *testing.T) {
 	if got := f.FracBelow5Mbps(radio.Verizon, radio.Downlink); got != 0 {
 		t.Errorf("FracBelow5Mbps = %v, want 0", got)
 	}
+	// The render prints each driving share below 5 Mbps, and a direction
+	// with no driving sample as "no samples" rather than a 0.0% share.
+	out := f.Render()
+	for _, want := range []string{"Verizon DL driving < 5 Mbps    0.0%", "Verizon UL driving < 5 Mbps  no samples"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render lacks %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestFig6PairsConcurrentSamples(t *testing.T) {

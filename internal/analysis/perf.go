@@ -72,6 +72,8 @@ func (f Fig3) Render() string {
 		for _, dir := range radio.Directions() {
 			b.WriteString("  " + summarize(fmt.Sprintf("%s %s static thr", op, dir), f.StaticThr[op][dir], "Mbps") + "\n")
 			b.WriteString("  " + summarize(fmt.Sprintf("%s %s driving thr", op, dir), f.DrivingThr[op][dir], "Mbps") + "\n")
+			fmt.Fprintf(&b, "  %-28s %s\n", fmt.Sprintf("%s %s driving < 5 Mbps", op, dir),
+				sharePct(f.FracBelow5Mbps(op, dir), f.DrivingThr[op][dir].N()))
 		}
 		b.WriteString("  " + summarize(fmt.Sprintf("%s static RTT", op), f.StaticRTT[op], "ms") + "\n")
 		b.WriteString("  " + summarize(fmt.Sprintf("%s driving RTT", op), f.DrivingRTT[op], "ms") + "\n")

@@ -29,8 +29,8 @@ func newRig(tb testing.TB, seed int64) *testRig {
 	r := &testRig{lanes: make([]Lane, len(radio.Operators()))}
 	cur := route.Cursor()
 	for i, op := range radio.Operators() {
-		dep := deploy.New(route, op, rng.Stream("deploy-"+op.String()))
-		ue := ran.NewUE(rng.Stream("ue-"+op.String()), dep)
+		dep := deploy.NewUpToDensity(route, op, rng.Stream("deploy-"+op.String()), 0, deploy.DefaultDensity())
+		ue := ran.NewUEWithConfig(rng.Stream("ue-"+op.String()), dep, nil)
 		lat := transport.NewLatencyModel(rng.Stream("lat-"+op.String()), op)
 		r.lanes[i].Bind(op, ue, lat)
 	}

@@ -188,7 +188,7 @@ func newTrace(route *geo.Route, rng *sim.RNG, cfg Config) *geo.Trace {
 	return geo.DriveLimited(route, rng.Stream("drive"), cfg.KmLimit, traceTrailSec)
 }
 
-// deployKmBound returns the route span deploy.NewUpTo must cover for a
+// deployKmBound returns the route span deploy.NewUpToDensity must cover for a
 // campaign over the given (already built) trace. Every availability query —
 // UE steps, the static-battery site probe — takes its km from a trace
 // sample, extrapolated forward by at most maxExtrapolateSec, so the trace's

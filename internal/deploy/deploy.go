@@ -119,28 +119,21 @@ func DefaultDensity() Density {
 	return d
 }
 
-// New builds the operator's deployment along the route. All randomness
-// derives from the stream, so the footprint is reproducible per seed.
-func New(route *geo.Route, op radio.Operator, rng *sim.RNG) *Deployment {
-	return NewUpTo(route, op, rng, 0)
-}
-
-// NewUpTo is New with the availability fields built only for the first
-// maxKm of the route (maxKm <= 0 or past the route end means the whole
-// route). The run-length walk in buildField is prefix-deterministic — bin i
-// depends only on draws for bins ≤ i — so a truncated deployment's masks
-// are bit-identical to the full build over every bin it has, and a campaign
-// bounded by a KmLimit can skip simulating coverage for the days of route
-// it will never drive. Callers must never query past maxKm: the bin clamp
-// would silently return the edge bin's mask instead of the true one.
-func NewUpTo(route *geo.Route, op radio.Operator, rng *sim.RNG, maxKm float64) *Deployment {
-	return NewUpToDensity(route, op, rng, maxKm, DefaultDensity())
-}
-
-// NewUpToDensity is NewUpTo with the operator's deployment density scaled
-// by den. The identity scaling reproduces NewUpTo bit for bit: every stream
-// label and draw is unchanged, and ×1.0 on the probability and run-length
-// mean leaves each draw's arguments exactly equal.
+// NewUpToDensity builds the operator's deployment along the route, with
+// its density scaled by den. All randomness derives from the stream, so the
+// footprint is reproducible per seed. DefaultDensity is the paper's
+// deployment: ×1.0 on the probability and run-length mean leaves each
+// draw's arguments exactly equal, and every stream label and draw is the
+// same at any density.
+//
+// The availability fields are built only for the first maxKm of the route
+// (maxKm <= 0 or past the route end means the whole route). The run-length
+// walk in buildField is prefix-deterministic — bin i depends only on draws
+// for bins ≤ i — so a truncated deployment's masks are bit-identical to the
+// full build over every bin it has, and a campaign bounded by a KmLimit can
+// skip simulating coverage for the days of route it will never drive.
+// Callers must never query past maxKm: the bin clamp would silently return
+// the edge bin's mask instead of the true one.
 func NewUpToDensity(route *geo.Route, op radio.Operator, rng *sim.RNG, maxKm float64, den Density) *Deployment {
 	lengthKm := route.LengthKm()
 	if maxKm > 0 && maxKm < lengthKm {

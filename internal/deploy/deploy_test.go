@@ -10,7 +10,7 @@ import (
 
 func testDeployment(t *testing.T, op radio.Operator) *Deployment {
 	t.Helper()
-	return New(geo.NewRoute(), op, sim.NewRNG(23).Stream("deploy"))
+	return NewUpToDensity(geo.NewRoute(), op, sim.NewRNG(23).Stream("deploy"), 0, DefaultDensity())
 }
 
 // CoverageFraction returns the fraction of route bins where the technology

@@ -12,7 +12,7 @@ import (
 // performs every tick.
 func BenchmarkAvailMask(b *testing.B) {
 	route := geo.NewRoute()
-	d := New(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"))
+	d := NewUpToDensity(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"), 0, DefaultDensity())
 	total := route.LengthKm()
 	km := 0.0
 	b.ReportAllocs()
@@ -30,7 +30,7 @@ func BenchmarkAvailMask(b *testing.B) {
 // queries the UE hot path uses — at zero heap allocations.
 func TestAvailMaskAllocationFree(t *testing.T) {
 	route := geo.NewRoute()
-	d := New(route, radio.Verizon, sim.NewRNG(23).Stream("deploy"))
+	d := NewUpToDensity(route, radio.Verizon, sim.NewRNG(23).Stream("deploy"), 0, DefaultDensity())
 	km := 0.0
 	allocs := testing.AllocsPerRun(100, func() {
 		m := d.AvailMask(km)
@@ -48,7 +48,7 @@ func TestAvailMaskAllocationFree(t *testing.T) {
 // HasTech query answer identically along the whole route.
 func TestAvailMaskMatchesAvailable(t *testing.T) {
 	route := geo.NewRoute()
-	d := New(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"))
+	d := NewUpToDensity(route, radio.TMobile, sim.NewRNG(23).Stream("deploy"), 0, DefaultDensity())
 	for km := 0.0; km < route.LengthKm(); km += 0.25 {
 		mask := d.AvailMask(km)
 		for _, tech := range radio.Techs() {

@@ -271,9 +271,9 @@ func DefaultHandoverConfig(op radio.Operator) HandoverConfig {
 	return cfg
 }
 
-// defaultConfigs holds the per-operator default policies; NewUE and a nil
-// config in NewUEWithConfig resolve to these. Initialized once at package
-// load and treated as immutable.
+// defaultConfigs holds the per-operator default policies; a nil config in
+// NewUEWithConfig resolves to these. Initialized once at package load and
+// treated as immutable.
 var defaultConfigs = func() [radio.NumOperators]HandoverConfig {
 	var cfgs [radio.NumOperators]HandoverConfig
 	for op := radio.Operator(0); op < radio.NumOperators; op++ {

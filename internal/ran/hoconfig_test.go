@@ -102,7 +102,7 @@ func chooseTechUE(t *testing.T, cfg HandoverConfig) *UE {
 		t.Fatalf("test config invalid: %v", err)
 	}
 	route := geo.NewRoute()
-	dep := deploy.New(route, radio.Verizon, sim.NewRNG(23).Stream("deploy"))
+	dep := deploy.NewUpToDensity(route, radio.Verizon, sim.NewRNG(23).Stream("deploy"), 0, deploy.DefaultDensity())
 	return NewUEWithConfig(sim.NewRNG(23).Stream("choose-test"), dep, &cfg)
 }
 

@@ -12,8 +12,8 @@ import (
 // setupFor is testSetup without the *testing.T, shared with benchmarks.
 func setupFor(op radio.Operator) (*geo.Route, *deploy.Deployment, *UE) {
 	route := geo.NewRoute()
-	dep := deploy.New(route, op, sim.NewRNG(23).Stream("deploy"))
-	ue := NewUE(sim.NewRNG(23).Stream("ran-test"), dep)
+	dep := deploy.NewUpToDensity(route, op, sim.NewRNG(23).Stream("deploy"), 0, deploy.DefaultDensity())
+	ue := NewUEWithConfig(sim.NewRNG(23).Stream("ran-test"), dep, nil)
 	return route, dep, ue
 }
 

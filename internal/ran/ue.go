@@ -89,14 +89,9 @@ type UE struct {
 	events   []HandoverEvent
 }
 
-// NewUE returns a UE for the operator over the given deployment, running
-// the operator's default (paper-measured) handover policy.
-func NewUE(rng *sim.RNG, dep *deploy.Deployment) *UE {
-	return NewUEWithConfig(rng, dep, nil)
-}
-
-// NewUEWithConfig returns a UE running the given handover policy. A nil cfg
-// selects the operator's default policy; a non-nil cfg must outlive the UE
+// NewUEWithConfig returns a UE for the operator over the given deployment,
+// running the given handover policy. A nil cfg selects the operator's
+// default (paper-measured) policy; a non-nil cfg must outlive the UE
 // and must not be mutated while the UE runs. The config only changes which
 // numbers feed each RNG draw, never how many draws occur per decision, so
 // two UEs on the same streams but different policies stay draw-aligned
@@ -178,19 +173,12 @@ func (u *UE) attach(t float64, km float64, avail deploy.TechMask, tr Traffic, zo
 	u.nextEval = t + u.rng.Uniform(u.cfg.EvalMinSec, u.cfg.EvalMaxSec)
 }
 
-// Step advances the UE by dt seconds at the given route position and
-// returns the full radio snapshot: it is StepInto with radio.NeedAll. The
-// traffic profile drives the elevation policy.
-func (u *UE) Step(t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) Snapshot {
-	var snap Snapshot
-	u.StepInto(&snap, t, dt, km, mph, road, zone, tr, radio.NeedAll)
-	return snap
-}
-
-// StepInto advances the UE like Step, writing the snapshot into
-// caller-owned memory, so the per-tick loops (the campaign's test lanes in
-// particular) land the radio state directly in its long-lived slot instead
-// of copying a Snapshot up the call chain. need selects the serving link's
+// StepInto advances the UE by dt seconds at the given route position and
+// writes the radio snapshot into caller-owned memory, so the per-tick loops
+// (the campaign's test lanes in particular) land the radio state directly
+// in its long-lived slot instead of copying a Snapshot up the call chain.
+// The traffic profile drives the elevation policy. need selects the serving
+// link's
 // outputs as radio.Link.StepInto does; a capacity outside it is not
 // computed and holds no meaningful value. The policy, the handovers and
 // every draw are the same whatever the need.

@@ -28,6 +28,14 @@ func (h HandoverEvent) Kind() string {
 // attached at all.
 func (u *UE) ServingTech() (radio.Tech, bool) { return u.tech, u.attached }
 
+// Step advances the UE like StepInto with radio.NeedAll and returns the
+// full radio snapshot.
+func (u *UE) Step(t, dt, km, mph float64, road geo.RoadClass, zone geo.Timezone, tr Traffic) Snapshot {
+	var snap Snapshot
+	u.StepInto(&snap, t, dt, km, mph, road, zone, tr, radio.NeedAll)
+	return snap
+}
+
 func testSetup(t *testing.T, op radio.Operator) (*geo.Route, *deploy.Deployment, *UE) {
 	t.Helper()
 	return setupFor(op)
