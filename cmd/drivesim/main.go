@@ -119,9 +119,9 @@ func main() {
 	acc.SetShapeParams(sc.ShapeParams())
 	var t1 analysis.Table1Sink
 	sink := dataset.Tee(w, acc, &t1)
-	fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
-		describe(cfg), sc.Name(), tb.Route.LengthKm(), cfg.Seed)
 	c := campaign.NewWithTestbed(cfg, tb)
+	fmt.Fprintf(os.Stderr, "simulating %s on scenario %s over %.0f km (seed %d)...\n",
+		describe(cfg), sc.Name(), c.EndKm(), cfg.Seed)
 	c.RunTo(sink)
 	if err := sink.Flush(); err != nil {
 		log.Fatalf("writing dataset: %v", err)

@@ -17,14 +17,18 @@ import (
 // single table.
 const DefaultChunkRows = 8192
 
-// gzipLevel is the deflate level of every member. It was chosen by
-// measurement (DESIGN §10): re-compressing a sweep's dump tree in 8192-row
-// members, level 5 writes 0.5% more bytes than gzip's default level 6 for
-// 0.69–0.76× its CPU, level 4 6.3% more for 0.56–0.59×, and level 1 18.6%
-// more for 0.30–0.33×. Level 5 is the fastest within 1% of level 6's
-// bytes. Changing it changes every .gz byte, never the decompressed
+// gzipLevel is the deflate level of every member, chosen end to end
+// (DESIGN §10): the level with the most perfbench sweep-dump seeds/hour
+// among those whose median peak RSS stays within +5% of level 5's and whose
+// .gz bytes stay within +15% of level 5's, both on a traced sweep-dump run
+// and on the full seed-23 drivesim tree. On a 2-vCPU host, 20-s runs
+// alternating levels, level 2 ran 41.3k seeds/hour against level 5's 35.1k
+// (0.161 against 0.187 CPU-s/seed) at 29.6 against 31.9 MB peak RSS, for
+// +9.1% bytes on the sweep and +11.0% (17.4 against 15.7 MB) on the full
+// trip. Level 1 was faster still (46.3k) but wrote +18.0% and +19.0%.
+// Changing the level changes every .gz byte, never the decompressed
 // content.
-const gzipLevel = 5
+const gzipLevel = 2
 
 // ParallelCSVWriter is the dataset writer: one <table>.csv.gz file per
 // record type, each the gzip of the table's CSV (header row first), with

@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"compress/gzip"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"wheels/internal/dataset"
 	"wheels/internal/radio"
 	"wheels/internal/ran"
+	"wheels/internal/scenario"
 )
 
 // BenchmarkFleet runs a reduced three-seed fleet per iteration and reports
@@ -239,3 +244,87 @@ func BenchmarkSeedSummary(b *testing.B) {
 
 // seedSummarySink keeps BenchmarkSeedSummary's result live.
 var seedSummarySink SeedSummary
+
+// BenchmarkDumpSeed measures the dump layer alone: writing one seed's
+// records through the writer of cmd/fleet -dump-dir, with one compression
+// worker. The seed has the shape of a perfbench sweep-dump seed (network
+// tests without the speed test, passive loggers and static batteries, the
+// first 35 km of the dense-urban scenario, seed 2001) and is collected
+// once, outside the timer; every iteration emits it into a fresh writer
+// and flushes it, so CSV encoding, deflate at gzipLevel and the file
+// writes are all inside the op. It reports the CSV bytes written per op as
+// its throughput and the gzip bytes as gz-bytes/op. Its name stays clear
+// of the gated BenchmarkFleet|BenchmarkSweep regex: it is reported, not
+// gated.
+func BenchmarkDumpSeed(b *testing.B) {
+	sc, err := scenario.Resolve("dense-urban")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb, err := sc.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := campaign.DefaultConfig(2001)
+	cfg.Engine = campaign.EngineBatch
+	cfg.EnableApps = false
+	cfg.EnableSpeedTest = false
+	cfg.KmLimit = 35
+	col := dataset.NewCollector(cfg.Seed)
+	campaign.NewWithTestbed(sc.ApplySchedule(cfg), tb).RunTo(col)
+	ds := col.Dataset()
+
+	dump := func(dir string) {
+		w, err := dataset.NewParallelCSVWriter(dir, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.EmitTo(w)
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dir := b.TempDir()
+	dump(dir)
+	csvBytes, gzBytes := dumpSizes(b, dir)
+	b.SetBytes(csvBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dump(b.TempDir())
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(gzBytes), "gz-bytes/op")
+}
+
+// dumpSizes returns the decompressed and the compressed size of the
+// <table>.csv.gz files in dir.
+func dumpSizes(b *testing.B, dir string) (csv, gz int64) {
+	b.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv.gz"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no gzip tables in %s (%v)", dir, err)
+	}
+	for _, name := range files {
+		f, err := os.Open(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			b.Fatal(err)
+		}
+		gz += st.Size()
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, zr)
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		csv += n
+	}
+	return csv, gz
+}

@@ -197,9 +197,11 @@ func pow22(x float64) float64 {
 // interferencePenaltyDB grows toward the cell edge: the UE moves away from
 // its serving cell and toward the interfering neighbors, collapsing SINR.
 // distFrac is distance over cell range; beyond the nominal range the
-// penalty keeps growing.
+// penalty keeps growing. A NaN distFrac gets the penalty of distance 0,
+// like a negative one, so the rail shortcuts of clampedSINR agree with the
+// unshortened clamp for every input.
 func interferencePenaltyDB(distFrac float64) float64 {
-	if distFrac < 0 {
+	if !(distFrac >= 0) {
 		distFrac = 0
 	}
 	// The cap crossover is at distFrac = (34/26)^(1/2.2) ≈ 1.1297. At 1.13
@@ -234,7 +236,9 @@ func interferencePenaltyDB(distFrac float64) float64 {
 //     spec lets an implementation fuse s0 - 26·xx into one FMA otherwise.
 //     Past x = 1 the Exp factor exceeds 1 and the bound would not hold.
 //
-// None of them estimates pen's value, so no bit can flip.
+// None of them estimates pen's value, so no bit can flip. A NaN distFrac
+// takes the first two bounds with pen = 0 (interferencePenaltyDB treats it
+// as distance 0) and never the third.
 func clampedSINR(s0, distFrac float64) float64 {
 	switch {
 	case s0 <= sinrMinDB:

@@ -187,7 +187,8 @@ func clampRef(s0, distFrac float64) float64 {
 // high-rail bound 28 + 26x² for x near 0, near 1 and just past 1, where
 // the bound stops applying. Driving geometry rarely pairs a strong signal
 // with a far cell, so only this direct sweep pins the thresholds
-// themselves.
+// themselves. A NaN or infinite x, and a NaN s0, are swept too: no caller
+// makes one, but the shortcuts must still agree with the clamp there.
 func TestClampedSINRExact(t *testing.T) {
 	check := func(s0, df float64) {
 		t.Helper()
@@ -202,8 +203,10 @@ func TestClampedSINRExact(t *testing.T) {
 		}
 		s0s = append(s0s, math.Nextafter(edge, math.Inf(-1)), edge, math.Nextafter(edge, math.Inf(1)))
 	}
+	s0s = append(s0s, math.NaN())
 	fracs := []float64{0, math.Copysign(0, -1), 5e-324, 1e-200, 1e-101, 1e-100, 1e-50, 1e-8,
-		0.5, 0.999, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.0001, 1.01, 1.1297, 1.13, 2}
+		0.5, 0.999, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.0001, 1.01, 1.1297, 1.13, 2,
+		math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	for f := 0.0; f < 1.2; f += 0.01 {
 		fracs = append(fracs, f)
 	}
@@ -246,10 +249,9 @@ func TestClampedSINRExact(t *testing.T) {
 }
 
 // FuzzClampedSINR compares clampedSINR bit for bit with the unshortened
-// clamp(s0 - interferencePenaltyDB(x)) on arbitrary inputs with a non-NaN
-// x: a NaN x has no penalty range for the rails to rest on, and no caller
-// makes one (x is a finite distance over a cell range). The seeds sit on
-// the high-rail bound near x = 0, near x = 1 and just past it.
+// clamp(s0 - interferencePenaltyDB(x)) on arbitrary inputs, NaN x
+// included (it is penalized as distance 0). The seeds sit on the high-rail
+// bound near x = 0, near x = 1 and just past it.
 func FuzzClampedSINR(f *testing.F) {
 	for _, df := range []float64{0, 1e-101, 0.3, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 1.05, 1.13} {
 		f.Add(sinrMaxDB+float64(26*float64(df*df)), df)
@@ -258,10 +260,9 @@ func FuzzClampedSINR(f *testing.F) {
 	f.Add(sinrMaxDB+34, 1.2)
 	f.Add(math.NaN(), 0.5)
 	f.Add(40.0, math.Inf(1))
+	f.Add(73.0, math.NaN())
+	f.Add(-20.0, math.NaN())
 	f.Fuzz(func(t *testing.T, s0, df float64) {
-		if df != df {
-			t.Skip("NaN distance fraction")
-		}
 		if got, want := clampedSINR(s0, df), clampRef(s0, df); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("clampedSINR(%v, %v) = %v (%#x), want %v (%#x)", s0, df, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
