@@ -1,35 +1,22 @@
 // Command benchgate compares metrics between two benchjson reports and
 // fails when a current value regresses past its budget. CI runs it against
-// the committed baseline (e.g. BENCH_fleet.json) so a perf regression fails
-// the build instead of silently landing.
+// the committed baseline (BENCH_fleet.json) so a perf regression fails the
+// build instead of silently landing.
 //
 // Usage:
 //
 //	benchgate -gate NAME:METRIC:BUDGET[:higher] [-gate ...] baseline.json current.json
-//	benchgate -min-ratio CURNAME:BASENAME:METRIC:RATIO [-min-ratio ...] baseline.json current.json
-//	benchgate -name B [-metric U] [-max-regress PCT] [-higher-is-better] baseline.json current.json
 //
 // Each -gate spec names a benchmark, a metric — a custom `go test -bench`
 // unit published via b.ReportMetric ("seeds/hour", "live-MB/seed", ...) or
 // the built-in "ns/op" — and a maximum regression percentage. Lower is
 // better by default; a trailing ":higher" marks throughput-style metrics.
-// The single-gate -name/-metric flags remain as shorthand for one spec.
 //
-// Each -min-ratio spec is a cross-benchmark speedup gate: the CURRENT
-// report's CURNAME metric must be at least RATIO times the BASELINE
-// report's BASENAME metric. This is how the batch engine's ≥1.8x
-// seeds/hour contract over the committed scalar baseline is enforced —
-// the divisor is the committed number, so the gate measures speedup
-// against the ledger, not against whatever the scalar engine does on
-// today's runner. The metric must be higher-is-better by construction
-// (a ratio floor makes no sense for ns/op-style metrics; gate those
-// with -gate instead).
-//
-// Every gate prints an old/new/delta line. A benchmark or metric missing
-// from either report, or an absent/unreadable baseline file, is a warning,
-// not a failure: a gate with nothing to compare must not block the build
-// (first run on a new baseline, a bench renamed in the same PR). Only a
-// measured regression past budget exits nonzero.
+// Every gate prints one verdict line. A gate with nothing to compare
+// fails: a benchmark or metric missing from either report, or a report that
+// could not be read. The ledger changes in the same commit as its gates, so
+// a missing row means a renamed or deleted bench lost its gate. Only a zero
+// baseline warns, since no percentage of zero can be budgeted.
 package main
 
 import (
@@ -77,30 +64,6 @@ func parseGate(spec string) (gate, error) {
 	return g, nil
 }
 
-// ratioGate is one CURNAME:BASENAME:METRIC:RATIO spec: current[curName]
-// must be >= ratio * baseline[baseName] for the shared metric.
-type ratioGate struct {
-	curName  string
-	baseName string
-	metric   string
-	ratio    float64
-}
-
-func parseRatioGate(spec string) (ratioGate, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 4 {
-		return ratioGate{}, fmt.Errorf("min-ratio %q: want CURNAME:BASENAME:METRIC:RATIO", spec)
-	}
-	ratio, err := strconv.ParseFloat(parts[3], 64)
-	if err != nil {
-		return ratioGate{}, fmt.Errorf("min-ratio %q: bad ratio: %v", spec, err)
-	}
-	if ratio <= 0 {
-		return ratioGate{}, fmt.Errorf("min-ratio %q: ratio must be positive", spec)
-	}
-	return ratioGate{curName: parts[0], baseName: parts[1], metric: parts[2], ratio: ratio}, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
@@ -113,58 +76,37 @@ func main() {
 		gates = append(gates, g)
 		return nil
 	})
-	var ratioGates []ratioGate
-	flag.Func("min-ratio", "repeatable CURNAME:BASENAME:METRIC:RATIO speedup-floor spec", func(spec string) error {
-		g, err := parseRatioGate(spec)
-		if err != nil {
-			return err
-		}
-		ratioGates = append(ratioGates, g)
-		return nil
-	})
-	var (
-		name   = flag.String("name", "", "benchmark name for a single gate (shorthand for -gate)")
-		metric = flag.String("metric", "ns/op", "metric unit for -name (custom ReportMetric unit or ns/op)")
-		budget = flag.Float64("max-regress", 20, "maximum allowed regression in percent for -name")
-		higher = flag.Bool("higher-is-better", false, "treat larger values as better for -name (throughput metrics)")
-	)
 	flag.Parse()
-	if *name != "" {
-		gates = append(gates, gate{name: *name, metric: *metric, budget: *budget, higher: *higher})
-	}
-	if len(gates)+len(ratioGates) == 0 || flag.NArg() != 2 {
-		log.Fatal("usage: benchgate [-gate NAME:METRIC:BUDGET[:higher]] [-min-ratio CURNAME:BASENAME:METRIC:RATIO] baseline.json current.json")
+	if len(gates) == 0 || flag.NArg() != 2 {
+		log.Fatal("usage: benchgate -gate NAME:METRIC:BUDGET[:higher] [-gate ...] baseline.json current.json")
 	}
 
-	base, baseOK := load(flag.Arg(0))
-	cur, curOK := load(flag.Arg(1))
-	if !curOK {
-		// No current numbers at all means the bench step upstream broke;
-		// that is a real failure, unlike a missing baseline.
-		os.Exit(1)
-	}
-
-	if evalGates(os.Stdout, base, baseOK, cur, gates, ratioGates) {
+	// An unreadable report is logged and gates as an empty one: every
+	// gate then fails on its missing side.
+	base := load(flag.Arg(0))
+	cur := load(flag.Arg(1))
+	if evalGates(os.Stdout, base, cur, gates) {
 		os.Exit(1)
 	}
 }
 
-// evalGates prints one verdict line per spec and reports whether any gate
-// failed. It is the whole comparison engine, split from main so the gate
-// semantics (missing data warns, only measured regressions fail) are
-// testable without exec'ing the binary.
-func evalGates(w io.Writer, base []result, baseOK bool, cur []result, gates []gate, ratioGates []ratioGate) bool {
+// evalGates prints one verdict line per gate and reports whether any gate
+// failed. It is the whole comparison engine, split from main so the
+// verdicts are testable without exec'ing the binary.
+func evalGates(w io.Writer, base, cur []result, gates []gate) bool {
 	fail := false
 	for _, g := range gates {
 		label := g.name + " " + g.metric
 		baseV, haveBase := lookup(base, g.name, g.metric)
 		curV, haveCur := lookup(cur, g.name, g.metric)
 		switch {
-		case !baseOK || !haveBase:
-			fmt.Fprintf(w, "%-50s baseline missing, current %.3f — not gated (warning)\n", label, curV)
+		case !haveBase:
+			fmt.Fprintf(w, "%-50s baseline missing, current %.3f FAIL\n", label, curV)
+			fail = true
 			continue
 		case !haveCur:
-			fmt.Fprintf(w, "%-50s current missing, baseline %.3f — not gated (warning)\n", label, baseV)
+			fmt.Fprintf(w, "%-50s current missing, baseline %.3f FAIL\n", label, baseV)
+			fail = true
 			continue
 		case baseV == 0:
 			fmt.Fprintf(w, "%-50s baseline is zero — not gated (warning)\n", label)
@@ -183,48 +125,22 @@ func evalGates(w io.Writer, base []result, baseOK bool, cur []result, gates []ga
 		fmt.Fprintf(w, "%-50s old %.3f  new %.3f  delta %+.1f%%  (budget %.0f%%) %s\n",
 			label, baseV, curV, regress, g.budget, verdict)
 	}
-	for _, g := range ratioGates {
-		label := g.curName + "/" + g.baseName + " " + g.metric
-		baseV, haveBase := lookup(base, g.baseName, g.metric)
-		curV, haveCur := lookup(cur, g.curName, g.metric)
-		// Same missing-data philosophy as -gate: a spec with nothing to
-		// compare (new baseline, renamed bench) warns instead of failing.
-		switch {
-		case !baseOK || !haveBase:
-			fmt.Fprintf(w, "%-50s baseline missing, current %.3f — not gated (warning)\n", label, curV)
-			continue
-		case !haveCur:
-			fmt.Fprintf(w, "%-50s current missing, baseline %.3f — not gated (warning)\n", label, baseV)
-			continue
-		case baseV <= 0:
-			fmt.Fprintf(w, "%-50s baseline not positive — not gated (warning)\n", label)
-			continue
-		}
-		got := curV / baseV
-		verdict := "ok"
-		if got < g.ratio {
-			verdict = "FAIL"
-			fail = true
-		}
-		fmt.Fprintf(w, "%-50s base %.3f  cur %.3f  ratio %.2fx  (floor %.2fx) %s\n",
-			label, baseV, curV, got, g.ratio, verdict)
-	}
 	return fail
 }
 
-// load reads one benchjson report, warning instead of exiting on problems.
-func load(path string) ([]result, bool) {
+// load reads one benchjson report, logging why it could not.
+func load(path string) []result {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Printf("warning: %v", err)
-		return nil, false
+		log.Print(err)
+		return nil
 	}
 	var results []result
 	if err := json.Unmarshal(data, &results); err != nil {
-		log.Printf("warning: %s: %v", path, err)
-		return nil, false
+		log.Printf("%s: %v", path, err)
+		return nil
 	}
-	return results, true
+	return results
 }
 
 // lookup returns the named benchmark's metric value.

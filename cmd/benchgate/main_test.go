@@ -5,60 +5,60 @@ import (
 	"testing"
 )
 
-func mkResults(name string, seedsPerHour float64) []result {
-	return []result{{Name: name, NsPerOp: 1e6, Metrics: map[string]float64{"seeds/hour": seedsPerHour}}}
+func mkResults(name, metric string, v float64) []result {
+	return []result{{Name: name, NsPerOp: 1e6, Metrics: map[string]float64{metric: v}}}
 }
 
-func TestParseRatioGate(t *testing.T) {
-	g, err := parseRatioGate("BenchmarkFleetBatch:BenchmarkFleet:seeds/hour:1.8")
-	if err != nil {
-		t.Fatal(err)
+// TestRegressionGate pins the verdicts of both gate directions: a
+// higher-is-better floor at 3% (the committed BenchmarkFleetBatch baseline
+// on both sides of 0.97x) and a lower-is-better budget.
+func TestRegressionGate(t *testing.T) {
+	cases := []struct {
+		name     string
+		g        gate
+		base     float64
+		cur      float64
+		wantFail bool
+	}{
+		{"higher: within 3%", gate{"B", "seeds/hour", 3, true}, 41535, 40290, false},
+		{"higher: past 3%", gate{"B", "seeds/hour", 3, true}, 41535, 40280, true},
+		{"higher: gain", gate{"B", "seeds/hour", 3, true}, 41535, 60000, false},
+		{"lower: within 20%", gate{"B", "live-MB/seed", 20, false}, 3.891, 4.6, false},
+		{"lower: past 20%", gate{"B", "live-MB/seed", 20, false}, 3.891, 4.7, true},
+		{"lower: gain", gate{"B", "live-MB/seed", 20, false}, 3.891, 1, false},
 	}
-	if g.curName != "BenchmarkFleetBatch" || g.baseName != "BenchmarkFleet" ||
-		g.metric != "seeds/hour" || g.ratio != 1.8 {
-		t.Fatalf("parsed %+v", g)
-	}
-	for _, bad := range []string{
-		"a:b:c",          // too few fields
-		"a:b:c:d:e",      // too many
-		"a:b:c:x",        // ratio not a number
-		"a:b:c:0",        // ratio must be positive
-		"a:b:c:-2",       // negative ratio
-		"a:b:seeds/hour", // metric slash eats a field -> 3 fields? actually 3 parts: a,b,seeds/hour
-	} {
-		if _, err := parseRatioGate(bad); err == nil {
-			t.Errorf("parseRatioGate(%q): want error", bad)
+	for _, tc := range cases {
+		var out strings.Builder
+		fail := evalGates(&out, mkResults("B", tc.g.metric, tc.base), mkResults("B", tc.g.metric, tc.cur), []gate{tc.g})
+		if fail != tc.wantFail {
+			t.Errorf("%s: fail = %v, want %v\n%s", tc.name, fail, tc.wantFail, out.String())
 		}
 	}
 }
 
-// TestRatioGateVerdicts drives evalGates through the speedup floor: pass at
-// and above the floor, fail below it, and warn (not fail) whenever either
-// side of the comparison is missing — the same missing-data philosophy as
-// the regression gates.
-func TestRatioGateVerdicts(t *testing.T) {
-	spec := ratioGate{curName: "BenchmarkFleetBatch", baseName: "BenchmarkFleet", metric: "seeds/hour", ratio: 1.8}
-	base := mkResults("BenchmarkFleet", 20000)
-
+// TestGateWithNothingToCompareFails pins that a gate fails when either
+// side of its comparison is absent, so a renamed or deleted bench cannot
+// silently lose its gate; only a zero baseline warns.
+func TestGateWithNothingToCompareFails(t *testing.T) {
+	g := gate{name: "B", metric: "seeds/hour", budget: 3, higher: true}
+	ok := mkResults("B", "seeds/hour", 1000)
 	cases := []struct {
 		name     string
 		base     []result
-		baseOK   bool
 		cur      []result
 		wantFail bool
 		wantSub  string
 	}{
-		{"above floor", base, true, mkResults("BenchmarkFleetBatch", 40000), false, "ratio 2.00x"},
-		{"exactly at floor", base, true, mkResults("BenchmarkFleetBatch", 36000), false, "ok"},
-		{"below floor", base, true, mkResults("BenchmarkFleetBatch", 35999), true, "FAIL"},
-		{"baseline bench missing", mkResults("Other", 1), true, mkResults("BenchmarkFleetBatch", 1), false, "baseline missing"},
-		{"baseline file missing", nil, false, mkResults("BenchmarkFleetBatch", 1), false, "baseline missing"},
-		{"current bench missing", base, true, mkResults("Other", 1), false, "current missing"},
-		{"zero baseline", mkResults("BenchmarkFleet", 0), true, mkResults("BenchmarkFleetBatch", 1), false, "not positive"},
+		{"baseline bench missing", mkResults("Other", "seeds/hour", 1000), ok, true, "baseline missing"},
+		{"baseline metric missing", mkResults("B", "live-MB/seed", 1), ok, true, "baseline missing"},
+		{"baseline unreadable", nil, ok, true, "baseline missing"},
+		{"current bench missing", ok, mkResults("Other", "seeds/hour", 1000), true, "current missing"},
+		{"current metric missing", ok, mkResults("B", "live-MB/seed", 1), true, "current missing"},
+		{"zero baseline", mkResults("B", "seeds/hour", 0), ok, false, "baseline is zero"},
 	}
 	for _, tc := range cases {
 		var out strings.Builder
-		fail := evalGates(&out, tc.base, tc.baseOK, tc.cur, nil, []ratioGate{spec})
+		fail := evalGates(&out, tc.base, tc.cur, []gate{g})
 		if fail != tc.wantFail {
 			t.Errorf("%s: fail = %v, want %v\n%s", tc.name, fail, tc.wantFail, out.String())
 		}
@@ -68,18 +68,25 @@ func TestRatioGateVerdicts(t *testing.T) {
 	}
 }
 
-// TestRegressionGateStillWorks pins the pre-existing -gate path through the
-// extracted evalGates, so the refactor cannot silently change its verdicts.
-func TestRegressionGateStillWorks(t *testing.T) {
-	g := gate{name: "BenchmarkFleet", metric: "seeds/hour", budget: 20, higher: true}
-	base := mkResults("BenchmarkFleet", 20000)
-
-	var out strings.Builder
-	if fail := evalGates(&out, base, true, mkResults("BenchmarkFleet", 17000), []gate{g}, nil); fail {
-		t.Errorf("15%% drop within 20%% budget must pass:\n%s", out.String())
+func TestParseGate(t *testing.T) {
+	g, err := parseGate("BenchmarkFleetBatch:seeds/hour:3:higher")
+	if err != nil {
+		t.Fatal(err)
 	}
-	out.Reset()
-	if fail := evalGates(&out, base, true, mkResults("BenchmarkFleet", 15000), []gate{g}, nil); !fail {
-		t.Errorf("25%% drop past 20%% budget must fail:\n%s", out.String())
+	if g != (gate{name: "BenchmarkFleetBatch", metric: "seeds/hour", budget: 3, higher: true}) {
+		t.Fatalf("parsed %+v", g)
+	}
+	if g, err := parseGate("B:live-MB/seed:20"); err != nil || g.higher || g.budget != 20 {
+		t.Fatalf("parsed %+v, %v", g, err)
+	}
+	for _, bad := range []string{
+		"a:b",            // too few fields
+		"a:b:3:higher:x", // too many
+		"a:b:x",          // budget not a number
+		"a:b:3:lower",    // trailing field must be "higher"
+	} {
+		if _, err := parseGate(bad); err == nil {
+			t.Errorf("parseGate(%q): want error", bad)
+		}
 	}
 }

@@ -8,21 +8,18 @@
 //	go test -run '^$' -bench 'UEStep|LinkStep' -benchmem ./... | benchjson > BENCH_hotpath.json
 //
 // Repeated lines for the same benchmark (go test -count=N) merge into one
-// entry. The default -merge=mean averages ns/op, B/op, allocs/op, and every
-// custom metric, with Iterations summed. -merge=best instead keeps, per
-// benchmark, the whole repeat with the lowest ns/op: on a shared or
-// virtualized runner the noise is one-sided — contention and CPU steal only
-// ever slow a run down — so the fastest repeat is the least-perturbed
-// observation of the code's real capability, and all of its numbers are
-// internally consistent (its seeds/hour was measured in the same quiet
-// window as its ns/op). CI gates the fleet benches on -merge=best with
+// entry: the whole repeat with the lowest ns/op, with Iterations summed. On
+// a shared or virtualized runner the noise is one-sided — contention and
+// CPU steal only ever slow a run down — so the fastest repeat is the
+// least-perturbed observation of the code's real capability, and all of its
+// numbers are internally consistent (its seeds/hour was measured in the
+// same quiet window as its ns/op). CI gates the fleet benches with
 // -count=3 so one noisy repeat can neither trip nor mask a perf gate.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"log"
 	"os"
 	"strconv"
@@ -45,10 +42,8 @@ type Result struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	merge := flag.String("merge", "mean", "how to merge -count=N repeats: mean (average every field) or best (keep the repeat with the lowest ns/op)")
-	flag.Parse()
-	if *merge != "mean" && *merge != "best" {
-		log.Fatalf("unknown -merge %q (want mean or best)", *merge)
+	if len(os.Args) > 1 {
+		log.Fatal("usage: benchjson < bench.txt > report.json (it takes no arguments)")
 	}
 	var results []Result
 	pkg := ""
@@ -73,11 +68,7 @@ func main() {
 	if len(results) == 0 {
 		log.Fatal("no benchmark lines found on stdin")
 	}
-	if *merge == "best" {
-		results = mergeBest(results)
-	} else {
-		results = mergeRepeats(results)
-	}
+	results = mergeBest(results)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(results); err != nil {
@@ -110,73 +101,6 @@ func mergeBest(results []Result) []Result {
 	for _, r := range order {
 		r.Iterations = iters[r.Package+"\x00"+r.Name]
 		merged = append(merged, *r)
-	}
-	return merged
-}
-
-// mergeRepeats averages -count=N repeats of the same (package, name) into
-// one entry, preserving first-seen order. Fields present in only some
-// repeats (e.g. a metric reported conditionally) average over the repeats
-// that carry them.
-func mergeRepeats(results []Result) []Result {
-	type acc struct {
-		out        *Result
-		runs       float64
-		ns         float64
-		bytes      float64
-		bytesN     float64
-		allocs     float64
-		allocsN    float64
-		metricSum  map[string]float64
-		metricRuns map[string]float64
-	}
-	var order []*acc
-	byKey := map[string]*acc{}
-	for i := range results {
-		r := &results[i]
-		key := r.Package + "\x00" + r.Name
-		a := byKey[key]
-		if a == nil {
-			a = &acc{out: r, metricSum: map[string]float64{}, metricRuns: map[string]float64{}}
-			byKey[key] = a
-			order = append(order, a)
-		} else {
-			a.out.Iterations += r.Iterations
-		}
-		a.runs++
-		a.ns += r.NsPerOp
-		if r.BytesPerOp != nil {
-			a.bytes += *r.BytesPerOp
-			a.bytesN++
-		}
-		if r.AllocsPerOp != nil {
-			a.allocs += *r.AllocsPerOp
-			a.allocsN++
-		}
-		for unit, v := range r.Metrics {
-			a.metricSum[unit] += v
-			a.metricRuns[unit]++
-		}
-	}
-	merged := make([]Result, 0, len(order))
-	for _, a := range order {
-		r := *a.out
-		r.NsPerOp = a.ns / a.runs
-		if a.bytesN > 0 {
-			v := a.bytes / a.bytesN
-			r.BytesPerOp = &v
-		}
-		if a.allocsN > 0 {
-			v := a.allocs / a.allocsN
-			r.AllocsPerOp = &v
-		}
-		if len(a.metricSum) > 0 {
-			r.Metrics = make(map[string]float64, len(a.metricSum))
-			for unit, sum := range a.metricSum {
-				r.Metrics[unit] = sum / a.metricRuns[unit]
-			}
-		}
-		merged = append(merged, r)
 	}
 	return merged
 }

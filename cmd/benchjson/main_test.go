@@ -1,60 +1,17 @@
 package main
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func f(v float64) *float64 { return &v }
 
-// TestMergeRepeats pins the -count=N averaging: repeats of one benchmark
-// collapse to their mean (iterations summed), distinct benchmarks stay
-// separate and in first-seen order, and fields carried by only some
-// repeats average over the runs that have them.
-func TestMergeRepeats(t *testing.T) {
-	in := []Result{
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 10, NsPerOp: 100,
-			BytesPerOp: f(1000), Metrics: map[string]float64{"seeds/hour": 40000}},
-		{Name: "BenchmarkFleet", Package: "p", Iterations: 5, NsPerOp: 300},
-		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 20, NsPerOp: 200,
-			Metrics: map[string]float64{"seeds/hour": 44000, "live-MB/seed": 3}},
-	}
-	out := mergeRepeats(in)
-	if len(out) != 2 {
-		t.Fatalf("got %d entries, want 2", len(out))
-	}
-	b := out[0]
-	if b.Name != "BenchmarkFleetBatch" || out[1].Name != "BenchmarkFleet" {
-		t.Fatalf("order: %q, %q", out[0].Name, out[1].Name)
-	}
-	if b.Iterations != 30 || b.NsPerOp != 150 {
-		t.Errorf("iters %d ns %v, want 30 / 150", b.Iterations, b.NsPerOp)
-	}
-	if b.BytesPerOp == nil || *b.BytesPerOp != 1000 {
-		t.Errorf("bytes averages over carrying runs only: %v", b.BytesPerOp)
-	}
-	if got := b.Metrics["seeds/hour"]; got != 42000 {
-		t.Errorf("seeds/hour = %v, want 42000", got)
-	}
-	if got := b.Metrics["live-MB/seed"]; got != 3 {
-		t.Errorf("live-MB/seed = %v, want 3", got)
-	}
-	if out[1].NsPerOp != 300 || out[1].BytesPerOp != nil {
-		t.Errorf("singleton changed: %+v", out[1])
-	}
-	if math.IsNaN(b.NsPerOp) {
-		t.Error("NaN mean")
-	}
-}
-
-// TestMergeBest pins the -merge=best policy: each benchmark keeps exactly
+// TestMergeBest pins how -count=N repeats merge: each benchmark keeps exactly
 // the repeat with the lowest ns/op — all fields from that one run, nothing
 // blended — with iterations summed and first-seen order preserved.
 func TestMergeBest(t *testing.T) {
 	in := []Result{
 		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 10, NsPerOp: 300,
 			BytesPerOp: f(1000), Metrics: map[string]float64{"seeds/hour": 36000}},
-		{Name: "BenchmarkFleet", Package: "p", Iterations: 5, NsPerOp: 300,
+		{Name: "BenchmarkFleetStreaming", Package: "p", Iterations: 5, NsPerOp: 300,
 			Metrics: map[string]float64{"seeds/hour": 37000}},
 		{Name: "BenchmarkFleetBatch", Package: "p", Iterations: 20, NsPerOp: 250,
 			BytesPerOp: f(900), Metrics: map[string]float64{"seeds/hour": 42000, "live-MB/seed": 3}},
@@ -66,7 +23,7 @@ func TestMergeBest(t *testing.T) {
 		t.Fatalf("got %d entries, want 2", len(out))
 	}
 	b := out[0]
-	if b.Name != "BenchmarkFleetBatch" || out[1].Name != "BenchmarkFleet" {
+	if b.Name != "BenchmarkFleetBatch" || out[1].Name != "BenchmarkFleetStreaming" {
 		t.Fatalf("order: %q, %q", out[0].Name, out[1].Name)
 	}
 	if b.Iterations != 45 || b.NsPerOp != 250 {

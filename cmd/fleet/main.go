@@ -45,8 +45,7 @@
 // -cpuprofile and -memprofile write pprof profiles covering the fleet run
 // (all seeds, all workers), mirroring drivesim's flags: the CPU profile
 // spans fleet.Run only, and the heap profile is written after a final GC so
-// it shows live objects. This is the profile source DESIGN.md's PGO recipe
-// is built from.
+// it shows live objects.
 //
 // With -checkpoint, completed seeds append to FILE as JSON lines; an
 // interrupted fleet re-run with the same flags resumes, skipping the seeds

@@ -43,11 +43,8 @@ type Config struct {
 	// timeline engine, EngineScalar the phase-barrier test oracle.
 	Engine string
 
-	BulkSec   float64 // duration of one throughput test (§5: 30-35 s)
-	RTTSec    float64 // duration of one ping test (§5: 20 s)
 	VideoSec  float64 // one streaming session (§D.1: 180 s)
 	GamingSec float64 // one gaming session
-	GapSec    float64 // setup gap between consecutive tests
 
 	EnableApps    bool // run the four killer apps
 	EnablePassive bool // run the handover-logger phones
@@ -61,9 +58,6 @@ type Config struct {
 	// KmLimit truncates the campaign to the first N km of the route
 	// (0 = full trip). Used by tests and quick examples.
 	KmLimit float64
-
-	// PassiveSampleSec is the logging period of the handover-loggers.
-	PassiveSampleSec float64
 
 	// RawLogDir, when set, makes every bulk test also write its raw
 	// measurement files (XCAL .drm + app log) there, exactly as the real
@@ -80,17 +74,13 @@ type Config struct {
 // DefaultConfig returns the paper's full methodology.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:             seed,
-		BulkSec:          30,
-		RTTSec:           20,
-		VideoSec:         180,
-		GamingSec:        60,
-		GapSec:           5,
-		EnableApps:       true,
-		EnablePassive:    true,
-		EnableStatic:     true,
-		EnableSpeedTest:  true,
-		PassiveSampleSec: 2,
+		Seed:            seed,
+		VideoSec:        180,
+		GamingSec:       60,
+		EnableApps:      true,
+		EnablePassive:   true,
+		EnableStatic:    true,
+		EnableSpeedTest: true,
 	}
 }
 

@@ -149,26 +149,26 @@ func (c *Campaign) plan(sd *schedule) {
 		// One round-robin cycle of driving tests.
 		cfg := c.Cfg
 		add(phaseBulkDL, t, n)
-		t += cfg.BulkSec + cfg.GapSec
+		t += bulkSec + gapSec
 		add(phaseBulkUL, t, n)
-		t += cfg.BulkSec + cfg.GapSec
+		t += bulkSec + gapSec
 		add(phaseRTT, t, n)
-		t += cfg.RTTSec + cfg.GapSec
+		t += rttSec + gapSec
 		if cfg.EnableSpeedTest {
 			add(phaseSpeedTest, t, n)
-			t += speedTestSec + cfg.GapSec
+			t += speedTestSec + gapSec
 		}
 		if cfg.EnableApps {
 			for _, kinds := range [...][2]phaseKind{{phaseAR, phaseCAV}, {phaseARCompressed, phaseCAVCompressed}} {
 				add(kinds[0], t, n)
-				t += offload.ARConfig().DurSec + cfg.GapSec
+				t += offload.ARConfig().DurSec + gapSec
 				add(kinds[1], t, n)
-				t += offload.CAVConfig().DurSec + cfg.GapSec
+				t += offload.CAVConfig().DurSec + gapSec
 			}
 			add(phaseVideo, t, n)
-			t += cfg.VideoSec + cfg.GapSec
+			t += cfg.VideoSec + gapSec
 			add(phaseGaming, t, n)
-			t += cfg.GamingSec + cfg.GapSec
+			t += cfg.GamingSec + gapSec
 		}
 	}
 }

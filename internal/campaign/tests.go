@@ -41,7 +41,7 @@ func (c *Campaign) runBulk(sink dataset.Sink, id int, ph *phone, t float64, dir 
 	// A bulk test reads its direction's capacity and, for its throughput
 	// rows, the KPIs on every tick.
 	a := c.newAdapter(id, ph, t, profile, dir, radio.NeedKPI|radio.NeedCap(dir), st)
-	res := transport.RunBulkWith(&a.Bulk, pathAdapter{a}, c.Cfg.BulkSec)
+	res := transport.RunBulkWith(&a.Bulk, pathAdapter{a}, bulkSec)
 	c.emitBulk(sink, &a.Lane, t, dir, static, res)
 }
 
@@ -81,13 +81,13 @@ func (c *Campaign) emitBulk(sink dataset.Sink, ln *batch.Lane, t float64, dir ra
 	}
 
 	sum := dataset.TestSummary{
-		ID: ln.TestID, Op: ln.Op, Kind: kind, Dir: dir, StartUTC: utc(t), DurSec: c.Cfg.BulkSec,
+		ID: ln.TestID, Op: ln.Op, Kind: kind, Dir: dir, StartUTC: utc(t), DurSec: bulkSec,
 		Zone: ln.LastS.Zone, Server: ln.Server.Kind, Static: static,
 		MeanBps: res.MeanBps(), StdFracBps: res.StdFrac(),
 		HighSpeedFrac: ln.HighSpeedFrac(), HOCount: ln.HOCount(),
 	}
 	if !static {
-		sum.Miles = c.Trace.MilesBetween(t, t+c.Cfg.BulkSec)
+		sum.Miles = c.Trace.MilesBetween(t, t+bulkSec)
 	}
 	if dir == radio.Downlink {
 		sum.RxBytes = res.DeliveredBytes
@@ -105,7 +105,7 @@ const rttIntervalSec = 0.2
 func (c *Campaign) runRTT(sink dataset.Sink, id int, ph *phone, t float64, static bool, st *staticState) {
 	a := c.newAdapter(id, ph, t, ran.RTTProbe, radio.Downlink, 0, st)
 	nextPing := 0.0
-	for tt := 0.0; tt < c.Cfg.RTTSec; tt += rttIntervalSec {
+	for tt := 0.0; tt < rttSec; tt += rttIntervalSec {
 		_, _, rtt, outage := a.advance(rttIntervalSec, 0)
 		if tt >= nextPing {
 			nextPing += rttIntervalSec
@@ -140,12 +140,12 @@ func (c *Campaign) emitRTT(sink dataset.Sink, ln *batch.Lane, t float64, static 
 	mean, stdFrac := pingMeanStdFrac(ln.Pings)
 	sum := dataset.TestSummary{
 		ID: ln.TestID, Op: ln.Op, Kind: dataset.TestRTT, Dir: radio.Downlink, StartUTC: utc(t),
-		DurSec: c.Cfg.RTTSec, Zone: ln.LastS.Zone, Server: ln.Server.Kind, Static: static,
+		DurSec: rttSec, Zone: ln.LastS.Zone, Server: ln.Server.Kind, Static: static,
 		MeanRTTms: mean, StdFracRTT: stdFrac,
 		HighSpeedFrac: ln.HighSpeedFrac(), HOCount: ln.HOCount(),
 	}
 	if !static {
-		sum.Miles = c.Trace.MilesBetween(t, t+c.Cfg.RTTSec)
+		sum.Miles = c.Trace.MilesBetween(t, t+rttSec)
 	}
 	sink.EmitTest(sum)
 }
@@ -198,8 +198,15 @@ func (c *Campaign) exportRaw(ln *batch.Lane, kind string, t float64, samples []f
 	return exp.ExportTest(ln.Op, tag, utc(t), offset, kpis, sigs, app)
 }
 
-// speedTestSec is the duration of the commercial-style speed test.
-const speedTestSec = 15.0
+// Fixed test timing. The bulk and ping lengths are §5's; the gap, the
+// speed test length and the logging period are this model's settings.
+const (
+	bulkSec          = 30.0 // one throughput test (§5: 30-35 s)
+	rttSec           = 20.0 // one ping test (§5: 20 s)
+	gapSec           = 5.0  // setup gap between consecutive tests
+	speedTestSec     = 15.0 // the commercial-style speed test (Table 3 extension)
+	passiveSampleSec = 2.0  // the handover-loggers' logging period (§3 phones)
+)
 
 // runSpeedTest runs the Table 3 extension: an 8-connection peak-seeking
 // downlink test to the nearest server, on the same radio state the nuttcp
@@ -271,21 +278,17 @@ func (c *Campaign) runStaticBattery(sink dataset.Sink, id int, ph *phone, t floa
 		zone: s.Zone,
 	}
 	c.runBulk(sink, id, ph, t, radio.Downlink, true, st)
-	c.runBulk(sink, id+1, ph, t+c.Cfg.BulkSec+2, radio.Uplink, true, st)
-	c.runRTT(sink, id+2, ph, t+2*(c.Cfg.BulkSec+2), true, st)
+	c.runBulk(sink, id+1, ph, t+bulkSec+2, radio.Uplink, true, st)
+	c.runRTT(sink, id+2, ph, t+2*(bulkSec+2), true, st)
 }
 
 // runPassiveLogger walks the phone's carrier's handover-logger — the §3
 // phones that passively logged the serving technology with ping-only
 // traffic for the whole trip, riding in the same car and so seeing the
-// same deployment — along the trace, logging every PassiveSampleSec.
+// same deployment — along the trace, logging every passiveSampleSec.
 func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
 	end := c.EndKm()
 	ue := ran.NewUEWithConfig(c.rng.Stream("ho-logger"), ph.dep, c.hoCfg[ph.op])
-	step := c.Cfg.PassiveSampleSec
-	if step <= 0 {
-		step = 2
-	}
 	// Cell-ID memo: a logger camps on the same cell for many consecutive
 	// samples, so the string form is re-rendered only when the serving
 	// cell actually changes. The init flag matters because the zero
@@ -297,16 +300,16 @@ func (c *Campaign) runPassiveLogger(ph *phone) []dataset.PassiveSample {
 	// output.
 	need := c.floorNeed()
 	var snap ran.Snapshot
-	// The loop logs every int(step)-th sample below end, and trace Km never
+	// The loop logs every stride-th sample below end, and trace Km never
 	// decreases, so the output's length is known before the walk.
-	stride := max(int(step), 1)
+	const stride = int(passiveSampleSec)
 	out := make([]dataset.PassiveSample, 0, (c.Trace.AtKm(end)+stride-1)/stride)
 	for i := 0; i < len(c.Trace.Samples); i += stride {
 		s := c.Trace.Samples[i]
 		if s.Km >= end {
 			break
 		}
-		ue.StepInto(&snap, s.T, step, s.Km, s.MPH, s.Road, s.Zone, ran.Idle, need)
+		ue.StepInto(&snap, s.T, passiveSampleSec, s.Km, s.MPH, s.Road, s.Zone, ran.Idle, need)
 		rec := dataset.PassiveSample{
 			Op: ph.op, TimeUTC: utc(s.T), Km: s.Km, Zone: s.Zone,
 		}

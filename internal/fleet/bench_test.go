@@ -11,59 +11,37 @@ import (
 	"wheels/internal/analysis"
 	"wheels/internal/campaign"
 	"wheels/internal/dataset"
-	"wheels/internal/radio"
-	"wheels/internal/ran"
 	"wheels/internal/scenario"
 )
 
-// BenchmarkFleet runs a reduced three-seed fleet per iteration and reports
-// the two capacity numbers CI tracks in BENCH_fleet.json: seeds/hour
-// (scheduling + reduction throughput) and heap-delta/seed, a peak-RSS
-// proxy showing the dataset really is dropped after reduction. It runs the
-// scalar oracle engine, the engine its committed baseline was taken on.
-func BenchmarkFleet(b *testing.B) {
-	base := campaign.QuickConfig(0, 40)
-	base.Engine = campaign.EngineScalar
-	cfg := Config{
-		Base:      base,
-		StartSeed: 23,
-		Seeds:     3,
-		Workers:   2,
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	seeds := float64(cfg.Seeds * b.N)
-	b.ReportMetric(seeds/b.Elapsed().Hours(), "seeds/hour")
-	// Live-heap growth across the whole benchmark, amortized per seed: if
-	// datasets leaked past reduction this would be tens of MB, not ~zero.
-	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if growth < 0 {
-		growth = 0
-	}
-	b.ReportMetric(float64(growth)/seeds/1e6, "live-MB/seed")
-}
-
-// BenchmarkFleetBatch is BenchmarkFleet on the production engine, the
-// per-phone timeline engine — identical workload, identical output bytes
-// (the differential harness in internal/campaign proves it), different
-// scheduling. CI gates its seeds/hour against the committed scalar
-// BenchmarkFleet baseline and pins its live-MB/seed like the other fleet
-// benches: the engine's buffers are parked on the fleet's testbed, never
-// in package state, so it must hold no live heap once a fleet returns.
+// BenchmarkFleetBatch runs a reduced three-seed fleet per iteration on the
+// production engine (network tests only, the first 40 km) and reports the
+// two capacity numbers CI gates in BENCH_fleet.json: seeds/hour and
+// live-MB/seed, the cross-run leak check. The engine parks its buffers on
+// the fleet's testbed, never in package state, so a fleet that has
+// returned must hold no live heap.
 func BenchmarkFleetBatch(b *testing.B) {
 	base := campaign.QuickConfig(0, 40)
 	base.Engine = campaign.EngineBatch
+	benchFleet(b, base)
+}
+
+// BenchmarkFleetFull is BenchmarkFleetBatch on the paper's full
+// methodology (bulk/RTT, the speed test, the four apps, the static city
+// batteries and the passive loggers) over the first 120 km, so the gated
+// ledger covers the battery the paper ran and not only its network tests.
+func BenchmarkFleetFull(b *testing.B) {
+	base := campaign.DefaultConfig(0)
+	base.Engine = campaign.EngineBatch
+	base.KmLimit = 120
+	benchFleet(b, base)
+}
+
+// benchFleet runs seeds 23-25 of base through Run with two workers per
+// iteration and reports seeds/hour and the live-heap growth across the
+// whole benchmark per seed: if datasets leaked past reduction this would
+// be tens of MB, not ~zero.
+func benchFleet(b *testing.B, base campaign.Config) {
 	cfg := Config{
 		Base:      base,
 		StartSeed: 23,
@@ -90,63 +68,6 @@ func BenchmarkFleetBatch(b *testing.B) {
 		growth = 0
 	}
 	b.ReportMetric(float64(growth)/seeds/1e6, "live-MB/seed")
-}
-
-// BenchmarkSweep runs a two-policy grid (default + a sticky variant) over
-// a reduced seed range per iteration and reports configs/hour: completed
-// (scenario, policy) cells per hour, the capacity number fleet -grid
-// planning divides by. The policy axis shares one testbed's route and
-// registry across cells — only the Handover array differs — so the
-// marginal cost of a grid row over a plain fleet is the campaigns
-// themselves, which is exactly what this benchmark pins. Like
-// BenchmarkFleet it runs the scalar engine of its committed baseline.
-func BenchmarkSweep(b *testing.B) {
-	tb := campaign.NewTestbed()
-	sticky := *tb
-	for _, op := range radio.Operators() {
-		hc := ran.DefaultHandoverConfig(op)
-		hc.HysteresisFrac = 0.20
-		hc.EvalMinSec, hc.EvalMaxSec = 14, 24
-		sticky.Handover[op] = hc
-	}
-	base := campaign.QuickConfig(0, 40)
-	base.Engine = campaign.EngineScalar
-	cfg := Config{
-		Base: base,
-		Scenarios: []Scenario{
-			{Name: "paper", PolicyName: "baseline", Testbed: tb},
-			{Name: "paper", PolicyName: "sticky", Testbed: &sticky},
-		},
-		StartSeed: 23,
-		Seeds:     2,
-		Workers:   2,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.PolicySweeps()) != 1 {
-			b.Fatalf("expected one policy sweep in the report, got %d", len(rep.PolicySweeps()))
-		}
-	}
-	b.StopTimer()
-	cells := float64(len(cfg.Scenarios) * b.N)
-	b.ReportMetric(cells/b.Elapsed().Hours(), "configs/hour")
-	b.ReportMetric(float64(cfg.Seeds)*cells/b.Elapsed().Hours(), "seeds/hour")
-}
-
-// benchSeedConfig is the per-seed campaign the streaming-vs-materialized
-// pair below measures: long enough (320 km, passive loggers on) that the
-// record volume dominates the substrate both paths share. It runs the
-// scalar engine the committed baselines of both benches were taken on.
-func benchSeedConfig(seed int64) campaign.Config {
-	cfg := campaign.QuickConfig(seed, 320)
-	cfg.EnablePassive = true
-	cfg.Engine = campaign.EngineScalar
-	return cfg
 }
 
 // liveHeapMB forces a GC and returns the live-heap growth over base in MB.
@@ -168,42 +89,23 @@ func heapBase() uint64 {
 	return m.HeapAlloc
 }
 
-// BenchmarkFleetMaterialized measures the pre-streaming per-seed shape:
-// run the campaign to a full in-memory dataset, then reduce. live-MB/seed
-// is the live heap at the hold point between the two — the finished
-// campaign plus the complete dataset, the peak a fleet worker used to
-// carry.
-func BenchmarkFleetMaterialized(b *testing.B) {
-	var peakSum float64
-	sums := make([]SeedSummary, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := heapBase()
-		c := campaign.New(benchSeedConfig(int64(23 + i%3)))
-		ds := c.Run()
-		peakSum += liveHeapMB(base)
-		runtime.KeepAlive(c)
-		sums = append(sums, Reduce(ds))
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Hours(), "seeds/hour")
-	b.ReportMetric(peakSum/float64(b.N), "live-MB/seed")
-	runtime.KeepAlive(sums)
-}
-
-// BenchmarkFleetStreaming measures the same seeds through the streaming
-// reduction: records flow into the Accumulator + HashSink as they are
-// produced and are never materialized. live-MB/seed is the live heap at the
-// equivalent hold point — the finished campaign plus the reduction state —
-// and is the number the CI bench gate pins against BENCH_fleet.json.
+// BenchmarkFleetStreaming measures one seed per iteration through the
+// streaming reduction: records flow into the Accumulator + HashSink as they
+// are produced and are never materialized. live-MB/seed is the live heap at
+// the hold point after the seed, the finished campaign plus the reduction
+// state, and CI gates it against BENCH_fleet.json.
 func BenchmarkFleetStreaming(b *testing.B) {
+	// 320 km with passive loggers on, so the record volume dominates the
+	// substrate, on the scalar engine its committed baseline was taken on.
+	cfg := campaign.QuickConfig(0, 320)
+	cfg.EnablePassive = true
+	cfg.Engine = campaign.EngineScalar
 	var peakSum float64
 	sums := make([]SeedSummary, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := benchSeedConfig(int64(23 + i%3))
+		cfg.Seed = int64(23 + i%3)
 		base := heapBase()
 		c := campaign.New(cfg)
 		acc := analysis.NewAccumulator(cfg.Seed)
@@ -228,8 +130,7 @@ func BenchmarkFleetStreaming(b *testing.B) {
 // quantiles and per-operator headlines over the accumulator of one 200 km
 // QuickConfig seed (the perfbench fleet-network workload's seeds). The
 // accumulator is fed once, outside the timer; every iteration reads it in
-// full. Its name stays clear of the gated BenchmarkFleet|BenchmarkSweep
-// regex: it is reported, not gated.
+// full. It is reported, not gated.
 func BenchmarkSeedSummary(b *testing.B) {
 	cfg := campaign.QuickConfig(1001, 200)
 	cfg.Engine = campaign.EngineBatch
@@ -253,8 +154,7 @@ var seedSummarySink SeedSummary
 // once, outside the timer; every iteration emits it into a fresh writer
 // and flushes it, so CSV encoding, deflate at gzipLevel and the file
 // writes are all inside the op. It reports the CSV bytes written per op as
-// its throughput and the gzip bytes as gz-bytes/op. Its name stays clear
-// of the gated BenchmarkFleet|BenchmarkSweep regex: it is reported, not
+// its throughput and the gzip bytes as gz-bytes/op. It is reported, not
 // gated.
 func BenchmarkDumpSeed(b *testing.B) {
 	sc, err := scenario.Resolve("dense-urban")
